@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench experiments experiments-quick trace-smoke traffic-smoke fault-smoke compiled-smoke resilience-smoke analysis-smoke examples lint lint-smoke clean
+.PHONY: install test bench experiments experiments-quick trace-smoke traffic-smoke fault-smoke resilience-smoke analysis-smoke examples lint lint-smoke clean
 
 install:
 	pip install -e .
@@ -44,14 +44,6 @@ fault-smoke:
 		--keep-going --manifest results/smoke/fault-manifest.json
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/fabric/test_failures.py \
 		tests/faults tests/properties/test_fault_injection.py
-
-# compiled-tier equivalence check: the quick suite four times (tier on
-# under the strict lint gate, tier off, numpy prefix builder off, and
-# --jobs 4) with per-run fingerprints; every leg must be bit-identical
-# and the tier must actually engage (compiled hit rate >= macro hit rate)
-compiled-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.compiled_smoke \
-		--dir results/smoke/compiled
 
 # resilience end-to-end check: the E20 policy matrix twice (serial under
 # the strict lint gate, and --jobs 2) with per-run fingerprints; the legs

@@ -16,7 +16,6 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy"],
     extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
     entry_points={
         "console_scripts": [

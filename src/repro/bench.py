@@ -25,13 +25,10 @@ documented in docs/performance.md):
 not comparable across machines, so the gate compares machine-independent
 quantities against the committed baseline: the deterministic sweep piece
 count (``sim_events`` — un-fusing ops or losing a fast path inflates it),
-the sweep macro and compiled-segment hit rates, and the microbench on/off
-speedup (a ratio of two runs on the *same* host). Any of them regressing
-by more than
+the sweep macro hit rate, and the microbench on/off speedup (a ratio of
+two runs on the *same* host). Any of them regressing by more than
 ``--threshold`` (default 25%) fails the check, as does same-host
-streaming overhead above the absolute :data:`STREAM_OVERHEAD_MAX` cap or
-a fresh sweep compiled hit rate below the absolute
-:data:`COMPILED_HIT_MIN` floor.
+streaming overhead above the absolute :data:`STREAM_OVERHEAD_MAX` cap.
 """
 
 from __future__ import annotations
@@ -58,12 +55,6 @@ DEFAULT_OUT = "BENCH_PR9.json"
 
 #: Hard cap on the streaming-observability overhead ratio (same-host A/B).
 STREAM_OVERHEAD_MAX = 0.05
-
-#: Absolute floor on the fresh sweep compiled-segment hit rate. PR 7's
-#: tier measured 0.512 on the quick sweep; the PR 8 lock-pair/safe-read/
-#: fork lowering lifted it to ~0.80, so 0.65 keeps real headroom over the
-#: old baseline while tolerating workload drift.
-COMPILED_HIT_MIN = 0.65
 
 #: Microbench shape: the two threads alternate long critical sections on a
 #: shared lock. While one computes for many scheduler quanta, the other is
@@ -154,24 +145,11 @@ def run_sweep(quick: bool) -> dict:
             sub = collector.records[n_before:]
             quanta = _total(sub, "quanta_batched")
             ticks = _total(sub, "timer_ticks")
-            compiled_ops = _total(sub, "compiled_ops")
-            # Hit-rate denominator: ops fetched by runs that lowered tables
-            # (mirrors RunCollector.compiled_summary — opt-out workloads
-            # must not dilute the rate of the runs the tier serves).
-            fetched = sum(
-                r.metrics.get("ops_fetched", 0)
-                for r in sub
-                if r.metrics.get("compiled_tables", 0) > 0
-            )
             experiments[entry.exp_id] = {
                 "wall_seconds": time.perf_counter() - started,
                 "sim_events": sum(r.sim_events for r in sub),
                 "macro_steps": _total(sub, "macro_steps"),
                 "macro_hit_rate": quanta / ticks if ticks else 0.0,
-                "compiled_segments": _total(sub, "compiled_segments"),
-                "compiled_hit_rate": (
-                    compiled_ops / fetched if fetched else 0.0
-                ),
             }
     wall = time.perf_counter() - total_started
     snap = collector.metrics_snapshot()
@@ -184,10 +162,6 @@ def run_sweep(quick: bool) -> dict:
         "macro_hit_rate": snap["macro_hit_rate"],
         "fast_reads": snap["fast_reads"],
         "fastpath_bailouts": snap["fastpath_bailouts"],
-        "compiled_runs": snap["compiled_runs"],
-        "compiled_segments": snap["compiled_segments"],
-        "compiled_ops": snap["compiled_ops"],
-        "compiled_hit_rate": snap["compiled_hit_rate"],
         "bailouts": collector.bailouts_by_reason(),
         "experiments": experiments,
     }
@@ -355,24 +329,6 @@ def check(current: dict, baseline: dict, threshold: float, out) -> int:
         baseline["sweep"]["macro_hit_rate"],
         higher_is_better=True,
     )
-    if "compiled_hit_rate" in baseline["sweep"]:
-        # Baselines from before the compiled tier existed lack the key;
-        # gate() skips zero baselines, this skips absent ones explicitly.
-        gate(
-            "sweep compiled_hit_rate",
-            current["sweep"]["compiled_hit_rate"],
-            baseline["sweep"]["compiled_hit_rate"],
-            higher_is_better=True,
-        )
-    compiled_rate = current["sweep"].get("compiled_hit_rate", 0.0)
-    floor_ok = compiled_rate >= COMPILED_HIT_MIN
-    print(
-        f"  [{'ok' if floor_ok else 'FAIL'}] sweep compiled_hit_rate "
-        f"floor: {compiled_rate:.1%} (min {COMPILED_HIT_MIN:.0%})",
-        file=out,
-    )
-    if not floor_ok:
-        failures.append("sweep compiled_hit_rate floor")
     gate(
         "microbench speedup (macro off/on, same host)",
         current["microbench"]["speedup"],
@@ -453,8 +409,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{sweep['sim_events']:,} pieces "
         f"({sweep['pieces_per_sec']:,.0f}/s), "
         f"macro hit rate {sweep['macro_hit_rate']:.1%}, "
-        f"compiled hit rate {sweep['compiled_hit_rate']:.1%} "
-        f"({sweep['compiled_segments']:,.0f} segments), "
         f"{sweep['fast_reads']:,.0f} fast reads"
     )
     streaming = current["streaming"]

@@ -281,13 +281,6 @@ class SimConfig:
     #: fast-forward of solo compute phases). Results are fingerprint-identical
     #: either way; the switch exists for A/B verification and benchmarking.
     macro_stepping: bool = True
-    #: Enable the compiled execution tier (:mod:`repro.sim.compiled`):
-    #: thread programs are pre-lowered into flat segment tables and the
-    #: engine batch-executes accounting over whole verified segments instead
-    #: of interpreting op by op. Results are fingerprint-identical either
-    #: way — segments bail out to the interpreted loop wherever exact
-    #: interleaving matters; the switch exists for A/B verification.
-    compiled_tier: bool = True
     #: Deterministic fault-injection plan (:mod:`repro.faults`); None or an
     #: empty plan disables injection entirely (zero hook overhead).
     fault_plan: FaultPlan | None = None

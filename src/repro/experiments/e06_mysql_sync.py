@@ -42,40 +42,30 @@ def _mysql_config(quick: bool) -> MysqlConfig:
 def run(quick: bool = False) -> ExperimentResult:
     config = multicore_config(n_cores=4, seed=66)
 
-    def one_run(make_instr):
-        # The arm's instrumentation comes from a factory so the compiled
-        # tier can lower over a fresh build (walking the live sessions
-        # would corrupt their records).
-        instr = make_instr()
+    def one_run(instr: Instrumentation | None):
         workload = MysqlWorkload(_mysql_config(quick))
-        result = run_program(
-            workload.build(instr),
-            config,
-            lower=lambda: MysqlWorkload(_mysql_config(quick)).build(make_instr()),
-        )
+        result = run_program(workload.build(instr), config)
         result.check_conservation()
         return result, instr
 
     # -- arm 1: unperturbed ground truth --------------------------------------
-    plain_result, _ = one_run(lambda: None)
+    plain_result, _ = one_run(None)
     plain_sync = sync_profile(plain_result, prefix="mysql:")
     plain_log = plain_result.locks[LOG_LOCK]
 
     # -- arm 2: LiMiT-instrumented locks --------------------------------------
-    def limit_instr() -> Instrumentation:
-        session = LimitSession([Event.CYCLES], count_kernel=True, name="limit")
-        return Instrumentation(sessions=[session], lock_reader=session)
-
-    limit_result, limit_run_instr = one_run(limit_instr)
+    limit = LimitSession([Event.CYCLES], count_kernel=True, name="limit")
+    limit_result, limit_run_instr = one_run(
+        Instrumentation(sessions=[limit], lock_reader=limit)
+    )
     limit_obs = limit_run_instr.lock_observations()[LOG_LOCK]
     limit_log_truth = limit_result.locks[LOG_LOCK]
 
     # -- arm 3: PAPI-instrumented locks --------------------------------------
-    def papi_instr() -> Instrumentation:
-        session = PapiLikeSession([Event.CYCLES], count_kernel=True, name="papi")
-        return Instrumentation(sessions=[session], lock_reader=session)
-
-    papi_result, papi_run_instr = one_run(papi_instr)
+    papi = PapiLikeSession([Event.CYCLES], count_kernel=True, name="papi")
+    papi_result, papi_run_instr = one_run(
+        Instrumentation(sessions=[papi], lock_reader=papi)
+    )
     papi_obs = papi_run_instr.lock_observations()[LOG_LOCK]
     papi_log_truth = papi_result.locks[LOG_LOCK]
 

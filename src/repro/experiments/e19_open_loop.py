@@ -56,12 +56,6 @@ def _points(quick: bool) -> list[tuple[str, float]]:
 class TrafficTrial:
     """Fabric job factory: one schedule point of the traffic generator."""
 
-    #: Measured loss (PR 8 A/B, quick E19, lowering on vs off): 1.9s vs
-    #: 1.3s wall at a 0.25 hit rate with ~12.5k divergences — arrival
-    #: jitter makes the real Sleep/work interleaving diverge from the
-    #: stub walk's pacing — so the request loop skips lowering.
-    compiled_lower = False
-
     def __init__(self, schedule: str, load: float, quick: bool) -> None:
         self.schedule = schedule
         self.load = load

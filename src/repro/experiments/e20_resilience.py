@@ -135,11 +135,6 @@ def slo_spec(arm: str, deadline_cycles: int) -> SloSpec:
 class ChainTrial:
     """Fabric job factory: one policy arm of the service chain."""
 
-    #: Like E19's request loop: arrival jitter makes the real
-    #: Sleep/queue interleaving diverge from the stub walk, so the
-    #: compiled tier would pay lowering cost for near-zero hits.
-    compiled_lower = False
-
     def __init__(self, arm: str, quick: bool) -> None:
         self.arm = arm
         self.quick = quick

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -233,7 +232,6 @@ def _emit(
             **collector.macro_summary(),
             "bailouts": collector.bailouts_by_reason(),
         },
-        "compiled": collector.compiled_summary(),
         "faults": collector.fault_summary(),
     }
     if analysis:
@@ -254,9 +252,9 @@ def _emit(
             record["analysis"] = analysis_block
     fingerprints = [r.fingerprint for r in collector.records if r.fingerprint]
     if fingerprints:
-        # Captured only under REPRO_FP_RECORDS=1 (the compiled-tier
-        # equivalence smoke); record order can differ between serial and
-        # pooled sweeps, so consumers compare these as multisets.
+        # Captured only under REPRO_FP_RECORDS=1 (the equivalence smokes);
+        # record order can differ between serial and pooled sweeps, so
+        # consumers compare these as multisets.
         record["fingerprints"] = fingerprints
     windows = collector.windows_summary()
     if windows is not None:
@@ -571,16 +569,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--no-compiled-tier",
-        action="store_true",
-        help=(
-            "interpret every op (sets REPRO_COMPILED_TIER=0 for this "
-            "process and its workers), disabling the pre-lowered "
-            "segment-table execution tier; results are bit-identical "
-            "either way — this is a triage/diff switch, not a mode"
-        ),
-    )
-    parser.add_argument(
         "--no-analysis",
         action="store_true",
         help=(
@@ -625,11 +613,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.set_defaults(fail_fast=None)
     args = parser.parse_args(argv)
-
-    if args.no_compiled_tier:
-        # The engine and the fabric cache salt both read this env var, so
-        # worker processes (which inherit the environment) follow suit.
-        os.environ["REPRO_COMPILED_TIER"] = "0"
 
     if args.list:
         for entry in all_experiments():

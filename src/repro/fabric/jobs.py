@@ -220,48 +220,9 @@ def resolve(path: str) -> Any:
         raise ConfigError(f"{module_name} has no attribute {attr!r}") from None
 
 
-def _note_lower_version(cache: ResultCache) -> None:
-    """Stamp the compiled-tier lowering version in the cache root and warn
-    once when it moved. Every ``run`` key folds the version salt, so a
-    bump strands prior entries; the structured warning makes the resulting
-    cold restart attributable instead of a silent slowdown."""
-    from repro.sim.compiled import LOWER_VERSION
-
-    if getattr(cache, "_lower_version_checked", False):
-        return
-    cache._lower_version_checked = True  # memo per cache instance
-    marker = cache.root / "compiled-lower-version"
-    current = str(LOWER_VERSION)
-    try:
-        stamped = marker.read_text().strip()
-    except OSError:
-        stamped = None
-    if stamped == current:
-        return
-    if stamped is not None:
-        warn(
-            "compiled-tier lowering version moved "
-            f"(cache {cache.root} was stamped v{stamped}, code is "
-            f"v{current}): cached run results are invalidated and will "
-            "be recomputed"
-        )
-    try:
-        cache.root.mkdir(parents=True, exist_ok=True)
-        marker.write_text(current + "\n")
-    except OSError:
-        pass  # read-only cache: already degraded; nothing to stamp
-
-
 def job_key(cache: ResultCache, job: RunJob) -> str:
-    from repro.sim.compiled import cache_salt
-
-    _note_lower_version(cache)
     return cache.key(
-        "run",
-        job.workload,
-        tuple(sorted(job.kwargs.items())),
-        job.config,
-        cache_salt(job.config),
+        "run", job.workload, tuple(sorted(job.kwargs.items())), job.config
     )
 
 
@@ -284,23 +245,12 @@ def execute_job(
     trial = factory(**job.kwargs)
     specs = trial.build() if hasattr(trial, "build") else trial
 
-    def fresh_build():
-        # Compiled-tier lowering pass: rebuild from the dotted path so the
-        # walked objects are throwaways (same rule as the lint gate).
-        t = factory(**job.kwargs)
-        return t.build() if hasattr(t, "build") else t
-
-    # Trials/workloads whose op streams lower to sub-MIN_BATCH runs (e.g.
-    # open-loop request loops) opt out with ``compiled_lower = False``:
-    # for them the lowering walk is pure overhead, never a speedup.
-    lower = fresh_build if getattr(trial, "compiled_lower", True) else None
-
     with obs_runtime.collect(
         capture_traces=capture_traces,
         label=job.label or job.workload,
         window_spec=window_spec,
     ) as collector:
-        result = Engine(job.config).run(specs, lower=lower)
+        result = Engine(job.config).run(specs)
     extra = trial.extract(result) if hasattr(trial, "extract") else None
     return JobOutcome(
         job=job,

@@ -139,12 +139,6 @@ class ThreadWalk:
     #: exception repr if the generator raised under stub results, else ""
     walk_error: str = ""
     walk_error_op: int = 0        #: op index at which the error surfaced
-    #: the generator factory this walk drove, kept so callers can *replay*
-    #: the thread (compiled-tier prediction forks, lazy clone-time lowering)
-    factory: Any = None
-    #: the spawn_tid_base this walk ran under — replays must reuse it, or a
-    #: re-walk's SpawnThread results would diverge from the recorded prefix
-    spawn_tid_base: int = 0
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -217,8 +211,8 @@ def _stub_code(current: Any) -> int:
 
 
 #: Type-identity fast path for :func:`_stub_code` — the walk runs once per
-#: op of every linted/lowered program, so a per-op isinstance chain is a
-#: measurable fraction of lowering time.
+#: op of every linted program, so a per-op isinstance chain is a
+#: measurable fraction of lint time.
 _STUB_DISPATCH: dict[type, int] = {
     cls: _stub_code(object.__new__(cls))
     for cls in vars(op).values()
@@ -234,7 +228,6 @@ def _walk_thread(
     max_ops: int,
     spawn_queue: list[tuple[str, Any, str]],
     spawn_tid_base: int,
-    force_results: dict[int, Any] | None = None,
 ) -> None:
     """Drive one generator to completion with stub results.
 
@@ -242,13 +235,6 @@ def _walk_thread(
     receive (everything already pending gets its tid first), so programs
     that keep the SpawnThread result for a later JoinThread see the same
     tids the engine would assign.
-
-    ``force_results`` overrides the stub result at specific op indices
-    (index -> value). The stub machinery still runs for those ops, so the
-    walk's internal state (slot tables, fake counters, handles) evolves
-    identically to an unforced walk — only the value fed back differs.
-    This is how the compiled tier forks a prediction at a two-valued op:
-    replay the thread with the alternative result forced at that index.
     """
     slots = _SlotTable(config.machine.pmu.n_counters)
     fake_counter = 0   # monotone source for read/rdtsc results
@@ -316,8 +302,6 @@ def _walk_thread(
             else:            # SpawnThread
                 next_result = spawn_tid_base + len(spawn_queue)
                 spawn_queue.append((current.name, current.factory, walk.name))
-            if force_results is not None and n - 1 in force_results:
-                next_result = force_results[n - 1]
             results_list.append(next_result)
     except Exception as exc:  # noqa: BLE001 - reported as a finding
         walk.walk_error = f"{type(exc).__name__}: {exc}"
@@ -328,7 +312,6 @@ def walk_program(
     specs: list[ThreadSpec],
     config: SimConfig | None = None,
     max_ops: int = DEFAULT_MAX_OPS,
-    first_tid: int = 0,
 ) -> ProgramWalk:
     """Statically enumerate every thread's ops for a workload.
 
@@ -338,12 +321,6 @@ def walk_program(
     specs first, then spawns as they are issued — the engine's order for
     programs that spawn up front; interleaved mid-run spawns may differ,
     which affects only finding labels, never hazard detection).
-
-    ``first_tid`` is the tid given to the first walked thread. Lint keeps
-    the historical 0 base; the compiled-tier lowering pass passes the
-    engine's 1 base so each walk context draws from the *same* seeded
-    ``RandomStream(seed, "thread", name, tid)`` the engine will construct,
-    making predicted op streams exact for result-independent programs.
     """
     from repro.obs import runtime as obs_runtime
 
@@ -352,12 +329,11 @@ def walk_program(
     pending: list[tuple[str, Any, str]] = [
         (spec.name, spec.factory, "") for spec in specs
     ]
-    next_tid = first_tid
     # The walk executes real workload generators, which may feed windowed
     # observations to the ambient collector; a throwaway scope absorbs
     # them so a static walk can never pollute live measurements.
     with obs_runtime.collect(label="lint-walk"):
-        _walk_all(program, pending, config, max_ops, next_tid)
+        _walk_all(program, pending, config, max_ops)
     return program
 
 
@@ -366,19 +342,13 @@ def _walk_all(
     pending: list[tuple[str, Any, str]],
     config: SimConfig,
     max_ops: int,
-    next_tid: int,
 ) -> None:
+    next_tid = 0
     while pending:
         name, factory, spawned_by = pending.pop(0)
         tid = next_tid
         next_tid += 1
-        walk = ThreadWalk(
-            name=name,
-            tid=tid,
-            spawned_by=spawned_by,
-            factory=factory,
-            spawn_tid_base=next_tid + len(pending),
-        )
+        walk = ThreadWalk(name=name, tid=tid, spawned_by=spawned_by)
         ctx = LintContext(name, tid, config)
         spawn_queue: list[tuple[str, Any, str]] = []
         _walk_thread(
@@ -388,7 +358,7 @@ def _walk_all(
             config,
             max_ops,
             spawn_queue,
-            spawn_tid_base=walk.spawn_tid_base,
+            spawn_tid_base=next_tid + len(pending),
         )
         pending.extend(spawn_queue)
         program.threads.append(walk)

@@ -340,7 +340,6 @@ class RunCollector:
             "sim_events_per_sec": self.sim_events / wall if wall > 0 else 0.0,
         }
         snap.update(self.macro_summary())
-        snap.update(self.compiled_summary())
         return dict(sorted(snap.items()))
 
     def macro_summary(self) -> dict[str, float]:
@@ -361,45 +360,6 @@ class RunCollector:
             "fastpath_bailouts": self._metric_total("fastpath_bailouts"),
             "macro_hit_rate": quanta / ticks if ticks else 0.0,
         }
-
-    def compiled_summary(self) -> dict[str, float]:
-        """Compiled-tier telemetry totals (:mod:`repro.sim.compiled`): how
-        many runs lowered segment tables, how many verified segments were
-        batch-executed, and the op-level hit rate. The hit-rate denominator
-        counts only ops fetched by runs that actually lowered tables —
-        workloads that opt out of lowering (``compiled_lower = False``)
-        should not dilute the rate of the runs the tier serves."""
-        segments = self._metric_total("compiled_segments")
-        ops = self._metric_total("compiled_ops")
-        fetched_lowered = sum(
-            r.metrics.get("ops_fetched", 0)
-            for r in self.records
-            if r.metrics.get("compiled_tables", 0) > 0
-        )
-        summary = {
-            "compiled_runs": sum(
-                1 for r in self.records
-                if r.metrics.get("compiled_tables", 0) > 0
-            ),
-            "compiled_segments": segments,
-            "compiled_ops": ops,
-            "compiled_ops_fetched": fetched_lowered,
-            "compiled_divergences": self._metric_total("compiled_divergences"),
-            "compiled_resyncs": self._metric_total("compiled_resyncs"),
-            "compiled_forks": self._metric_total("compiled_forks"),
-            "compiled_lazy_tables": self._metric_total("compiled_lazy_tables"),
-            "compiled_hit_rate": ops / fetched_lowered if fetched_lowered else 0.0,
-        }
-        # Per-reason bailout counters as flat keys (the runner's manifest
-        # aggregation sums values key by key, so nested dicts would not
-        # merge): compiled_bailout_window / _overflow / _pmi / _contended /
-        # _fork_miss / _read, present only for reasons that occurred.
-        for r in self.records:
-            for key, value in r.metrics.items():
-                if key.startswith("fastpath_bailout.compiled_"):
-                    flat = "compiled_bailout_" + key[len("fastpath_bailout.compiled_"):]
-                    summary[flat] = summary.get(flat, 0) + value
-        return summary
 
     def fault_summary(self) -> dict[str, Any]:
         """Fault-injection totals across every run (the manifest's ``faults``

@@ -72,24 +72,6 @@ from repro.kernel.perf import PerfFd, PerfSubsystem, SampleRecord
 from repro.kernel.scheduler import Scheduler
 from repro.kernel.vpmu import MuxState, SlotSpec, VirtualPmu
 from repro.sim import ops
-from repro.sim.compiled import (
-    DEAD_AFTER,
-    K_LACQ,
-    K_LREL,
-    K_RBEGIN,
-    K_RDTSC,
-    K_REND,
-    K_SREAD,
-    K_UREAD,
-    K_WORK,
-    LAZY_LOWER_CAP,
-    MIN_BATCH,
-    RESYNC_WINDOW,
-    ProgramLowering,
-    lower_program,
-    lower_spawned,
-    op_matches,
-)
 from repro.sim.program import ThreadContext, ThreadSpec
 from repro.sim.results import (
     CoreResult,
@@ -294,11 +276,6 @@ class SimThread:
         "started_at",
         "finished_at",
         "block_key",
-        "ctable",
-        "cpos",
-        "cmisses",
-        "cskip",
-        "cfork",
     )
 
     def __init__(self, tid: int, name: str, ctx: ThreadContext,
@@ -343,15 +320,6 @@ class SimThread:
         self.started_at = 0
         self.finished_at = 0
         self.block_key: tuple | None = None
-        # -- compiled tier (repro.sim.compiled) -------------------------
-        #: lowered segment table (None = interpret everything)
-        self.ctable: Any = None
-        self.cpos = 0          #: cursor into ctable's predicted op stream
-        self.cmisses = 0       #: consecutive unmatched fetches
-        self.cskip: Any = -1   #: slice end whose window already bailed
-        #: pending (main, alt, alt_table) fork: the op just consumed was a
-        #: two-valued fork point; resolved against send_value at next fetch
-        self.cfork: Any = None
 
     @property
     def cpu_cycles(self) -> int:
@@ -445,25 +413,6 @@ class Engine:
         #: contended-lock spin loop; values pin the plans (id-keyed).
         self._spin_recipes: dict[tuple[int, int], tuple] = {}
         self._bailouts: dict[str, int] = {}
-        # -- compiled execution tier (repro.sim.compiled) ----------------
-        # Same switch pattern as macro-stepping, plus hard disables: the
-        # tier batches op commits, which is incompatible with per-op trace
-        # emission order and with fault plans that match interior phases.
-        self._compiled_on = (
-            self.config.compiled_tier
-            and os.environ.get("REPRO_COMPILED_TIER", "1") != "0"
-            and not self._tracing
-            and self._faults is None
-        )
-        self._lowering: ProgramLowering | None = None
-        self._lower_wall = 0.0
-        self._lower_wall_by_thread: dict[str, float] = {}
-        self._compiled_segments = 0
-        self._compiled_ops = 0
-        self._compiled_divergences = 0
-        self._compiled_resyncs = 0
-        self._compiled_forks = 0
-        self._compiled_lazy = 0
         self._ops_fetched = 0
         tick = self._costs.timer_tick
         # One timer tick's kernel ground-truth events: each tick is its own
@@ -595,25 +544,6 @@ class Engine:
                 self._bailouts[reason]
             )
         reg.counter("ops_fetched").add(self._ops_fetched)
-        if self._lowering is not None:
-            reg.counter("compiled_tables").add(
-                len(self._lowering.tables) + self._compiled_lazy
-            )
-            reg.counter("compiled_segments").add(self._compiled_segments)
-            reg.counter("compiled_ops").add(self._compiled_ops)
-            reg.counter("compiled_divergences").add(self._compiled_divergences)
-            reg.counter("compiled_resyncs").add(self._compiled_resyncs)
-            reg.counter("compiled_forks").add(self._compiled_forks)
-            reg.counter("compiled_lazy_tables").add(self._compiled_lazy)
-            reg.timer("wall.lowering").add(self._lower_wall)
-            # Per-thread lowering walls: eager table builds attributed by
-            # the lowering pass, plus any lazy clone-time lowers this run
-            # paid mid-flight (the cost the compiled_lazy_tables counter
-            # would otherwise hide inside wall.lowering's total).
-            for tname in sorted(self._lower_wall_by_thread):
-                reg.timer("wall.lowering." + tname).add(
-                    self._lower_wall_by_thread[tname]
-                )
         if self._faults is not None:
             f = self._faults
             # Service faults the workload never resolved become misses now,
@@ -635,24 +565,8 @@ class Engine:
     # public API
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        specs: list[ThreadSpec],
-        lower: Callable[[], Any] | None = None,
-    ) -> RunResult:
-        """Execute the given threads to completion and return the results.
-
-        ``lower`` optionally enables the compiled execution tier
-        (:mod:`repro.sim.compiled`): a zero-argument callable returning a
-        **fresh, equivalent** build of the same program (a spec list or an
-        object with ``.build()``). It is invoked once to statically lower
-        the program into segment tables; the run itself still executes
-        ``specs``. It must construct new session/lock/queue objects —
-        never return the live ``specs`` — because lowering drives the
-        generators against stub contexts. Results are bit-identical with
-        or without it (a wrong or stale build only lowers the batch hit
-        rate, never correctness).
-        """
+    def run(self, specs: list[ThreadSpec]) -> RunResult:
+        """Execute the given threads to completion and return the results."""
         if self._finished:
             raise SimulationError("Engine instances are single-use")
         if not specs:
@@ -660,13 +574,6 @@ class Engine:
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate thread names: {names}")
-        if lower is not None and self._compiled_on:
-            t_low = time.perf_counter()
-            self._lowering = lower_program(lower, self.config)
-            self._lower_wall = time.perf_counter() - t_low
-            walls = self._lowering.stats.get("wall_by_thread")
-            if walls:
-                self._lower_wall_by_thread.update(walls)
         for spec in specs:
             thread = self._create_thread(spec.factory, spec.name, at=0)
             self._make_ready(thread, at=0)
@@ -863,16 +770,9 @@ class Engine:
         ex = thread.cur
         while True:
             if ex is None:
-                if thread.ctable is not None:
-                    if not self._compiled_fetch(core, thread):
-                        return
-                    ex = thread.cur
-                    if ex is None:
-                        return  # a batch committed; next piece next step
-                else:
-                    if not self._fetch_next_op(core, thread):
-                        return
-                    ex = thread.cur
+                if not self._fetch_next_op(core, thread):
+                    return
+                ex = thread.cur
             consumed = ex.phase_consumed
             cycles = ex.phase_cycles
             if consumed < cycles:
@@ -973,30 +873,6 @@ class Engine:
         thread = SimThread(tid, name, ctx, gen, self.config.machine.pmu.n_counters)
         thread.started_at = at
         thread.available_at = at
-        lowering = self._lowering
-        if lowering is not None:
-            # Attach by (name, tid): the walk assigned tids in its own
-            # creation order, so a mid-run spawn whose tid disagrees gets a
-            # *lazily lowered* table with the real tid instead — the eager
-            # one would mispredict every seeded RandomStream draw (never a
-            # wrong table either way: replay verifies each op).
-            tbl = lowering.tables.get(name)
-            if tbl is not None and tbl.tid == tid:
-                thread.ctable = tbl
-            elif (
-                name in lowering.spawn_factories
-                and self._compiled_lazy < LAZY_LOWER_CAP
-            ):
-                t_low = time.perf_counter()
-                tbl = lower_spawned(lowering, name, tid, self.config)
-                dt = time.perf_counter() - t_low
-                self._lower_wall += dt
-                self._lower_wall_by_thread[name] = (
-                    self._lower_wall_by_thread.get(name, 0.0) + dt
-                )
-                if tbl is not None:
-                    thread.ctable = tbl
-                    self._compiled_lazy += 1
         self.threads[tid] = thread
         self.live_count += 1
         return thread
@@ -1499,493 +1375,6 @@ class Engine:
         """Count a fast-path bailout; always False (for `return` chaining)."""
         self._bailouts[reason] = self._bailouts.get(reason, 0) + 1
         return False
-
-    # ------------------------------------------------------------------
-    # compiled execution tier (repro.sim.compiled)
-    # ------------------------------------------------------------------
-
-    def _compiled_fetch(self, core: Core, thread: SimThread) -> bool:
-        """Fetch the thread's next op with its segment table consulted.
-
-        Mirrors :meth:`_fetch_next_op`'s contract (False = the thread
-        finished). When the fetched op matches its prediction at the head
-        of a batchable segment and nothing can interleave, a whole span of
-        ops is committed in bulk (``thread.cur`` stays None and the caller
-        returns); otherwise the op is interpreted normally with the table
-        cursor tracking — and, on divergence, resynchronising against —
-        the real stream.
-        """
-        tbl = thread.ctable
-        if thread.throw_exc is not None:
-            # A thrown-in exception rewinds the generator through except/
-            # finally blocks; predictions after this point are worthless.
-            thread.ctable = None
-            thread.cfork = None
-            return self._fetch_next_op(core, thread)
-        fk = thread.cfork
-        if fk is not None:
-            # The op just consumed was a two-valued fork point: resolve the
-            # prediction stream against the value actually being sent back
-            # in, BEFORE the end-of-table check (a fork at the last index
-            # whose alternate fired must switch tables, not drop).
-            thread.cfork = None
-            sv = thread.send_value
-            if sv == fk[0]:
-                pass  # main continuation: the current table already has it
-            elif sv == fk[1]:
-                thread.ctable = tbl = fk[2]
-                thread.cpos = 0
-                thread.cmisses = 0
-                self._compiled_forks += 1
-            else:
-                self._bail("compiled_fork_miss")
-                thread.ctable = None
-                return self._fetch_next_op(core, thread)
-        i = thread.cpos
-        if i >= tbl.n:
-            thread.ctable = None
-            return self._fetch_next_op(core, thread)
-        try:
-            op = thread.gen.send(thread.send_value)
-        except StopIteration:
-            self._finish_thread(core, thread)
-            return False
-        e = tbl.bhead[i]
-        if e == 0:
-            # Not a batch head: prediction accuracy is irrelevant here (a
-            # batch re-verifies every op it replays), so skip the compare
-            # and track position blindly; a head-position mismatch later
-            # resynchronises against any accumulated drift.
-            thread.cpos = i + 1
-            if tbl.forks is not None and i in tbl.forks:
-                thread.cfork = tbl.forks[i]
-            self._ops_fetched += 1
-            thread.send_value = None
-            thread.cur = self._begin_op(core, thread, op)
-            return True
-        if op_matches(op, tbl.ops[i], tbl.kinds[i]):
-            thread.cmisses = 0
-            if thread.profiler is None and thread.cskip != core.slice_ends_at:
-                # (cskip: once a window bail happens, every later head in
-                # the same timeslice faces a strictly smaller window, so
-                # retrying before the next tick only repeats the failure.)
-                if core.pmi_due_at is not None:
-                    self._bail("compiled_pmi")
-                else:
-                    done = self._compiled_batch(core, thread, tbl, i, e, op)
-                    if done is not None:
-                        return done
-            thread.cpos = i + 1
-        else:
-            self._compiled_divergences += 1
-            j = i + 1
-            limit = j + RESYNC_WINDOW
-            if limit > tbl.n:
-                limit = tbl.n
-            resync = -1
-            while j < limit:
-                if op_matches(op, tbl.ops[j], tbl.kinds[j]):
-                    resync = j
-                    break
-                j += 1
-            if resync >= 0:
-                # The real stream skipped predicted ops: jump past them.
-                self._compiled_resyncs += 1
-                thread.cpos = resync + 1
-                thread.cmisses = 0
-                if tbl.forks is not None and resync in tbl.forks:
-                    thread.cfork = tbl.forks[resync]
-            else:
-                # Unknown op (likely an insertion): hold position and let
-                # the next fetch retry this prediction.
-                thread.cmisses += 1
-                if thread.cmisses >= DEAD_AFTER:
-                    thread.ctable = None
-        self._ops_fetched += 1
-        thread.send_value = None
-        thread.cur = self._begin_op(core, thread, op)
-        return True
-
-    def _compiled_batch(
-        self, core: Core, thread: SimThread, tbl: Any, i: int, e: int,
-        op0: ops.Op,
-    ) -> bool | None:
-        """Try to batch-execute predicted ops ``[i, e)`` (op ``i`` already
-        fetched — ``op0`` — and verified). Returns True/False with
-        :meth:`_fetch_next_op` semantics on success, or None when the
-        exactness caps leave fewer than MIN_BATCH ops — the caller then
-        interprets the already-fetched op.
-
-        Exactness caps: every batched op must end strictly inside the
-        current timeslice (so no timer tick, preemption or wakeup-driven
-        reschedule could interleave anywhere inside the span), and no
-        hardware counter may reach its overflow threshold (wraps arm PMIs,
-        which need interpreted phase splitting). Batchable ops are
-        thread-local, so the span may cross the main loop's actor horizon
-        — other actors at earlier simulated times cannot observe or affect
-        it — with two exceptions: a RegionEnd at or past the horizon would
-        consume the *shared* region-log budget ahead of other threads'
-        earlier region exits, and a lock acquire/release at or past it
-        would mutate *shared* lock state another actor at an earlier
-        simulated time could still contend for — the span stops before
-        the first such op. PMC reads need no horizon cap (per-core PMU
-        state; no cross-actor visibility).
-
-        Lock pairs replay only while provably uncontended (lock free on
-        acquire, owned with no sleepers on release); a contended lock
-        hands the fetched op to the interpreter mid-batch
-        (``compiled_contended``), whose spin/futex stage machine then runs
-        verbatim. Whole PMC reads replay through the same
-        :meth:`_try_fast_read` commit the interpreter's composite fast
-        path uses — the batch caps above guarantee its slice/wrap/PMI
-        prechecks cannot fire, so only live prechecks (rdpmc disabled,
-        slot reconfigured, latched overflow) can bail
-        (``compiled_read``).
-        """
-        now0 = core.now
-        cyc = tbl.cyc
-        base_c = cyc[i]
-        limit = self.config.max_cycles + 1 - now0
-        bound = core.slice_ends_at
-        if bound is not None and bound - now0 < limit:
-            limit = bound - now0
-        budget = limit - 1
-        if budget <= 0:
-            thread.cskip = core.slice_ends_at
-            self._bail("compiled_window")
-            return None
-        if cyc[e] - base_c > budget:
-            lo, hi = i, e
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if cyc[mid] - base_c <= budget:
-                    lo = mid
-                else:
-                    hi = mid
-            e = lo
-            if e - i < MIN_BATCH:
-                thread.cskip = core.slice_ends_at
-                self._bail("compiled_window")
-                return None
-        horizon = self._horizon
-        if horizon is not None and now0 + (cyc[e] - base_c) >= horizon:
-            hb = horizon - now0
-            kinds_tab = tbl.kinds
-            for j in range(i, e):
-                k = kinds_tab[j]
-                if k == K_REND:
-                    if cyc[j] - base_c >= hb:
-                        e = j
-                        break
-                elif k == K_LACQ or k == K_LREL:
-                    # Lock state mutates at the POST-cas time.
-                    if cyc[j + 1] - base_c >= hb:
-                        e = j
-                        break
-            if e - i < MIN_BATCH:
-                self._bail("compiled_window")
-                return None
-        pmu = core.pmu
-        if pmu.n_enabled:
-            cu = tbl.cu
-            ck = tbl.ck
-            eu = tbl.eu
-            ek = tbl.ek
-            for ctr in pmu.counters:
-                if not ctr.enabled or ctr.event is None:
-                    continue
-                idx = ctr.event.index
-                au = (cu if idx == 0 else eu.get(idx)) if ctr.count_user else None
-                ak = (ck if idx == 0 else ek.get(idx)) if ctr.count_kernel else None
-                if au is None and ak is None:
-                    continue
-                headroom = ctr.mask - ctr.value
-                d = 0
-                if au is not None:
-                    d += au[e] - au[i]
-                if ak is not None:
-                    d += ak[e] - ak[i]
-                if d > headroom:
-                    lo, hi = i, e
-                    while hi - lo > 1:
-                        mid = (lo + hi) // 2
-                        d = 0
-                        if au is not None:
-                            d += au[mid] - au[i]
-                        if ak is not None:
-                            d += ak[mid] - ak[i]
-                        if d <= headroom:
-                            lo = mid
-                        else:
-                            hi = mid
-                    e = lo
-            if e - i < MIN_BATCH:
-                self._bail("compiled_overflow")
-                return None
-        # -- verified replay ------------------------------------------------
-        # Per op: core.now is kept exact (generator code may call
-        # ctx.now() between yields), send values are the interpreted ones
-        # (None, or post-op time for Rdtsc), and region/syscall bookkeeping
-        # side effects replay verbatim. All cycle/event/counter accrual is
-        # committed in bulk from the prefix tables at the end.
-        kinds = tbl.kinds
-        ops_tab = tbl.ops
-        cu = tbl.cu
-        ck = tbl.ck
-        send = thread.gen.send
-        ktable = self.kernel_counters.n_syscalls
-        u0 = thread.user_cycles
-        k0 = thread.kernel_cycles
-        flush = i
-        i0 = i  # original batch start: segment/op counters span rebases
-        j = i
-        op = op0
-        val: Any = None
-        while True:
-            kind = kinds[j]
-            if kind == K_WORK:
-                thread.n_syscalls += 1
-                ktable["work"] = ktable.get("work", 0) + 1
-                val = None
-            elif kind == K_RDTSC:
-                val = now0 + (cyc[j + 1] - base_c)
-            elif kind == K_LACQ:
-                lock = self.locks.get(op.lock)
-                if lock.held:
-                    return self._batch_interrupt(
-                        core, thread, tbl, i0, i, j, flush, now0, u0, k0,
-                        op, "compiled_contended",
-                    )
-                lock.take(
-                    thread.tid,
-                    now0 + (cyc[j + 1] - base_c),
-                    waited=cyc[j + 1] - cyc[j],
-                    contended=False,
-                    slept=False,
-                )
-                thread.owned_locks.add(op.lock)
-                val = None
-            elif kind == K_LREL:
-                lock = self.locks.get(op.lock)
-                if lock.owner != thread.tid or lock.n_sleepers > 0:
-                    # Owner mismatch: the interpreter raises the same
-                    # LockProtocolError the batch would have to. Sleepers:
-                    # the release must run futex-wake phases.
-                    return self._batch_interrupt(
-                        core, thread, tbl, i0, i, j, flush, now0, u0, k0,
-                        op, "compiled_contended",
-                    )
-                lock.release(thread.tid, now0 + (cyc[j + 1] - base_c))
-                thread.owned_locks.discard(op.lock)
-                val = None
-            elif kind == K_SREAD or kind == K_UREAD:
-                # Commit [i, j) first so _try_fast_read sees exact state,
-                # then replay the whole read through the interpreter's own
-                # one-piece commit and rebase the span after it.
-                self._commit_batch(core, thread, tbl, i, j, flush, now0, u0, k0)
-                ex = _OpExec(op)
-                phases = (
-                    self._safe_read_phases
-                    if kind == K_SREAD
-                    else self._unsafe_read_phases
-                )
-                if not self._try_fast_read(core, thread, ex, phases):
-                    return self._batch_interrupt(
-                        core, thread, tbl, i0, j, j, j,
-                        core.now, thread.user_cycles, thread.kernel_cycles,
-                        op, "compiled_read",
-                    )
-                val = ex.data["value"]
-                i = j + 1
-                base_c = cyc[i]
-                now0 = core.now
-                u0 = thread.user_cycles
-                k0 = thread.kernel_cycles
-                flush = i
-            elif kind == K_RBEGIN:
-                self._batch_region_flush(thread, tbl, flush, j)
-                flush = j
-                name = ops_tab[j].name
-                if name not in thread.regions:
-                    thread.regions[name] = RegionTruth(name=name)
-                    thread.region_ev[name] = [0] * N_EVENTS
-                thread.region_stack.append(name)
-                thread.region_entries.append(
-                    (name, thread.user_cycles + thread.kernel_cycles, core.now)
-                )
-                val = None
-            elif kind == K_REND:
-                self._batch_region_flush(thread, tbl, flush, j)
-                flush = j
-                if not thread.region_stack:
-                    raise SimulationError(
-                        f"thread {thread.name!r}: RegionEnd with no open region"
-                    )
-                name = thread.region_stack.pop()
-                _entry_name, cpu_snap, t0 = thread.region_entries.pop()
-                rt = thread.regions[name]
-                rt.invocations += 1
-                if self._region_log_budget > 0:
-                    rt.exec_cycles.append(
-                        thread.user_cycles + thread.kernel_cycles - cpu_snap
-                    )
-                    rt.wall_cycles.append(core.now - t0)
-                    self._region_log_budget -= 1
-                val = None
-            else:  # K_COMPUTE
-                val = None
-            j += 1
-            if j == e:
-                break
-            # Resume point: the generator may observe core/thread clocks
-            # between yields, so keep them as exact as per-chunk accounting
-            # would (everything else commits in bulk at the end).
-            core.now = now0 + (cyc[j] - base_c)
-            thread.user_cycles = u0 + (cu[j] - cu[i])
-            thread.kernel_cycles = k0 + (ck[j] - ck[i])
-            try:
-                op = send(val)
-            except StopIteration:
-                self._commit_batch(core, thread, tbl, i, j, flush, now0, u0, k0)
-                self._compiled_segments += 1
-                self._compiled_ops += j - i0
-                self._ops_fetched += j - i0
-                thread.cpos = j
-                thread.ctable = None
-                self._finish_thread(core, thread)
-                return False
-            if not op_matches(op, ops_tab[j], kinds[j]):
-                # Mid-batch divergence: commit what ran, interpret the
-                # fetched op from the committed state.
-                self._commit_batch(core, thread, tbl, i, j, flush, now0, u0, k0)
-                self._compiled_segments += 1
-                self._compiled_ops += j - i0
-                self._ops_fetched += j - i0 + 1
-                self._compiled_divergences += 1
-                thread.cmisses += 1
-                if thread.cmisses >= DEAD_AFTER:
-                    thread.ctable = None
-                thread.cpos = j
-                thread.send_value = None
-                thread.cur = self._begin_op(core, thread, op)
-                return True
-        self._commit_batch(core, thread, tbl, i, e, flush, now0, u0, k0)
-        self._compiled_segments += 1
-        self._compiled_ops += e - i0
-        self._ops_fetched += e - i0
-        thread.cpos = e
-        thread.send_value = val   # pending result for the next fetch
-        thread.cur = None
-        return True
-
-    def _batch_interrupt(
-        self, core: Core, thread: SimThread, tbl: Any, i0: int, i: int,
-        j: int, flush: int, now0: int, u0: int, k0: int, op: ops.Op,
-        reason: str,
-    ) -> bool:
-        """Commit batched ops ``[i, j)``, then hand the already-fetched op
-        ``j`` — which matches its prediction but cannot be replayed
-        in-batch (a contended lock, a read failing its live prechecks) —
-        to the interpreter, counting ``reason``. The cursor advances past
-        op ``j`` (it matched; only its execution is interpreted), unlike
-        the divergence path which holds at ``j``."""
-        self._commit_batch(core, thread, tbl, i, j, flush, now0, u0, k0)
-        if j > i0:
-            self._compiled_segments += 1
-            self._compiled_ops += j - i0
-        self._ops_fetched += j - i0 + 1
-        self._bail(reason)
-        thread.cpos = j + 1
-        thread.send_value = None
-        thread.cur = self._begin_op(core, thread, op)
-        return True
-
-    def _batch_region_flush(
-        self, thread: SimThread, tbl: Any, a: int, b: int
-    ) -> None:
-        """Flush batched ops ``[a, b)``'s accrual into the open region, the
-        way per-chunk accounting would have: user event deltas (and user
-        cycles) into the top region's tally, kernel cycles into its
-        kernel_cycles — kernel *events* never enter region tallies."""
-        if a == b:
-            return
-        stack = thread.region_stack
-        if not stack:
-            return
-        top = stack[-1]
-        du = tbl.cu[b] - tbl.cu[a]
-        rev = thread.region_ev[top]
-        if du:
-            rev[0] += du
-        for idx, arr in tbl.eu.items():
-            d = arr[b] - arr[a]
-            if d:
-                rev[idx] += d
-        dk = tbl.ck[b] - tbl.ck[a]
-        if dk:
-            thread.regions[top].kernel_cycles += dk
-
-    def _commit_batch(
-        self,
-        core: Core,
-        thread: SimThread,
-        tbl: Any,
-        i: int,
-        e: int,
-        flush: int,
-        now0: int,
-        u0: int,
-        k0: int,
-    ) -> None:
-        """Bulk-commit the accrual of batched ops ``[i, e)`` from the
-        prefix tables: core clocks, thread/ground-truth tallies, the open
-        region, and programmed PMU counters (pre-capped: no wraps)."""
-        self._batch_region_flush(thread, tbl, flush, e)
-        cyc = tbl.cyc
-        total = cyc[e] - cyc[i]
-        core.now = now0 + total
-        core.busy_cycles += total
-        cu = tbl.cu
-        ck = tbl.ck
-        du = cu[e] - cu[i]
-        dk = ck[e] - ck[i]
-        if du:
-            core.user_cycles += du
-            thread.ev_user[0] += du
-        if dk:
-            core.kernel_cycles += dk
-            thread.ev_kernel[0] += dk
-        thread.user_cycles = u0 + du
-        thread.kernel_cycles = k0 + dk
-        ev_user = thread.ev_user
-        for idx, arr in tbl.eu.items():
-            d = arr[e] - arr[i]
-            if d:
-                ev_user[idx] += d
-        ev_kernel = thread.ev_kernel
-        for idx, arr in tbl.ek.items():
-            d = arr[e] - arr[i]
-            if d:
-                ev_kernel[idx] += d
-        pmu = core.pmu
-        if pmu.n_enabled:
-            eu = tbl.eu
-            ek = tbl.ek
-            for ctr in pmu.counters:
-                if not ctr.enabled or ctr.event is None:
-                    continue
-                idx = ctr.event.index
-                d = 0
-                if ctr.count_user:
-                    arr = cu if idx == 0 else eu.get(idx)
-                    if arr is not None:
-                        d += arr[e] - arr[i]
-                if ctr.count_kernel:
-                    arr = ck if idx == 0 else ek.get(idx)
-                    if arr is not None:
-                        d += arr[e] - arr[i]
-                if d:
-                    ctr.value += d
 
     def _try_macro_step(
         self, core: Core, thread: SimThread, ex: _OpExec
@@ -3560,10 +2949,7 @@ def run_program(
 ) -> RunResult:
     """Convenience: build an engine, run the threads, return the results.
 
-    ``lower`` opts into the compiled execution tier: a zero-argument
-    callable returning a *fresh* equivalent build of the program (a spec
-    list, or an object with ``.build()``). It must never return the live
-    ``specs`` objects — see :meth:`Engine.run`. Results are bit-identical
-    with and without it.
+    ``lower`` is accepted for callers that still pass it and is ignored:
+    the results are the same with or without it.
     """
-    return Engine(config).run(specs, lower=lower)
+    return Engine(config).run(specs)

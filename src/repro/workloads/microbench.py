@@ -82,12 +82,6 @@ class DensitySweepWorkload(Workload):
 
     name = "density"
 
-    #: Measured loss (PR 8 A/B, full E2, lowering on vs off): 6.3s vs 3.9s
-    #: wall — the per-op lowering walk (~1.6s) dwarfs the batch savings at
-    #: a 0.29 hit rate (papi/perf techniques and slice-spanning low-density
-    #: chunks never batch), so the sweep skips lowering.
-    compiled_lower = False
-
     def __init__(
         self,
         reader_factory: Callable[[], Reader] | None,
