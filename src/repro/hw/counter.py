@@ -24,6 +24,9 @@ class HardwareCounter:
         "overflow_pending",
         "overflow_total",
         "on_reprogram",
+        # weak-referenceable, so a test can show a dropped engine's
+        # counters are freed
+        "__weakref__",
     )
 
     def __init__(self, width: int) -> None:

@@ -7,12 +7,23 @@ used by the execution engine.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.common.config import PmuConfig
 from repro.common.errors import CounterError
 from repro.hw.counter import HardwareCounter
 from repro.hw.events import Domain, EventRates, cycles_until_count, events_in
+
+#: Module global: cheaper to load than ``Domain.USER`` on the per-piece path.
+_USER = Domain.USER
+
+#: One cached accrual-plan entry: ``(rates, plan, recipes)`` (see
+#: :meth:`Pmu.plan_entry`).
+PlanEntry = tuple[
+    EventRates,
+    tuple[tuple[int, HardwareCounter, int, int], ...],
+    dict[int, Any],
+]
 
 
 class Pmu:
@@ -29,20 +40,21 @@ class Pmu:
         #: observability hook: called with the counter index when a counter
         #: wraps during accrual. Installed by the engine only when tracing.
         self.on_overflow: Callable[[int], None] | None = None
-        #: number of currently enabled counters — the engine's cheap gate to
-        #: skip all plan lookup/accrual work when nothing is programmed.
-        self.n_enabled = 0
         #: accrual-plan caches for the *current* counter programming, one per
-        #: domain, keyed id(rates) (the value keeps a reference to the rates
-        #: object so an id can never be recycled while its entry is live).
-        self._plans_user: dict[int, tuple[EventRates, tuple]] = {}
-        self._plans_kernel: dict[int, tuple[EventRates, tuple]] = {}
+        #: domain, keyed id(rates). Each entry is ``(rates, plan, recipes)``:
+        #: the rates object (kept so an id can never be recycled while its
+        #: entry is live), the flat accrual plan, and a dict the engine fills
+        #: with whole-window accrual recipes keyed by window length. The
+        #: recipes die with this PMU.
+        self._plans_user: dict[int, PlanEntry] = {}
+        self._plans_kernel: dict[int, PlanEntry] = {}
         #: per-programming-signature plan sets. Counter virtualization
         #: reprograms the same specs on every context switch; keying the plan
         #: dicts by the (event, domains) signature means an identical
-        #: reprogramming swaps the same dicts back in, so plan tuples stay
-        #: identical objects for the whole run (downstream caches key on
-        #: their ids).
+        #: reprogramming swaps the same dicts back in, so plan entries (and
+        #: the recipes on them) survive for the whole run, and plan tuples
+        #: stay identical objects (the engine's read/spin recipes key on
+        #: their ids). The ``()`` set serves a PMU with nothing programmed.
         self._plan_sets: dict[tuple, tuple[dict, dict]] = {
             (): (self._plans_user, self._plans_kernel)
         }
@@ -52,7 +64,6 @@ class Pmu:
 
     def _invalidate_plans(self) -> None:
         self._plans_dirty = True
-        self.n_enabled = sum(1 for c in self.counters if c.enabled)
 
     def flush_plans(self) -> None:
         """Drop every cached accrual plan and plan set.
@@ -80,31 +91,31 @@ class Pmu:
         self._plans_user, self._plans_kernel = sets
         self._plans_dirty = False
 
-    def accrual_plan(
-        self, rates: EventRates, domain: Domain
-    ) -> tuple[tuple[int, HardwareCounter, int, int], ...]:
-        """Flat accrual plan for a (rates, domain) phase: one
-        ``(index, counter, ppm, mask)`` entry per enabled counter that counts
-        in ``domain`` with a non-zero rate (CYCLES counters at 1e6 ppm).
+    def plan_entry(self, rates: EventRates, domain: Domain) -> PlanEntry:
+        """The cached ``(rates, plan, recipes)`` entry of a (rates, domain)
+        phase under the current counter programming.
 
-        Computed once per distinct rates object per counter programming
-        signature and cached, so the per-chunk accounting path iterates a
-        short tuple instead of re-filtering every counter against every rate.
+        ``plan`` is the flat accrual plan: one ``(index, counter, ppm,
+        mask)`` entry per enabled counter that counts in ``domain`` with a
+        non-zero rate (CYCLES counters at 1e6 ppm), ``()`` when none does.
+        It is computed once per distinct rates object per programming
+        signature, so the per-chunk accounting path iterates a short tuple
+        instead of re-filtering every counter against every rate.
+        ``recipes`` starts empty; the engine memoizes window recipes there.
         """
         if self._plans_dirty:
             self._resolve_plans()
-        cache = self._plans_user if domain is Domain.USER else self._plans_kernel
-        hit = cache.get(id(rates))
-        if hit is not None:
-            return hit[1]
-        rate_of = rates.ppm
-        plan = tuple(
-            (index, ctr, rate_of(ctr.event), ctr.mask)
-            for index, ctr in enumerate(self.counters)
-            if ctr.counts_in(domain) and rate_of(ctr.event) > 0
-        )
-        cache[id(rates)] = (rates, plan)
-        return plan
+        cache = self._plans_user if domain is _USER else self._plans_kernel
+        entry = cache.get(id(rates))
+        if entry is None:
+            rate_of = rates.ppm
+            plan = tuple(
+                (index, ctr, rate_of(ctr.event), ctr.mask)
+                for index, ctr in enumerate(self.counters)
+                if ctr.counts_in(domain) and rate_of(ctr.event) > 0
+            )
+            entry = cache[id(rates)] = (rates, plan, {})
+        return entry
 
     def __len__(self) -> int:
         return len(self.counters)
@@ -149,7 +160,7 @@ class Pmu:
         Returns the list of counter indices that overflowed during the slice.
         """
         overflowed: list[int] = []
-        plan = self.accrual_plan(rates, domain)
+        plan = self.plan_entry(rates, domain)[1]
         if not plan:
             return overflowed
         on_overflow = self.on_overflow
@@ -175,7 +186,7 @@ class Pmu:
         with bounded (configured) skid rather than at arbitrary phase ends.
         """
         best: int | None = None
-        for _index, ctr, ppm, mask in self.accrual_plan(rates, domain):
+        for _index, ctr, ppm, mask in self.plan_entry(rates, domain)[1]:
             d = cycles_until_count(
                 phase_cycles_so_far, ppm, mask + 1 - ctr.value
             )
@@ -200,7 +211,7 @@ class Pmu:
         them all if it did).
         """
         crossings: list[tuple[int, int]] = []
-        for index, ctr, ppm, _mask in self.accrual_plan(rates, domain):
+        for index, ctr, ppm, _mask in self.plan_entry(rates, domain)[1]:
             needed = ctr.events_until_overflow()
             threshold = ctr.threshold
             while True:

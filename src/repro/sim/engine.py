@@ -66,6 +66,7 @@ from repro.hw.events import (
     events_in,
 )
 from repro.hw.machine import Core, Machine
+from repro.hw.pmu import PlanEntry
 from repro.kernel.futex import FutexTable
 from repro.kernel.locks import LockRegistry
 from repro.kernel.perf import PerfFd, PerfSubsystem, SampleRecord
@@ -94,35 +95,48 @@ class ThreadState(enum.Enum):
 
 
 class _OpExec:
-    """In-flight execution state of one op (a tiny phase state machine)."""
+    """In-flight execution state of one op (a tiny phase state machine).
+
+    Each thread owns one and reuses it for every op it runs:
+    :meth:`Engine._fetch_next_op` resets ``op``, ``adv`` (the op's advance
+    handler) and the phase counters, and each ``_begin_*`` handler
+    initializes the op-kind scratch slots its op reads.
+    """
 
     __slots__ = (
-        "op",
-        "stage",
-        "phase_cycles",
-        "phase_consumed",
-        "phase_rates",
-        "phase_flat",
-        "phase_domain",
+        "op", "adv", "stage",
+        "phase_cycles", "phase_consumed", "phase_rates", "phase_domain",
         "phase_preemptible",
-        "data",
-        "adv",
+        "t0", "spin_used", "contended", "slept",
+        "handler", "sys_name", "action", "exc", "result",
+        "value", "hw", "acc", "restarts", "fpc",
     )
 
-    def __init__(self, op: ops.Op) -> None:
-        self.op = op
-        self.stage = "start"
-        # Advance handler, resolved once by _begin_op so multi-stage ops
-        # skip the type->handler dispatch on every subsequent piece.
-        self.adv = None
-        self.phase_cycles = 0
-        self.phase_consumed = 0
-        self.phase_rates: EventRates = _EMPTY_RATES
-        self.phase_flat = _EMPTY_FLAT
-        self.phase_domain = Domain.USER
-        self.phase_preemptible = True
-        # Most ops never need scratch state; allocated on first use.
-        self.data: dict[str, Any] | None = None
+    op: ops.Op
+    adv: Callable[..., None]
+    stage: str
+    phase_cycles: int
+    phase_consumed: int
+    phase_rates: EventRates
+    phase_domain: Domain
+    phase_preemptible: bool
+    # lock acquire
+    t0: int
+    spin_used: int
+    contended: bool
+    slept: bool
+    # syscall-class ops
+    handler: Callable[..., Any]
+    sys_name: str
+    action: Callable[..., Any] | None
+    exc: BaseException | None
+    result: Any
+    # PMC reads
+    value: int
+    hw: int
+    acc: int
+    restarts: int
+    fpc: bool
 
     def set_phase(
         self,
@@ -134,69 +148,48 @@ class _OpExec:
         self.phase_cycles = cycles
         self.phase_consumed = 0
         self.phase_rates = rates
-        # Flat (event, ppm, index) triples, precomputed by EventRates, so
-        # per-chunk accounting never goes back through the Mapping interface.
-        self.phase_flat = rates.flat
         self.phase_domain = domain
         self.phase_preemptible = preemptible
 
-    @property
-    def phase_done(self) -> bool:
-        return self.phase_consumed >= self.phase_cycles
 
-
-_EMPTY_RATES = EventRates()
-_EMPTY_FLAT = _EMPTY_RATES.flat
+#: The two domains as module globals: loading a global is several times
+#: cheaper than attribute access on the Enum class, and every piece of
+#: every op names one.
+_USER = Domain.USER
+_KERNEL = Domain.KERNEL
 
 #: Enum members in definition order, for folding flat tallies back to dicts.
 _EVENT_MEMBERS = tuple(Event)
 
-#: Memoized whole-window accrual recipes, shared across engines. Nearly
-#: every accounted window is a whole small phase (0, cost] with a recurring
-#: cost constant — every kernel path, every library-call op — so the
-#: running-floor divisions for a (flat-rates, pmu-plan, window) triple are
-#: computed once per process and replayed as flat (index, n) adds. Keys use
-#: id(); each value pins the keyed objects so their ids cannot be recycled
-#: while the entry is live. Bounded by clear-on-cap (plans are per-engine
-#: objects, so long-lived processes would otherwise accumulate entries for
-#: dead engines).
-_RECIPE_CACHE: dict[tuple[int, int, int], tuple] = {}
-_RECIPE_CACHE_CAP = 1 << 15
-
-#: Keys observed exactly once. A recipe is only built (and its objects
-#: pinned) on the second sighting of a key; one-shot windows — e.g. random
-#: phase lengths drawn per request in open-loop workloads — take the generic
-#: accrual path instead of thrashing the cache with entries that never get
-#: replayed. Ids here are unpinned, so a recycled id can at worst promote a
-#: fresh key one sighting early, which is harmless (the recipe built is for
-#: the live objects).
-_RECIPE_SEEN: set[tuple[int, int, int]] = set()
+#: Whole-window accrual recipes are memoized for windows up to this length.
+_RECIPE_MAX_WINDOW = 65536
+#: Cap on the windows one plan entry tracks (recipes and first sightings);
+#: the dict is cleared when it fills.
+_RECIPES_PER_ENTRY = 1024
 
 
-def _window_recipe(flat: tuple, plan: tuple, after: int) -> tuple:
-    """Memoized accrual recipe for the whole window ``(0, after]``:
-    ``(deltas, entries, flat, plan)`` with ``deltas`` the non-zero
-    ``(Event.index, n)`` ground-truth adds for the phase rates and
-    ``entries`` the non-zero ``(counter_index, counter, mask, n)`` adds for
-    the PMU plan, both by the running-floor rule (``events_in(0, after)``).
+def _window_recipe(entry: PlanEntry, after: int) -> tuple[tuple, tuple]:
+    """Accrual recipe for the whole window ``(0, after]`` of a phase whose
+    PMU plan entry is ``entry``: ``(deltas, counts)`` with ``deltas`` the
+    non-zero ``(Event.index, n)`` ground-truth adds for the phase rates and
+    ``counts`` the non-zero ``(counter_index, counter, mask, n)`` adds for
+    the plan, both by the running-floor rule (``events_in(0, after)``).
+
+    Nearly every accounted window is a whole small phase with a recurring
+    cost constant (every kernel path, every library-call op), so
+    :meth:`Engine._account` stores these on the entry and replays them.
     """
-    key = (id(flat), id(plan), after)
-    rec = _RECIPE_CACHE.get(key)
-    if rec is None:
-        deltas = tuple(
-            (idx, (after * ppm) // 1_000_000)
-            for _event, ppm, idx in flat
-            if (after * ppm) // 1_000_000
-        )
-        entries = tuple(
-            (index, ctr, mask, (after * ppm) // 1_000_000)
-            for index, ctr, ppm, mask in plan
-            if (after * ppm) // 1_000_000
-        )
-        if len(_RECIPE_CACHE) >= _RECIPE_CACHE_CAP:
-            _RECIPE_CACHE.clear()
-        rec = _RECIPE_CACHE[key] = (deltas, entries, flat, plan)
-    return rec
+    deltas = tuple(
+        (idx, (after * ppm) // 1_000_000)
+        for _event, ppm, idx in entry[0].flat
+        if (after * ppm) // 1_000_000
+    )
+    counts = tuple(
+        (index, ctr, mask, (after * ppm) // 1_000_000)
+        for index, ctr, ppm, mask in entry[1]
+        if (after * ppm) // 1_000_000
+    )
+    return deltas, counts
 
 
 def accrue_rate_events(
@@ -248,6 +241,7 @@ class SimThread:
         "send_value",
         "throw_exc",
         "cur",
+        "op_exec",
         "vpmu",
         "slot_saved",
         "slot_truth_base",
@@ -289,7 +283,10 @@ class SimThread:
         self.available_at = 0
         self.send_value: Any = None
         self.throw_exc: BaseException | None = None
+        #: the op in flight, or None between ops
         self.cur: _OpExec | None = None
+        #: the one _OpExec this thread's ops run in, reset at every fetch
+        self.op_exec = _OpExec()
         self.vpmu = VirtualPmu(n_slots)
         self.slot_saved: list[int | None] = [None] * n_slots
         self.slot_truth_base: list[int] = [0] * n_slots
@@ -390,6 +387,7 @@ class Engine:
         self._join_waiters: dict[int, list[int]] = {}
         self._key_credits: dict[str, int] = {}
         self._region_log_budget = self.config.region_log_budget
+        self._max_cycles = self.config.max_cycles
         self._costs = self.config.machine.costs
         self._finished = False
         # -- fault injection (repro.faults) -----------------------------
@@ -659,7 +657,7 @@ class Engine:
         core_heap = self._core_heap
         heappop = heapq.heappop
         heappush = heapq.heappush
-        max_cycles = self.config.max_cycles
+        max_cycles = self._max_cycles
         step = self._step
         single = cores[0] if len(cores) == 1 else None
         n_steps = 0
@@ -767,6 +765,10 @@ class Engine:
         if core.slice_ends_at is not None and now >= core.slice_ends_at:
             self._timer_tick(core, thread)
             return
+        # invariant for the whole call, fused pieces included
+        tracing = self._tracing
+        max_cycles = self._max_cycles
+        horizon = self._horizon
         ex = thread.cur
         while True:
             if ex is None:
@@ -777,12 +779,7 @@ class Engine:
             cycles = ex.phase_cycles
             if consumed < cycles:
                 remaining = cycles - consumed
-                pmu = core.pmu
-                plan = (
-                    pmu.accrual_plan(ex.phase_rates, ex.phase_domain)
-                    if pmu.n_enabled
-                    else ()
-                )
+                entry = core.pmu.plan_entry(ex.phase_rates, ex.phase_domain)
                 if ex.phase_preemptible:
                     # Macro-step candidate: a preemptible phase that outlives
                     # the current timeslice (i.e. the slow path would hit at
@@ -790,7 +787,7 @@ class Engine:
                     if (
                         self._macro
                         and remaining > core.slice_ends_at - now
-                        and self._try_macro_step(core, thread, ex)
+                        and self._try_macro_step(core, thread, ex, entry)
                     ):
                         return
                     # limit only ever shrinks from `remaining`, so the final
@@ -803,45 +800,55 @@ class Engine:
                     bound = core.pmi_due_at
                     if bound is not None and bound - now < limit:
                         limit = bound - now
-                    # split at the first counter-overflow crossing (the inline
-                    # form of Pmu.cycles_to_next_overflow on the resolved plan)
-                    for _index, ctr, ppm, mask in plan:
-                        d = cycles_until_count(consumed, ppm, mask + 1 - ctr.value)
+                    # Split at the first counter-overflow crossing. A counter
+                    # that gains fewer than `need` events in the next `limit`
+                    # cycles cannot cross within them, so the pre-check skips
+                    # its cycles_until_count exactly.
+                    end = consumed + limit
+                    for _index, ctr, ppm, mask in entry[1]:
+                        need = mask + 1 - ctr.value
+                        if (
+                            (end * ppm) // 1_000_000
+                            - (consumed * ppm) // 1_000_000
+                            < need
+                        ):
+                            continue
+                        d = cycles_until_count(consumed, ppm, need)
                         if d is not None and d < limit:
                             limit = d
+                            end = consumed + limit
                     chunk = limit if limit > 0 else 1
                 else:
                     chunk = remaining
                 after = consumed + chunk
                 self._account(
-                    core, thread, ex.phase_domain, ex.phase_flat, plan,
-                    consumed, after,
+                    core, thread, ex.phase_domain, entry, consumed, after
                 )
                 ex.phase_consumed = after
                 if after < cycles:
                     return
-            self._advance(core, thread, ex)
+            ex.adv(self, core, thread, ex)
             # Chain straight into the thread's next piece — the following
             # stage of a multi-phase op, or the fetch of its next op — when
             # the main loop would deterministically re-pick this core
             # anyway: the checks below mirror its chain conditions and this
-            # function's own preamble exactly, so the fetch/_account/
-            # _advance sequence is identical to stepping one piece per call
-            # and only the per-step dispatch overhead is elided. Each fused
-            # piece is tallied so sim_events stays the dispatch-independent
-            # piece count it was before fusion existed.
+            # function's own preamble exactly, so the fetch/_account/advance
+            # sequence is identical to stepping one piece per call and only
+            # the per-step dispatch overhead is elided. Each fused piece is
+            # tallied so sim_events stays the dispatch-independent piece
+            # count it was before fusion existed.
             if (
-                self._tracing
+                tracing
                 or core.current_tid != tid
                 or core.parked
                 or self._chain_break
                 or self.live_count == 0
-                or core.now > self.config.max_cycles
             ):
                 return
-            h = self._horizon
             now = core.now
-            if h is not None and now >= h:
+            if now > max_cycles:
+                return
+            if horizon is not None and now >= horizon:
                 return
             if core.pmi_due_at is not None and now >= core.pmi_due_at:
                 return
@@ -1250,23 +1257,21 @@ class Engine:
         core: Core,
         thread: SimThread,
         domain: Domain,
-        flat: tuple,
-        plan: tuple,
+        entry: PlanEntry,
         before: int,
         after: int,
     ) -> None:
         """Charge ``after - before`` cycles of a phase to the machine,
         thread, ground truth, active region and PMU counters.
 
-        ``flat`` is the phase's (event, ppm, index) triples (``rates.flat``,
-        resolved once per phase by :meth:`_OpExec.set_phase`); ``plan`` is
-        the PMU accrual plan for (rates, domain), resolved by the caller —
-        ``()`` when no counter is programmed.
+        ``entry`` is the phase's ``(rates, plan, recipes)`` PMU plan entry
+        (:meth:`Pmu.plan_entry`), resolved by the caller; its plan is ``()``
+        when no counter is programmed.
         """
         chunk = after - before
         core.now += chunk
         core.busy_cycles += chunk
-        user = domain is Domain.USER
+        user = domain is _USER
         if user:
             core.user_cycles += chunk
             thread.user_cycles += chunk
@@ -1285,13 +1290,21 @@ class Engine:
                 rev[0] += chunk
             else:
                 thread.regions[name].kernel_cycles += chunk
-        if before == 0 and after <= 65536:
-            key = (id(flat), id(plan), after)
-            rec = _RECIPE_CACHE.get(key)
-            if rec is None and key in _RECIPE_SEEN:
-                rec = _window_recipe(flat, plan, after)
+        if before == 0 and after <= _RECIPE_MAX_WINDOW:
+            recipes = entry[2]
+            rec = recipes.get(after)
+            if rec is None:
+                if after in recipes:
+                    # Second sighting: the window recurs, so build its
+                    # recipe. One-shot windows (e.g. phase lengths drawn
+                    # per request) stay on the generic path below.
+                    rec = recipes[after] = _window_recipe(entry, after)
+                else:
+                    if len(recipes) >= _RECIPES_PER_ENTRY:
+                        recipes.clear()
+                    recipes[after] = None
             if rec is not None:
-                deltas = rec[0]
+                deltas, counts = rec
                 if rev is None:
                     for idx, n in deltas:
                         ev[idx] += n
@@ -1299,11 +1312,10 @@ class Engine:
                     for idx, n in deltas:
                         ev[idx] += n
                         rev[idx] += n
-                entries = rec[1]
-                if entries:
+                if counts:
                     overflowed = False
                     on_overflow = core.pmu.on_overflow
-                    for index, ctr, mask, n in entries:
+                    for index, ctr, mask, n in counts:
                         v = ctr.value + n
                         if v <= mask:
                             ctr.value = v
@@ -1314,14 +1326,10 @@ class Engine:
                     if overflowed:
                         self._arm_pmi(core, thread)
                 return
-            # First sighting: remember the key and take the generic path
-            # below (identical arithmetic); the recipe is built only if the
-            # same window recurs.
-            if len(_RECIPE_SEEN) >= _RECIPE_CACHE_CAP:
-                _RECIPE_SEEN.clear()
-            _RECIPE_SEEN.add(key)
+        flat = entry[0].flat
         if flat:
             accrue_rate_events(flat, before, after, ev, rev)
+        plan = entry[1]
         if plan:
             overflowed = False
             on_overflow = core.pmu.on_overflow
@@ -1341,14 +1349,9 @@ class Engine:
     def _account_kernel(self, core: Core, thread: SimThread, cycles: int) -> None:
         """One-shot non-preemptible kernel phase."""
         if cycles:
-            pmu = core.pmu
-            plan = (
-                pmu.accrual_plan(KERNEL_RATES, Domain.KERNEL)
-                if pmu.n_enabled
-                else ()
-            )
             self._account(
-                core, thread, Domain.KERNEL, self._kernel_flat, plan, 0, cycles,
+                core, thread, _KERNEL,
+                core.pmu.plan_entry(KERNEL_RATES, _KERNEL), 0, cycles,
             )
 
     # ------------------------------------------------------------------
@@ -1368,7 +1371,19 @@ class Engine:
             return False
         self._ops_fetched += 1
         thread.send_value = None
-        thread.cur = self._begin_op(core, thread, op)
+        handlers = _OP_HANDLERS.get(type(op))
+        if handlers is None:
+            handlers = _dispatch_resolve(
+                op, f"thread {thread.name!r} yielded non-op {op!r}"
+            )
+        begin, adv = handlers
+        ex = thread.op_exec
+        ex.op = op
+        ex.adv = adv
+        # an op whose begin commits it whole sets no phase
+        ex.phase_cycles = ex.phase_consumed = 0
+        begin(self, core, thread, ex)
+        thread.cur = ex
         return True
 
     def _bail(self, reason: str) -> bool:
@@ -1377,7 +1392,7 @@ class Engine:
         return False
 
     def _try_macro_step(
-        self, core: Core, thread: SimThread, ex: _OpExec
+        self, core: Core, thread: SimThread, ex: _OpExec, entry: PlanEntry
     ) -> bool:
         """Fast-forward k whole timeslices of a solo compute phase in one
         closed-form step: k quanta of user cycles plus k batched timer
@@ -1407,7 +1422,7 @@ class Engine:
         mux = thread.mux
         if mux is not None and len(mux.specs) > 1:
             return self._bail("mux")
-        if ex.phase_domain is not Domain.USER:  # pragma: no cover - defensive
+        if ex.phase_domain is not _USER:  # pragma: no cover - defensive
             return self._bail("domain")
         now = core.now
         quantum = self.config.kernel.timeslice_cycles
@@ -1435,12 +1450,9 @@ class Engine:
         # Shrink k until no counter can wrap inside the window. Counter
         # fill is monotonic in k, so binary-search the largest safe k; if
         # even one slice would wrap, the slow path delivers that PMI.
-        pmu = core.pmu
-        if pmu.n_enabled:
-            user_plan = pmu.accrual_plan(ex.phase_rates, Domain.USER)
-            kernel_plan = pmu.accrual_plan(KERNEL_RATES, Domain.KERNEL)
-        else:
-            user_plan = kernel_plan = ()
+        # ``entry`` is the phase's own (user-domain) plan entry.
+        user_plan = entry[1]
+        kernel_plan = core.pmu.plan_entry(KERNEL_RATES, _KERNEL)[1]
         if user_plan or kernel_plan:
             caps: dict[int, list] = {}
             for index, ctr, ppm, _mask in user_plan:
@@ -1508,7 +1520,9 @@ class Engine:
             rev[0] += user_cycles
             thread.regions[name].kernel_cycles += kernel_cycles
         u_end = consumed + user_cycles
-        accrue_rate_events(ex.phase_flat, consumed, u_end, ev_user, rev)
+        accrue_rate_events(
+            ex.phase_rates.flat, consumed, u_end, ev_user, rev
+        )
         for idx, per_tick in self._tick_pairs:
             ev_kernel[idx] += k * per_tick
         # PMU counters: no wrap is possible by construction, so plain adds
@@ -1536,83 +1550,70 @@ class Engine:
         thread.cur = None
 
     # -- op begin ----------------------------------------------------------
-    # Op handling dispatches on type(op) through class-level tables built
-    # after the class body (subclasses resolve through the MRO on first
-    # sight and are memoized), replacing the seed's isinstance chains.
-
-    def _begin_op(self, core: Core, thread: SimThread, op: ops.Op) -> _OpExec:
-        fn = _BEGIN_DISPATCH.get(type(op))
-        if fn is None:
-            fn = _dispatch_resolve(
-                _BEGIN_DISPATCH, op,
-                f"thread {thread.name!r} yielded non-op {op!r}",
-            )
-        ex = _OpExec(op)
-        ex.adv = _ADVANCE_DISPATCH.get(type(op))
-        fn(self, core, thread, ex)
-        return ex
+    # Op handling dispatches on type(op) through one class-level table of
+    # (begin, advance) pairs built after the class body (subclasses resolve
+    # through the MRO on first sight and are memoized), replacing the
+    # seed's isinstance chains.
 
     def _begin_compute(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         op = ex.op
         ex.stage = "run"
-        ex.set_phase(op.cycles, op.rates, Domain.USER, True)
+        ex.set_phase(op.cycles, op.rates, _USER, True)
 
     def _begin_rdtsc(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         ex.stage = "run"
-        ex.set_phase(self._costs.rdtsc, LIBRARY_RATES, Domain.USER, True)
+        ex.set_phase(self._costs.rdtsc, LIBRARY_RATES, _USER, True)
 
     def _begin_rdpmc(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         ex.stage = "run"
-        ex.set_phase(self._costs.rdpmc, LIBRARY_RATES, Domain.USER, True)
+        ex.set_phase(self._costs.rdpmc, LIBRARY_RATES, _USER, True)
 
     def _begin_rdpmc_destructive(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         ex.stage = "run"
         ex.set_phase(
-            self._costs.rdpmc_destructive, LIBRARY_RATES, Domain.USER, True
+            self._costs.rdpmc_destructive, LIBRARY_RATES, _USER, True
         )
 
     def _begin_pmc_read_begin(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         ex.stage = "run"
-        ex.set_phase(self._costs.pmc_read_begin, LIBRARY_RATES, Domain.USER, True)
+        ex.set_phase(self._costs.pmc_read_begin, LIBRARY_RATES, _USER, True)
 
     def _begin_pmc_read_end(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         ex.stage = "run"
-        ex.set_phase(self._costs.pmc_read_end, LIBRARY_RATES, Domain.USER, True)
+        ex.set_phase(self._costs.pmc_read_end, LIBRARY_RATES, _USER, True)
 
     def _begin_load_vaccum(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         ex.stage = "run"
-        ex.set_phase(self._costs.pmc_load_accum, LIBRARY_RATES, Domain.USER, True)
+        ex.set_phase(self._costs.pmc_load_accum, LIBRARY_RATES, _USER, True)
 
     def _begin_pmc_safe_read(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         if self._try_fast_read(core, thread, ex, self._safe_read_phases):
             return
         ex.stage = "call"
-        ex.set_phase(self._costs.pmc_call_overhead, LIBRARY_RATES, Domain.USER, True)
+        ex.set_phase(self._costs.pmc_call_overhead, LIBRARY_RATES, _USER, True)
 
     def _begin_pmc_unsafe_read(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         if self._try_fast_read(core, thread, ex, self._unsafe_read_phases):
             return
         ex.stage = "call"
-        ex.set_phase(self._costs.pmc_call_overhead, LIBRARY_RATES, Domain.USER, True)
+        ex.set_phase(self._costs.pmc_call_overhead, LIBRARY_RATES, _USER, True)
 
     def _begin_region(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         ex.stage = "run"
         hook = self._costs.instrument_hook if thread.profiler is not None else 0
-        ex.set_phase(hook, LIBRARY_RATES, Domain.USER, True)
+        ex.set_phase(hook, LIBRARY_RATES, _USER, True)
 
     def _begin_lock_acquire(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         ex.stage = "cas"
-        ex.data = {
-            "t0": core.now,
-            "spin_used": 0,
-            "contended": False,
-            "slept": False,
-        }
-        ex.set_phase(self._costs.cas, LIBRARY_RATES, Domain.USER, True)
+        ex.t0 = core.now
+        ex.spin_used = 0
+        ex.contended = False
+        ex.slept = False
+        ex.set_phase(self._costs.cas, LIBRARY_RATES, _USER, True)
 
     def _begin_lock_release(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         ex.stage = "cas"
-        ex.set_phase(self._costs.cas, LIBRARY_RATES, Domain.USER, True)
+        ex.set_phase(self._costs.cas, LIBRARY_RATES, _USER, True)
 
     def _begin_syscall_op(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         op = ex.op
@@ -1620,7 +1621,7 @@ class Engine:
         if handler is None:
             raise SimulationError(f"unknown syscall {op.name!r}")
         ex.stage = "entry"
-        ex.data = {"handler": handler}
+        ex.handler = handler
         thread.n_syscalls += 1
         table = self.kernel_counters.n_syscalls
         table[op.name] = table.get(op.name, 0) + 1
@@ -1652,16 +1653,15 @@ class Engine:
         self, core: Core, thread: SimThread, ex: _OpExec, name: str
     ) -> None:
         """Common entry path of every syscall-class op: trace + entry phase."""
-        data = ex.data
-        if data is None:
-            data = ex.data = {}
-        data["sys_name"] = name
+        ex.sys_name = name
+        ex.exc = None
+        ex.result = None
         if self._tracing:
             self.obs.emit(
                 core.now, core.core_id, thread.tid, tr.SYSCALL_ENTER, name
             )
         ex.set_phase(
-            self._costs.syscall_entry, KERNEL_RATES, Domain.KERNEL, False
+            self._costs.syscall_entry, KERNEL_RATES, _KERNEL, False
         )
 
     def _end_syscall(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
@@ -1672,18 +1672,10 @@ class Engine:
                 core.core_id,
                 thread.tid,
                 tr.SYSCALL_EXIT,
-                ex.data.get("sys_name"),
+                ex.sys_name,
             )
 
     # -- op advance ----------------------------------------------------------
-
-    def _advance(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        fn = ex.adv
-        if fn is None:  # pragma: no cover - _begin_op already rejects these
-            fn = ex.adv = _dispatch_resolve(
-                _ADVANCE_DISPATCH, ex.op, f"cannot advance op {ex.op!r}"
-            )
-        fn(self, core, thread, ex)
 
     def _adv_compute(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         self._complete(thread, None)
@@ -1831,11 +1823,7 @@ class Engine:
         spec = slots[index]
         if spec is None or not spec.user_readable:
             return self._bail("read_bad_slot")
-        plan = (
-            pmu.accrual_plan(LIBRARY_RATES, Domain.USER)
-            if pmu.n_enabled
-            else ()
-        )
+        plan = pmu.plan_entry(LIBRARY_RATES, _USER)[1]
         rec = self._read_recipes.get((id(plan), phases))
         if rec is None:
             rec = self._read_recipe(plan, phases)
@@ -1886,7 +1874,7 @@ class Engine:
         core.busy_cycles += total
         core.user_cycles += total
         thread.user_cycles += total
-        ex.data = {"value": acc + hw}
+        ex.value = acc + hw
         ex.stage = "done"
         self._fast_reads += 1
         return True
@@ -1911,12 +1899,12 @@ class Engine:
                     thread.last_rdpmc_truth = thread.slot_truth_since_open(
                         op.index, spec
                     )
-            ex.data["hw"] = value
+            ex.hw = value
             ex.stage = "re"
-            ex.set_phase(costs.pmc_read_end, LIBRARY_RATES, Domain.USER, True)
+            ex.set_phase(costs.pmc_read_end, LIBRARY_RATES, _USER, True)
         elif stage == "re":
             faults = self._faults
-            if faults is not None and not ex.data.get("fpc"):
+            if faults is not None and not ex.fpc:
                 spec = faults.fire(
                     fp.PREEMPT_IN_READ, core, thread,
                     protocol="safe", point=fp.BEFORE_CHECK,
@@ -1927,7 +1915,7 @@ class Engine:
                     # interruption flag has not been evaluated yet. The
                     # at-most-once guard ("fpc") keeps the re-entered
                     # advance below from re-firing after the resume.
-                    ex.data["fpc"] = True
+                    ex.fpc = True
                     faults.note_read_hazard(thread.tid, "safe")
                     self._fault_event(
                         core, thread, fp.PREEMPT_IN_READ, fp.BEFORE_CHECK
@@ -1953,11 +1941,10 @@ class Engine:
             if ok:
                 ex.stage = "st"
                 ex.set_phase(
-                    costs.pmc_store_result, LIBRARY_RATES, Domain.USER, True
+                    costs.pmc_store_result, LIBRARY_RATES, _USER, True
                 )
                 return
-            restarts = ex.data["restarts"] + 1
-            ex.data["restarts"] = restarts
+            restarts = ex.restarts = ex.restarts + 1
             if restarts > ops.MAX_RESTARTS:
                 self._throw(
                     thread,
@@ -1968,7 +1955,7 @@ class Engine:
                 )
                 return
             ex.stage = "rb"
-            ex.set_phase(costs.pmc_read_begin, LIBRARY_RATES, Domain.USER, True)
+            ex.set_phase(costs.pmc_read_begin, LIBRARY_RATES, _USER, True)
         elif stage == "rb":
             thread.in_pmc_read = True
             thread.pmc_read_interrupted = False
@@ -1977,16 +1964,16 @@ class Engine:
                     core.now, core.core_id, thread.tid, tr.PMC_READ_BEGIN
                 )
             ex.stage = "va"
-            ex.set_phase(costs.pmc_load_accum, LIBRARY_RATES, Domain.USER, True)
+            ex.set_phase(costs.pmc_load_accum, LIBRARY_RATES, _USER, True)
         elif stage == "va":
             try:
                 acc = thread.vpmu.read_accumulator(ex.op.index)
             except CounterError as exc:
                 self._throw(thread, exc)
                 return
-            ex.data["acc"] = acc
+            ex.acc = acc
             ex.stage = "rd"
-            ex.set_phase(costs.rdpmc, LIBRARY_RATES, Domain.USER, True)
+            ex.set_phase(costs.rdpmc, LIBRARY_RATES, _USER, True)
             faults = self._faults
             if faults is not None:
                 spec = faults.fire(
@@ -2005,13 +1992,14 @@ class Engine:
                         core, thread, requeue=True, preempted=True, front=True
                     )
         elif stage == "call":
-            ex.data = {"restarts": 0}
+            ex.restarts = 0
+            ex.fpc = False
             ex.stage = "rb"
-            ex.set_phase(costs.pmc_read_begin, LIBRARY_RATES, Domain.USER, True)
+            ex.set_phase(costs.pmc_read_begin, LIBRARY_RATES, _USER, True)
         elif stage == "st":
-            self._complete(thread, ex.data["acc"] + ex.data["hw"])
+            self._complete(thread, ex.acc + ex.hw)
         elif stage == "done":
-            self._complete(thread, ex.data["value"])
+            self._complete(thread, ex.value)
         else:  # pragma: no cover - stage machine is closed
             raise SimulationError(f"bad PmcSafeRead stage {stage!r}")
 
@@ -2033,23 +2021,23 @@ class Engine:
                     thread.last_rdpmc_truth = thread.slot_truth_since_open(
                         op.index, spec
                     )
-            ex.data["hw"] = value
+            ex.hw = value
             ex.stage = "st"
             ex.set_phase(
-                costs.pmc_store_result, LIBRARY_RATES, Domain.USER, True
+                costs.pmc_store_result, LIBRARY_RATES, _USER, True
             )
         elif stage == "call":
             ex.stage = "va"
-            ex.set_phase(costs.pmc_load_accum, LIBRARY_RATES, Domain.USER, True)
+            ex.set_phase(costs.pmc_load_accum, LIBRARY_RATES, _USER, True)
         elif stage == "va":
             try:
                 acc = thread.vpmu.read_accumulator(ex.op.index)
             except CounterError as exc:
                 self._throw(thread, exc)
                 return
-            ex.data = {"acc": acc}
+            ex.acc = acc
             ex.stage = "rd"
-            ex.set_phase(costs.rdpmc, LIBRARY_RATES, Domain.USER, True)
+            ex.set_phase(costs.rdpmc, LIBRARY_RATES, _USER, True)
             faults = self._faults
             if faults is not None:
                 spec = faults.fire(
@@ -2068,9 +2056,9 @@ class Engine:
                         core, thread, requeue=True, preempted=True, front=True
                     )
         elif stage == "st":
-            self._complete(thread, ex.data["acc"] + ex.data["hw"])
+            self._complete(thread, ex.acc + ex.hw)
         elif stage == "done":
-            self._complete(thread, ex.data["value"])
+            self._complete(thread, ex.value)
         else:  # pragma: no cover - stage machine is closed
             raise SimulationError(f"bad PmcUnsafeRead stage {stage!r}")
 
@@ -2204,7 +2192,7 @@ class Engine:
         round_cycles = spin_q + costs.cas
         if round_cycles <= 0:  # pragma: no cover - degenerate cost model
             return self._bail("spin_degenerate")
-        spin_used = ex.data["spin_used"]
+        spin_used = ex.spin_used
         budget = self.config.locks.spin_limit_cycles - spin_used
         k = -(-budget // spin_q)  # rounds until the budget is exhausted
         if core.pmi_due_at is not None:
@@ -2225,11 +2213,8 @@ class Engine:
             if k < 1:
                 return self._bail("spin_horizon")
         pmu = core.pmu
-        if pmu.n_enabled:
-            spin_plan = pmu.accrual_plan(SPIN_RATES, Domain.USER)
-            lib_plan = pmu.accrual_plan(LIBRARY_RATES, Domain.USER)
-        else:
-            spin_plan = lib_plan = ()
+        spin_plan = pmu.plan_entry(SPIN_RATES, _USER)[1]
+        lib_plan = pmu.plan_entry(LIBRARY_RATES, _USER)[1]
         rec = self._spin_recipes.get((id(spin_plan), id(lib_plan)))
         if rec is None:
             rec = self._spin_recipe(spin_plan, lib_plan)
@@ -2243,7 +2228,7 @@ class Engine:
         # ---- commit: k failed rounds, then re-decide with the same checks
         # the slow path's k-th CAS advance would have made at this state ----
         window = k * round_cycles
-        ex.data["spin_used"] = spin_used + k * spin_q
+        ex.spin_used = spin_used + k * spin_q
         ev = thread.ev_user
         ev[0] += window  # Event.CYCLES.index == 0
         rev = None
@@ -2266,17 +2251,17 @@ class Engine:
         thread.user_cycles += window
         self._spin_batches += 1
         self._spin_rounds_batched += k
-        if ex.data["spin_used"] < self.config.locks.spin_limit_cycles:
+        if ex.spin_used < self.config.locks.spin_limit_cycles:
             ex.stage = "spin"
-            ex.data["spin_used"] += spin_q
-            ex.set_phase(spin_q, SPIN_RATES, Domain.USER, True)
+            ex.spin_used += spin_q
+            ex.set_phase(spin_q, SPIN_RATES, _USER, True)
         else:
             ex.stage = "fbody"
             self.kernel_counters.n_futex_waits += 1
             ex.set_phase(
                 costs.syscall_entry + costs.futex_wait_kernel,
                 KERNEL_RATES,
-                Domain.KERNEL,
+                _KERNEL,
                 False,
             )
         return True
@@ -2288,13 +2273,13 @@ class Engine:
         stage = ex.stage
         if stage == "cas":
             if not lock.held:
-                waited = core.now - ex.data["t0"]
+                waited = core.now - ex.t0
                 lock.take(
                     thread.tid,
                     core.now,
                     waited=waited,
-                    contended=ex.data["contended"],
-                    slept=ex.data["slept"],
+                    contended=ex.contended,
+                    slept=ex.slept,
                 )
                 thread.owned_locks.add(op.lock)
                 if self._tracing:
@@ -2303,42 +2288,42 @@ class Engine:
                     )
                 self._complete(thread, None)
                 return
-            ex.data["contended"] = True
-            if ex.data["spin_used"] < self.config.locks.spin_limit_cycles:
+            ex.contended = True
+            if ex.spin_used < self.config.locks.spin_limit_cycles:
                 if self._macro and self._try_spin_batch(core, thread, ex):
                     return
                 ex.stage = "spin"
-                ex.data["spin_used"] += costs.spin_quantum
-                ex.set_phase(costs.spin_quantum, SPIN_RATES, Domain.USER, True)
+                ex.spin_used += costs.spin_quantum
+                ex.set_phase(costs.spin_quantum, SPIN_RATES, _USER, True)
                 return
             ex.stage = "fbody"
             self.kernel_counters.n_futex_waits += 1
             ex.set_phase(
                 costs.syscall_entry + costs.futex_wait_kernel,
                 KERNEL_RATES,
-                Domain.KERNEL,
+                _KERNEL,
                 False,
             )
             return
         if stage == "spin":
             ex.stage = "cas"
-            ex.set_phase(costs.cas, LIBRARY_RATES, Domain.USER, True)
+            ex.set_phase(costs.cas, LIBRARY_RATES, _USER, True)
             return
         if stage == "fbody":
             ex.stage = "fexit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, Domain.KERNEL, False)
+            ex.set_phase(costs.syscall_exit, KERNEL_RATES, _KERNEL, False)
             if lock.held:
                 # genuinely sleep; retry CAS when woken
                 self.futex.wait(op.lock, thread.tid)
                 lock.n_sleepers += 1
-                ex.data["slept"] = True
+                ex.slept = True
                 self._block(core, thread, ("futex", op.lock))
             # else: lost the race with a release; fall through to fexit
             return
         if stage == "fexit":
             ex.stage = "cas"
-            ex.data["spin_used"] = 0
-            ex.set_phase(costs.cas, LIBRARY_RATES, Domain.USER, True)
+            ex.spin_used = 0
+            ex.set_phase(costs.cas, LIBRARY_RATES, _USER, True)
             return
         raise SimulationError(f"bad LockAcquire stage {stage!r}")
 
@@ -2360,7 +2345,7 @@ class Engine:
                 ex.set_phase(
                     costs.syscall_entry + costs.futex_wake_kernel,
                     KERNEL_RATES,
-                    Domain.KERNEL,
+                    _KERNEL,
                     False,
                 )
                 return
@@ -2373,7 +2358,7 @@ class Engine:
             for tid in woken:
                 self._make_ready(self.threads[tid], at=core.now)
             ex.stage = "wexit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, Domain.KERNEL, False)
+            ex.set_phase(costs.syscall_exit, KERNEL_RATES, _KERNEL, False)
             return
         if stage == "wexit":
             self._complete(thread, None)
@@ -2386,32 +2371,32 @@ class Engine:
         op: ops.Syscall = ex.op
         costs = self._costs
         if ex.stage == "entry":
-            handler = ex.data["handler"]
+            handler = ex.handler
             try:
                 body_cycles, action = handler(core, thread, op.args)
             except Exception as exc:  # deliver as the syscall's "errno"
-                ex.data["action"] = None
-                ex.data["exc"] = exc
+                ex.action = None
+                ex.exc = exc
                 ex.stage = "exit"
-                ex.set_phase(costs.syscall_exit, KERNEL_RATES, Domain.KERNEL, False)
+                ex.set_phase(costs.syscall_exit, KERNEL_RATES, _KERNEL, False)
                 return
-            ex.data["action"] = action
+            ex.action = action
             ex.stage = "body"
-            ex.set_phase(body_cycles, KERNEL_RATES, Domain.KERNEL, False)
+            ex.set_phase(body_cycles, KERNEL_RATES, _KERNEL, False)
             return
         if ex.stage == "body":
-            action = ex.data.get("action")
+            action = ex.action
             result: Any = None
             block: tuple | None = None
             if action is not None:
                 try:
                     result, block = action(core, thread)
                 except Exception as exc:
-                    ex.data["exc"] = exc
+                    ex.exc = exc
                     block = None
-            ex.data["result"] = result
+            ex.result = result
             ex.stage = "exit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, Domain.KERNEL, False)
+            ex.set_phase(costs.syscall_exit, KERNEL_RATES, _KERNEL, False)
             if block is not None:
                 kind, arg = block
                 if kind == "sleep":
@@ -2432,11 +2417,11 @@ class Engine:
             return
         if ex.stage == "exit":
             self._end_syscall(core, thread, ex)
-            exc = ex.data.get("exc")
+            exc = ex.exc
             if exc is not None:
                 self._throw(thread, exc)
             else:
-                self._complete(thread, ex.data.get("result"))
+                self._complete(thread, ex.result)
             return
         raise SimulationError(f"bad Syscall stage {ex.stage!r}")
 
@@ -2445,18 +2430,18 @@ class Engine:
         costs = self._costs
         if ex.stage == "entry":
             ex.stage = "body"
-            ex.set_phase(2600, KERNEL_RATES, Domain.KERNEL, False)
+            ex.set_phase(2600, KERNEL_RATES, _KERNEL, False)
             return
         if ex.stage == "body":
             child = self._create_thread(op.factory, op.name, at=core.now)
             self._make_ready(child, at=core.now)
-            ex.data["result"] = child.tid
+            ex.result = child.tid
             ex.stage = "exit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, Domain.KERNEL, False)
+            ex.set_phase(costs.syscall_exit, KERNEL_RATES, _KERNEL, False)
             return
         if ex.stage == "exit":
             self._end_syscall(core, thread, ex)
-            self._complete(thread, ex.data["result"])
+            self._complete(thread, ex.result)
             return
         raise SimulationError(f"bad SpawnThread stage {ex.stage!r}")
 
@@ -2465,21 +2450,21 @@ class Engine:
         costs = self._costs
         if ex.stage == "entry":
             ex.stage = "body"
-            ex.set_phase(600, KERNEL_RATES, Domain.KERNEL, False)
+            ex.set_phase(600, KERNEL_RATES, _KERNEL, False)
             return
         if ex.stage == "body":
             target = self.threads.get(op.tid)
             if target is None:
-                ex.data["exc"] = SimulationError(f"join: no thread {op.tid}")
+                ex.exc = SimulationError(f"join: no thread {op.tid}")
             ex.stage = "exit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, Domain.KERNEL, False)
+            ex.set_phase(costs.syscall_exit, KERNEL_RATES, _KERNEL, False)
             if target is not None and target.state is not ThreadState.FINISHED:
                 self._join_waiters.setdefault(op.tid, []).append(thread.tid)
                 self._block(core, thread, ("join", op.tid))
             return
         if ex.stage == "exit":
             self._end_syscall(core, thread, ex)
-            exc = ex.data.get("exc")
+            exc = ex.exc
             if exc is not None:
                 self._throw(thread, exc)
             else:
@@ -2492,11 +2477,11 @@ class Engine:
         costs = self._costs
         if ex.stage == "entry":
             ex.stage = "body"
-            ex.set_phase(900, KERNEL_RATES, Domain.KERNEL, False)
+            ex.set_phase(900, KERNEL_RATES, _KERNEL, False)
             return
         if ex.stage == "body":
             ex.stage = "exit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, Domain.KERNEL, False)
+            ex.set_phase(costs.syscall_exit, KERNEL_RATES, _KERNEL, False)
             self._seq += 1
             heapq.heappush(
                 self._sleep_heap, (core.now + op.cycles, self._seq, thread.tid)
@@ -2514,11 +2499,11 @@ class Engine:
         costs = self._costs
         if ex.stage == "entry":
             ex.stage = "body"
-            ex.set_phase(400, KERNEL_RATES, Domain.KERNEL, False)
+            ex.set_phase(400, KERNEL_RATES, _KERNEL, False)
             return
         if ex.stage == "body":
             ex.stage = "exit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, Domain.KERNEL, False)
+            ex.set_phase(costs.syscall_exit, KERNEL_RATES, _KERNEL, False)
             return
         if ex.stage == "exit":
             self._end_syscall(core, thread, ex)
@@ -2886,59 +2871,43 @@ class Engine:
         )
 
 
-def _dispatch_resolve(
-    table: dict, op: Any, message: str
-) -> Callable[..., Any]:
-    """Slow-path dispatch: find a handler up the op's MRO (so op subclasses
-    work), memoize it under the concrete type, or fail like the seed did."""
+def _dispatch_resolve(op: Any, message: str) -> tuple[Callable, Callable]:
+    """Slow-path dispatch: find an op's ``(begin, advance)`` handlers up its
+    MRO (so op subclasses work), memoize them under the concrete type, or
+    fail like the seed did."""
     for cls in type(op).__mro__:
-        fn = table.get(cls)
-        if fn is not None:
-            table[type(op)] = fn
-            return fn
+        handlers = _OP_HANDLERS.get(cls)
+        if handlers is not None:
+            _OP_HANDLERS[type(op)] = handlers
+            return handlers
     raise SimulationError(message)
 
 
-_BEGIN_DISPATCH = {
-    ops.Compute: Engine._begin_compute,
-    ops.Rdtsc: Engine._begin_rdtsc,
-    ops.Rdpmc: Engine._begin_rdpmc,
-    ops.RdpmcDestructive: Engine._begin_rdpmc_destructive,
-    ops.PmcReadBegin: Engine._begin_pmc_read_begin,
-    ops.PmcReadEnd: Engine._begin_pmc_read_end,
-    ops.LoadVAccum: Engine._begin_load_vaccum,
-    ops.PmcSafeRead: Engine._begin_pmc_safe_read,
-    ops.PmcUnsafeRead: Engine._begin_pmc_unsafe_read,
-    ops.RegionBegin: Engine._begin_region,
-    ops.RegionEnd: Engine._begin_region,
-    ops.LockAcquire: Engine._begin_lock_acquire,
-    ops.LockRelease: Engine._begin_lock_release,
-    ops.Syscall: Engine._begin_syscall_op,
-    ops.SpawnThread: Engine._begin_spawn,
-    ops.JoinThread: Engine._begin_join,
-    ops.Sleep: Engine._begin_sleep,
-    ops.YieldCpu: Engine._begin_yield,
-}
-
-_ADVANCE_DISPATCH = {
-    ops.Compute: Engine._adv_compute,
-    ops.Rdtsc: Engine._adv_rdtsc,
-    ops.Rdpmc: Engine._adv_rdpmc,
-    ops.RdpmcDestructive: Engine._adv_rdpmc_destructive,
-    ops.PmcReadBegin: Engine._adv_pmc_read_begin,
-    ops.PmcReadEnd: Engine._adv_pmc_read_end,
-    ops.LoadVAccum: Engine._adv_load_vaccum,
-    ops.PmcSafeRead: Engine._adv_pmc_safe_read,
-    ops.PmcUnsafeRead: Engine._adv_pmc_unsafe_read,
-    ops.RegionBegin: Engine._adv_region_begin,
-    ops.RegionEnd: Engine._adv_region_end,
-    ops.LockAcquire: Engine._adv_lock_acquire,
-    ops.LockRelease: Engine._adv_lock_release,
-    ops.Syscall: Engine._adv_syscall,
-    ops.SpawnThread: Engine._adv_spawn,
-    ops.JoinThread: Engine._adv_join,
-    ops.Sleep: Engine._adv_sleep,
-    ops.YieldCpu: Engine._adv_yield,
+#: ``(begin, advance)`` handlers per op type: ``begin`` sets up an op's
+#: first phase when it is fetched, ``advance`` runs as each phase finishes.
+_OP_HANDLERS: dict[type, tuple[Callable, Callable]] = {
+    ops.Compute: (Engine._begin_compute, Engine._adv_compute),
+    ops.Rdtsc: (Engine._begin_rdtsc, Engine._adv_rdtsc),
+    ops.Rdpmc: (Engine._begin_rdpmc, Engine._adv_rdpmc),
+    ops.RdpmcDestructive: (
+        Engine._begin_rdpmc_destructive, Engine._adv_rdpmc_destructive
+    ),
+    ops.PmcReadBegin: (Engine._begin_pmc_read_begin, Engine._adv_pmc_read_begin),
+    ops.PmcReadEnd: (Engine._begin_pmc_read_end, Engine._adv_pmc_read_end),
+    ops.LoadVAccum: (Engine._begin_load_vaccum, Engine._adv_load_vaccum),
+    ops.PmcSafeRead: (Engine._begin_pmc_safe_read, Engine._adv_pmc_safe_read),
+    ops.PmcUnsafeRead: (
+        Engine._begin_pmc_unsafe_read, Engine._adv_pmc_unsafe_read
+    ),
+    ops.RegionBegin: (Engine._begin_region, Engine._adv_region_begin),
+    ops.RegionEnd: (Engine._begin_region, Engine._adv_region_end),
+    ops.LockAcquire: (Engine._begin_lock_acquire, Engine._adv_lock_acquire),
+    ops.LockRelease: (Engine._begin_lock_release, Engine._adv_lock_release),
+    ops.Syscall: (Engine._begin_syscall_op, Engine._adv_syscall),
+    ops.SpawnThread: (Engine._begin_spawn, Engine._adv_spawn),
+    ops.JoinThread: (Engine._begin_join, Engine._adv_join),
+    ops.Sleep: (Engine._begin_sleep, Engine._adv_sleep),
+    ops.YieldCpu: (Engine._begin_yield, Engine._adv_yield),
 }
 
 

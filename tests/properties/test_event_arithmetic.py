@@ -5,7 +5,7 @@ overflow prediction ever loses an event, every 'precise counting' claim
 upstream is void.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hw.counter import HardwareCounter
@@ -66,6 +66,53 @@ class TestCyclesUntilCount:
     @given(consumed=cycle_values, needed=st.integers(min_value=1, max_value=100))
     def test_zero_rate_is_never(self, consumed, needed):
         assert cycles_until_count(consumed, 0, needed) is None
+
+
+class TestOverflowPreCheck:
+    """The engine's piece loop skips ``cycles_until_count`` for a counter
+    that gains fewer than ``need`` events in the next ``limit`` cycles.
+    The skip must be exact: such a counter cannot cross within ``limit``,
+    and any counter that can is never skipped."""
+
+    @given(
+        consumed=cycle_values,
+        limit=st.integers(min_value=1, max_value=10_000_000),
+        ppm=ppm_values,
+        need=st.integers(min_value=-3, max_value=1 << 24),
+    )
+    @example(consumed=0, limit=1, ppm=0, need=1)
+    @example(consumed=5, limit=7, ppm=0, need=0)
+    @example(consumed=5, limit=7, ppm=1_000_000, need=0)
+    @example(consumed=5, limit=7, ppm=1_000_000, need=-2)
+    @example(consumed=3, limit=2, ppm=500_000, need=1)
+    @example(consumed=0, limit=999_999, ppm=1, need=1)
+    @example(consumed=0, limit=1_000_000, ppm=1, need=1)
+    @settings(max_examples=500)
+    def test_skip_is_exact(self, consumed, limit, ppm, need):
+        d = cycles_until_count(consumed, ppm, need)
+        if events_in(consumed, consumed + limit, ppm) < need:
+            assert d is None or d > limit
+        else:
+            assert d is not None and d <= limit
+
+    @given(
+        consumed=cycle_values,
+        limit=st.integers(min_value=1, max_value=10_000_000),
+        ppm=ppm_values,
+        need=st.integers(min_value=-3, max_value=0),
+    )
+    def test_nonpositive_need_is_never_skipped(self, consumed, limit, ppm, need):
+        assert events_in(consumed, consumed + limit, ppm) >= need
+        assert cycles_until_count(consumed, ppm, need) == 0
+
+    @given(
+        consumed=cycle_values,
+        limit=st.integers(min_value=1, max_value=10_000_000),
+        need=st.integers(min_value=1, max_value=1 << 24),
+    )
+    def test_zero_rate_is_always_skipped(self, consumed, limit, need):
+        assert events_in(consumed, consumed + limit, 0) < need
+        assert cycles_until_count(consumed, 0, need) is None
 
 
 class TestCounterWrap:

@@ -1,0 +1,184 @@
+"""Whole-window accrual recipes on PMU plan entries.
+
+``Engine._account`` replays a memoized recipe for a recurring whole-phase
+window instead of redoing the running-floor arithmetic. The replay must be
+indistinguishable from the arithmetic, including when a counter wraps, and
+the recipes must live and die with their engine.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+from repro.common.config import MachineConfig, PmuConfig, SimConfig
+from repro.hw.events import (
+    Domain,
+    Event,
+    EventRates,
+    KERNEL_RATES,
+    N_EVENTS,
+)
+from repro.kernel.vpmu import SlotSpec
+from repro.sim import engine as engine_mod
+from repro.sim.engine import Engine, _window_recipe
+from repro.sim.ops import Compute, Rdpmc, Syscall
+from repro.sim.program import ThreadSpec
+from repro.sim.results import RegionTruth
+
+USER_RATES = EventRates.profile(
+    ipc=1.3, llc_mpki=2.0, branch_frac=0.2, branch_miss_rate=0.05
+)
+WIDTH = 16
+MASK = (1 << WIDTH) - 1
+
+
+def _idle(ctx):
+    return
+    yield
+
+
+def _setup(domain, headroom):
+    """An engine with one thread inside region ``r`` and two counters
+    programmed in both domains. ``headroom`` (if not None) is how many
+    events the INSTRUCTIONS counter takes before it wraps."""
+    config = SimConfig(
+        machine=MachineConfig(n_cores=1, pmu=PmuConfig(counter_width=WIDTH)),
+        seed=3,
+    )
+    engine = Engine(config)
+    thread = engine._create_thread(_idle, "t", at=0)
+    core = engine.machine.cores[0]
+    core.current_tid = thread.tid
+    thread.region_stack.append("r")
+    thread.regions["r"] = RegionTruth(name="r")
+    thread.region_ev["r"] = [0] * N_EVENTS
+    pmu = core.pmu
+    pmu.counter(0).program(Event.INSTRUCTIONS, count_user=True, count_kernel=True)
+    pmu.counter(1).program(Event.CYCLES, count_user=True, count_kernel=True)
+    if headroom is not None:
+        pmu.counter(0).write(MASK + 1 - headroom)
+    rates = USER_RATES if domain is Domain.USER else KERNEL_RATES
+    return engine, thread, core, pmu.plan_entry(rates, domain)
+
+
+def _state(engine, thread):
+    core = engine.machine.cores[0]
+    return {
+        "ev_user": list(thread.ev_user),
+        "ev_kernel": list(thread.ev_kernel),
+        "region_ev": {n: list(a) for n, a in thread.region_ev.items()},
+        "region_kernel": {n: r.kernel_cycles for n, r in thread.regions.items()},
+        "counters": [
+            (c.value, c.overflow_pending, c.overflow_total)
+            for c in core.pmu.counters
+        ],
+        "cycles": (thread.user_cycles, thread.kernel_cycles, core.now),
+        "pmi_due_at": core.pmi_due_at,
+    }
+
+
+WINDOW = 4_099
+
+
+def _events(after):
+    """INSTRUCTIONS events in the whole window under USER_RATES/KERNEL_RATES."""
+    return {
+        Domain.USER: (after * USER_RATES.ppm(Event.INSTRUCTIONS)) // 1_000_000,
+        Domain.KERNEL: (after * KERNEL_RATES.ppm(Event.INSTRUCTIONS)) // 1_000_000,
+    }
+
+
+@pytest.mark.parametrize("domain", [Domain.USER, Domain.KERNEL])
+@pytest.mark.parametrize("headroom", ["none", "one_short", "exact", "spare"])
+def test_replay_matches_generic_arithmetic(domain, headroom):
+    n = _events(WINDOW)[domain]
+    assert n > 1
+    room = {
+        "none": None,
+        # value == mask: the first event of the window wraps the counter
+        "one_short": 1,
+        # the window's last event wraps it to exactly zero
+        "exact": n,
+        # the window fills it to the mask and no further
+        "spare": n + 1,
+    }[headroom]
+    generic, g_thread, g_core, g_entry = _setup(domain, room)
+    replay, r_thread, r_core, r_entry = _setup(domain, room)
+    assert g_entry[2] == {} and r_entry[2] == {}
+    r_entry[2][WINDOW] = _window_recipe(r_entry, WINDOW)
+
+    generic._account(g_core, g_thread, domain, g_entry, 0, WINDOW)
+    replay._account(r_core, r_thread, domain, r_entry, 0, WINDOW)
+
+    # first sighting took the arithmetic and only noted the window
+    assert g_entry[2] == {WINDOW: None}
+    assert r_entry[2][WINDOW] is not None
+    state = _state(generic, g_thread)
+    assert state == _state(replay, r_thread)
+    wrapped = room is not None and room <= n
+    assert (state["counters"][0][1] == 1) is wrapped
+    assert (state["pmi_due_at"] is not None) is wrapped
+
+
+@pytest.mark.parametrize("domain", [Domain.USER, Domain.KERNEL])
+def test_recipe_lifecycle_matches_arithmetic(domain):
+    """Noted on the first sighting, built on the second, replayed after:
+    the same tallies as redoing the arithmetic every time, across a wrap."""
+    n = _events(WINDOW)[domain]
+    cached, c_thread, c_core, c_entry = _setup(domain, 2 * n + 1)
+    plain, p_thread, p_core, p_entry = _setup(domain, 2 * n + 1)
+    for _ in range(4):
+        cached._account(c_core, c_thread, domain, c_entry, 0, WINDOW)
+        p_entry[2].clear()
+        plain._account(p_core, p_thread, domain, p_entry, 0, WINDOW)
+        assert _state(cached, c_thread) == _state(plain, p_thread)
+    assert c_entry[2][WINDOW] is not None
+    assert _state(cached, c_thread)["counters"][0][1] == 1
+
+
+def test_recipes_per_entry_are_capped():
+    engine, thread, core, entry = _setup(Domain.KERNEL, None)
+    for after in range(1, engine_mod._RECIPES_PER_ENTRY + 50):
+        engine._account(core, thread, Domain.KERNEL, entry, 0, after)
+        assert len(entry[2]) <= engine_mod._RECIPES_PER_ENTRY
+
+
+def _counting_program(ctx):
+    idx = yield Syscall(
+        "pmc_open",
+        (SlotSpec(event=Event.INSTRUCTIONS, count_user=True, count_kernel=True),),
+    )
+    for _ in range(50):
+        yield Compute(1_000, USER_RATES)
+        yield Rdpmc(idx)
+
+
+def _module_state():
+    return {
+        name: len(value)
+        for name, value in vars(engine_mod).items()
+        if isinstance(value, (dict, set, list))
+    }
+
+
+def test_recipes_die_with_their_engine():
+    before = _module_state()
+    config = SimConfig(machine=MachineConfig(n_cores=1), seed=5)
+    engine = Engine(config)
+    result = engine.run([ThreadSpec("t", _counting_program)])
+    pmu = engine.machine.cores[0].pmu
+    held = [
+        rec
+        for plans in pmu._plan_sets.values()
+        for cache in plans
+        for _rates, _plan, recipes in cache.values()
+        for rec in recipes.values()
+        if rec is not None and rec[1]
+    ]
+    assert held, "no counter-holding recipe was built"
+    ref = weakref.ref(held[0][1][0][1])
+    assert _module_state() == before, "a run left state at module level"
+    del engine, result, pmu, held
+    gc.collect()
+    assert ref() is None, "a dropped engine's counter is still referenced"

@@ -1,10 +1,14 @@
 """Engine PMU behaviour: virtualization, overflow, sampling, faults."""
 
+import dataclasses
+
+import pytest
 
 from repro.common.config import KernelConfig, MachineConfig, SimConfig
 from repro.common.errors import CounterError
-from repro.hw.events import Event, EventRates
+from repro.hw.events import Event, EventRates, cycles_until_count
 from repro.kernel.vpmu import SlotSpec
+from repro.obs import trace as tr
 from repro.sim.ops import Compute, LoadVAccum, Rdpmc, RegionBegin, RegionEnd, Syscall
 
 from tests.conftest import SIMPLE_RATES, run_threads
@@ -135,6 +139,27 @@ class TestOverflow:
         result = run_threads(config, program)
         assert result.kernel.n_pmis == 0
         assert result.kernel.n_counter_overflows == 0
+
+    @pytest.mark.parametrize("slack", [0, 1, 2, 3, 50])
+    def test_piece_ends_exactly_at_the_crossing(self, slack):
+        """The piece loop splits a phase at the exact cycle a counter wraps
+        (its cycles_until_count pre-check may skip only counters that
+        cannot wrap in the piece), whatever the cycles left after it."""
+        rates = EventRates.profile(ipc=0.7)
+        width = 12
+        crossing = cycles_until_count(
+            0, rates.ppm(Event.INSTRUCTIONS), 1 << width
+        )
+        config = dataclasses.replace(self.overflow_config(width), trace=True)
+
+        def program(ctx):
+            yield open_counter()
+            yield Compute(crossing + slack, rates)
+
+        result = run_threads(config, program)
+        (opened,) = [e for e in result.trace if e.kind == tr.SYSCALL_EXIT]
+        wraps = [e for e in result.trace if e.kind == tr.CTR_OVERFLOW]
+        assert [e.time - opened.time for e in wraps] == [crossing]
 
     def test_pmi_skid_delays_delivery(self):
         """PMIs land after the crossing by ~the configured skid."""
