@@ -20,20 +20,22 @@ Typical use inside a thread program::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Generator, Iterable, Sequence
+from typing import Any, Callable, Generator, Iterable, NamedTuple, Sequence
 
 from repro.common.errors import SessionError
-from repro.core.read_protocol import destructive_read, safe_read, unsafe_read
+from repro.core.read_protocol import destructive_read
 from repro.hw.events import Event
 from repro.kernel.vpmu import SlotSpec
-from repro.sim.ops import Syscall
+from repro.sim.ops import PmcSafeRead, PmcUnsafeRead, Syscall
 from repro.sim.program import ThreadContext
 
 
-@dataclass(frozen=True)
-class ReadRecord:
-    """One counter read as observed by the tool, plus ground truth."""
+class ReadRecord(NamedTuple):
+    """One counter read as observed by the tool, plus ground truth.
+
+    Immutable; a named tuple rather than a frozen dataclass because one is
+    built per read, and positional tuple construction costs a third as much.
+    """
 
     tid: int
     time: int            #: simulated time when the read completed
@@ -46,6 +48,13 @@ class ReadRecord:
     @property
     def error(self) -> int:
         return self.value - self.truth
+
+
+#: Read protocols a session's ``default_protocol`` may name; each has a
+#: ``read_<protocol>`` method.
+_PROTOCOLS = ("safe", "unsafe", "destructive")
+
+_ReadOp = PmcSafeRead | PmcUnsafeRead
 
 
 def _as_spec(entry: Event | SlotSpec, count_kernel: bool) -> SlotSpec:
@@ -66,8 +75,24 @@ def _as_spec(entry: Event | SlotSpec, count_kernel: bool) -> SlotSpec:
 class LimitSession:
     """Precise low-overhead counter access (the paper's contribution)."""
 
-    #: protocol used by :meth:`read`; subclasses override.
+    #: protocol used by :meth:`read`; subclasses override. Resolved to a
+    #: read method once per class, when the class is created.
     default_protocol = "safe"
+    #: the ``read_<default_protocol>`` method :meth:`read` delegates to
+    _protocol_read: Callable[..., Generator[Any, Any, int]]
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._bind_protocol()
+
+    @classmethod
+    def _bind_protocol(cls) -> None:
+        protocol = cls.default_protocol
+        if protocol not in _PROTOCOLS:
+            raise SessionError(
+                f"{cls.__name__}: unknown protocol {protocol!r}"
+            )
+        cls._protocol_read = getattr(cls, f"read_{protocol}")
 
     def __init__(
         self,
@@ -81,6 +106,10 @@ class LimitSession:
             raise SessionError("a session needs at least one event")
         #: per-thread slot indices, filled by setup()
         self.slots: dict[int, list[int]] = {}
+        #: per-thread safe and unsafe read ops, one per slot, built by
+        #: setup() and yielded by every such read (ops are immutable)
+        self._safe_ops: dict[int, tuple[_ReadOp, ...]] = {}
+        self._unsafe_ops: dict[int, tuple[_ReadOp, ...]] = {}
         self.records: list[ReadRecord] = []
 
     # -- lifecycle (generators; use with `yield from`) ----------------------
@@ -96,38 +125,42 @@ class LimitSession:
             idx = yield Syscall("pmc_open", (spec,))
             indices.append(idx)
         self.slots[ctx.tid] = indices
+        self._safe_ops[ctx.tid] = tuple(PmcSafeRead(i) for i in indices)
+        self._unsafe_ops[ctx.tid] = tuple(PmcUnsafeRead(i) for i in indices)
 
     def teardown(self, ctx: ThreadContext) -> Generator[Any, Any, None]:
         """Close the calling thread's counters."""
         for idx in self._indices(ctx):
             yield Syscall("pmc_close", (idx,))
         del self.slots[ctx.tid]
+        del self._safe_ops[ctx.tid]
+        del self._unsafe_ops[ctx.tid]
 
     # -- reads ----------------------------------------------------------------
 
     def read(self, ctx: ThreadContext, i: int = 0) -> Generator[Any, Any, int]:
-        """Read counter ``i`` with the session's default protocol."""
-        protocol = self.default_protocol
-        if protocol == "safe":
-            return (yield from self.read_safe(ctx, i))
-        if protocol == "unsafe":
-            return (yield from self.read_unsafe(ctx, i))
-        if protocol == "destructive":
-            return (yield from self.read_destructive(ctx, i))
-        raise SessionError(f"unknown protocol {protocol!r}")  # pragma: no cover
+        """Read counter ``i`` with the session's default protocol.
+
+        Not itself a generator: it returns the protocol method's, so a
+        ``yield from session.read(ctx)`` runs one generator that yields the
+        slot's cached read op.
+        """
+        return self._protocol_read(ctx, i)
 
     def read_safe(self, ctx: ThreadContext, i: int = 0) -> Generator[Any, Any, int]:
-        """The LiMiT precise read (restart-on-interruption)."""
-        idx = self._slot(ctx, i)
-        value = yield from safe_read(idx, ctx.costs)
-        self._record(ctx, idx, i, value, "safe")
+        """The LiMiT precise read (restart-on-interruption): one
+        :class:`PmcSafeRead`, which the engine runs to the exact value."""
+        op = self._op(self._safe_ops, ctx, i, PmcSafeRead)
+        value = yield op
+        self._record(ctx, op.index, i, value, "safe")
         return value
 
     def read_unsafe(self, ctx: ThreadContext, i: int = 0) -> Generator[Any, Any, int]:
-        """The unprotected read (ablation arm of experiment E4)."""
-        idx = self._slot(ctx, i)
-        value = yield from unsafe_read(idx, ctx.costs)
-        self._record(ctx, idx, i, value, "unsafe")
+        """The unprotected read (ablation arm of experiment E4): one
+        :class:`PmcUnsafeRead`."""
+        op = self._op(self._unsafe_ops, ctx, i, PmcUnsafeRead)
+        value = yield op
+        self._record(ctx, op.index, i, value, "unsafe")
         return value
 
     def read_destructive(
@@ -207,6 +240,20 @@ class LimitSession:
                 "call `yield from session.setup(ctx)` first"
             ) from None
 
+    def _op(
+        self,
+        cache: dict[int, tuple[_ReadOp, ...]],
+        ctx: ThreadContext,
+        i: int,
+        op_type: type[_ReadOp],
+    ) -> _ReadOp:
+        """The calling thread's cached read op of counter ``i``."""
+        ops = cache.get(ctx.tid)
+        if ops is None or not 0 <= i < len(ops):
+            # not set up on this thread, or i out of range: _slot raises
+            return op_type(self._slot(ctx, i))
+        return ops[i]
+
     def _slot(self, ctx: ThreadContext, i: int) -> int:
         indices = self._indices(ctx)
         if not 0 <= i < len(indices):
@@ -219,19 +266,21 @@ class LimitSession:
     def _record(
         self, ctx: ThreadContext, idx: int, i: int, value: int, protocol: str
     ) -> None:
-        thread = ctx.thread()
-        truth = thread.last_rdpmc_truth if thread.last_rdpmc_truth is not None else 0
+        truth = ctx.thread().last_rdpmc_truth
         self.records.append(
             ReadRecord(
-                tid=ctx.tid,
-                time=ctx.now(),
-                slot=idx,
-                event=self.specs[i].event,
-                value=value,
-                truth=truth,
-                protocol=protocol,
+                ctx.tid,
+                ctx.now(),
+                idx,
+                self.specs[i].event,
+                value,
+                truth if truth is not None else 0,
+                protocol,
             )
         )
+
+
+LimitSession._bind_protocol()
 
 
 class UnbufferedLimitSession(LimitSession):

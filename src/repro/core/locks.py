@@ -19,6 +19,10 @@ from repro.common.errors import SessionError
 from repro.sim.ops import LockAcquire, LockRelease, Rdtsc
 from repro.sim.program import ThreadContext
 
+#: Ops are immutable, so the lock helpers yield shared instances rather than
+#: building one per call.
+_RDTSC = Rdtsc()
+
 
 class CounterReader(Protocol):
     """Anything with a LiMiT-shaped read method (sessions, timers)."""
@@ -37,7 +41,7 @@ class RdtscReader:
     name = "rdtsc"
 
     def read(self, ctx: ThreadContext, i: int = 0) -> Generator[Any, Any, int]:
-        value = yield Rdtsc()
+        value = yield _RDTSC
         return value
 
 
@@ -80,14 +84,18 @@ class InstrumentedLock:
         self.reader = reader
         self.counter_index = counter_index
         self.observation = LockObservation()
+        self._acquire = LockAcquire(name)
+        self._release = LockRelease(name)
+        #: where acquire leaves its closing read for release
+        self._key = ("instrumented_lock_t1", name)
 
     def acquire(self, ctx: ThreadContext) -> Generator[Any, Any, None]:
         """Acquire the lock, recording the acquisition-path cost."""
         t0 = yield from self.reader.read(ctx, self.counter_index)
-        yield LockAcquire(self.name)
+        yield self._acquire
         t1 = yield from self.reader.read(ctx, self.counter_index)
         self.observation.waits.append(t1 - t0)
-        ctx.scratch[self._key()] = t1
+        ctx.scratch[self._key] = t1
 
     def release(self, ctx: ThreadContext) -> Generator[Any, Any, None]:
         """Release the lock, recording the critical-section cost.
@@ -96,14 +104,14 @@ class InstrumentedLock:
         the release is the boundary being measured), so slow readers
         lengthen every critical section — the perturbation E6 quantifies.
         """
-        key = self._key()
+        key = self._key
         if key not in ctx.scratch:
             raise SessionError(
                 f"release of instrumented lock {self.name!r} without a "
                 f"matching acquire on thread {ctx.tid}"
             )
         t2 = yield from self.reader.read(ctx, self.counter_index)
-        yield LockRelease(self.name)
+        yield self._release
         t1 = ctx.scratch.pop(key)
         self.observation.holds.append(t2 - t1)
 
@@ -118,9 +126,6 @@ class InstrumentedLock:
             yield from self.release(ctx)
         return result
 
-    def _key(self) -> tuple:
-        return ("instrumented_lock_t1", self.name)
-
 
 class PlainLock:
     """Uninstrumented lock with the same generator interface, for baseline
@@ -128,12 +133,14 @@ class PlainLock:
 
     def __init__(self, name: str) -> None:
         self.name = name
+        self._acquire = LockAcquire(name)
+        self._release = LockRelease(name)
 
     def acquire(self, ctx: ThreadContext) -> Generator[Any, Any, None]:
-        yield LockAcquire(self.name)
+        yield self._acquire
 
     def release(self, ctx: ThreadContext) -> Generator[Any, Any, None]:
-        yield LockRelease(self.name)
+        yield self._release
 
     def critical_section(
         self, ctx: ThreadContext, body: Generator[Any, Any, Any]

@@ -295,6 +295,10 @@ SPIN_RATES = EventRates.profile(ipc=1.8, branch_frac=0.5, branch_miss_rate=0.01)
 #: Rates for straight-line measurement-library code (LiMiT/PAPI user parts).
 LIBRARY_RATES = EventRates.profile(ipc=1.4, branch_frac=0.12, branch_miss_rate=0.02)
 
+#: Rates of work that fires no event but CYCLES; the default of ``Compute``.
+#: One shared object, because the PMU caches accrual plans per rates object.
+ZERO_RATES = EventRates()
+
 
 def events_in(cycles_before: int, cycles_after: int, ppm: int) -> int:
     """Exact number of events fired in ``(cycles_before, cycles_after]`` of a

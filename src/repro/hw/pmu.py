@@ -44,17 +44,17 @@ class Pmu:
         #: domain, keyed id(rates). Each entry is ``(rates, plan, recipes)``:
         #: the rates object (kept so an id can never be recycled while its
         #: entry is live), the flat accrual plan, and a dict the engine fills
-        #: with whole-window accrual recipes keyed by window length. The
-        #: recipes die with this PMU.
+        #: with accrual recipes: whole-window ones keyed by window length,
+        #: and composite read/spin ones keyed by name. The recipes die with
+        #: their entry.
         self._plans_user: dict[int, PlanEntry] = {}
         self._plans_kernel: dict[int, PlanEntry] = {}
         #: per-programming-signature plan sets. Counter virtualization
         #: reprograms the same specs on every context switch; keying the plan
         #: dicts by the (event, domains) signature means an identical
         #: reprogramming swaps the same dicts back in, so plan entries (and
-        #: the recipes on them) survive for the whole run, and plan tuples
-        #: stay identical objects (the engine's read/spin recipes key on
-        #: their ids). The ``()`` set serves a PMU with nothing programmed.
+        #: the recipes on them) survive for the whole run. The ``()`` set
+        #: serves a PMU with nothing programmed.
         self._plan_sets: dict[tuple, tuple[dict, dict]] = {
             (): (self._plans_user, self._plans_kernel)
         }
@@ -71,7 +71,9 @@ class Pmu:
         Needed when counter *geometry* changes out from under the signature
         key — the signature only covers (index, event, domains), so a
         mid-run width change (fault injection's shrink_counter) would
-        otherwise swap stale-mask plans back in on the next reprogram.
+        otherwise swap stale-mask plans back in on the next reprogram. The
+        recipes on the dropped entries, which embed the same masks, go with
+        them.
         """
         self._plans_user = {}
         self._plans_kernel = {}
@@ -101,7 +103,7 @@ class Pmu:
         It is computed once per distinct rates object per programming
         signature, so the per-chunk accounting path iterates a short tuple
         instead of re-filtering every counter against every rate.
-        ``recipes`` starts empty; the engine memoizes window recipes there.
+        ``recipes`` starts empty; the engine memoizes accrual recipes there.
         """
         if self._plans_dirty:
             self._resolve_plans()

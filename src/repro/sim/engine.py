@@ -109,7 +109,7 @@ class _OpExec:
         "phase_preemptible",
         "t0", "spin_used", "contended", "slept",
         "handler", "sys_name", "action", "exc", "result",
-        "value", "hw", "acc", "restarts", "fpc",
+        "hw", "acc", "restarts", "fpc",
     )
 
     op: ops.Op
@@ -132,7 +132,6 @@ class _OpExec:
     exc: BaseException | None
     result: Any
     # PMC reads
-    value: int
     hw: int
     acc: int
     restarts: int
@@ -166,6 +165,12 @@ _RECIPE_MAX_WINDOW = 65536
 #: Cap on the windows one plan entry tracks (recipes and first sightings);
 #: the dict is cleared when it fills.
 _RECIPES_PER_ENTRY = 1024
+#: Keys of the composite recipes that share a plan entry's recipe dict with
+#: the window recipes (whose keys are ints): whole safe/unsafe reads on the
+#: LIBRARY_RATES entry, one contended-lock spin round on the SPIN_RATES one.
+_SAFE = "safe"
+_UNSAFE = "unsafe"
+_SPIN = "spin"
 
 
 def _window_recipe(entry: PlanEntry, after: int) -> tuple[tuple, tuple]:
@@ -233,7 +238,7 @@ class SimThread:
     __slots__ = (
         "tid",
         "name",
-        "ctx",
+        "scratch",
         "gen",
         "state",
         "core_id",
@@ -276,7 +281,9 @@ class SimThread:
                  gen: Generator, n_slots: int) -> None:
         self.tid = tid
         self.name = name
-        self.ctx = ctx
+        #: the program's ThreadContext.scratch; the context itself is not
+        #: kept, since it refers back to the engine
+        self.scratch = ctx.scratch
         self.gen = gen
         self.state = ThreadState.READY
         self.core_id: int | None = None
@@ -407,9 +414,6 @@ class Engine:
         self._fast_reads = 0
         self._spin_batches = 0
         self._spin_rounds_batched = 0
-        #: per-(spin plan, library plan) one-round accrual recipes for the
-        #: contended-lock spin loop; values pin the plans (id-keyed).
-        self._spin_recipes: dict[tuple[int, int], tuple] = {}
         self._bailouts: dict[str, int] = {}
         self._ops_fetched = 0
         tick = self._costs.timer_tick
@@ -428,18 +432,20 @@ class Engine:
         # bookkeeping must be taken with exactly the pre-rdpmc cycles
         # accrued, so the one-piece fast path applies part A, reads, then
         # applies part B. Each sub-phase accrues from its own cycle 0.
+        # The combined recipes live on the LIBRARY_RATES plan entry under
+        # the protocol name (see _try_fast_read).
         c = self._costs
-        self._safe_read_phases = (
-            (c.pmc_call_overhead, c.pmc_read_begin, c.pmc_load_accum, c.rdpmc),
-            (c.pmc_read_end, c.pmc_store_result),
-        )
-        self._unsafe_read_phases = (
-            (c.pmc_call_overhead, c.pmc_load_accum, c.rdpmc),
-            (c.pmc_store_result,),
-        )
-        #: combined whole-read accrual recipes keyed (id(plan), phases);
-        #: each value pins its plan so the id cannot be recycled.
-        self._read_recipes: dict[tuple, tuple] = {}
+        self._read_phases = {
+            _SAFE: (
+                (c.pmc_call_overhead, c.pmc_read_begin, c.pmc_load_accum,
+                 c.rdpmc),
+                (c.pmc_read_end, c.pmc_store_result),
+            ),
+            _UNSAFE: (
+                (c.pmc_call_overhead, c.pmc_load_accum, c.rdpmc),
+                (c.pmc_store_result,),
+            ),
+        }
         # -- main-loop actor selection ----------------------------------
         # Multi-core runs keep a lazily-invalidated heap of (now, core_id);
         # single-core runs bypass it entirely.
@@ -453,21 +459,6 @@ class Engine:
         self._chain_break = False
         if self.config.kernel.limit_patch:
             self.machine.enable_user_rdpmc()
-        self._syscalls: dict[str, Callable] = {
-            "work": self._sys_work,
-            "getpid": self._sys_getpid,
-            "pmc_open": self._sys_pmc_open,
-            "pmc_close": self._sys_pmc_close,
-            "perf_open": self._sys_perf_open,
-            "perf_read": self._sys_perf_read,
-            "perf_close": self._sys_perf_close,
-            "papi_read": self._sys_papi_read,
-            "wait_key": self._sys_wait_key,
-            "wake_key": self._sys_wake_key,
-            "mux_open": self._sys_mux_open,
-            "mux_read": self._sys_mux_read,
-            "mux_close": self._sys_mux_close,
-        }
 
     # ------------------------------------------------------------------
     # observability wiring
@@ -775,59 +766,66 @@ class Engine:
                 if not self._fetch_next_op(core, thread):
                     return
                 ex = thread.cur
-            consumed = ex.phase_consumed
-            cycles = ex.phase_cycles
-            if consumed < cycles:
-                remaining = cycles - consumed
-                entry = core.pmu.plan_entry(ex.phase_rates, ex.phase_domain)
-                if ex.phase_preemptible:
-                    # Macro-step candidate: a preemptible phase that outlives
-                    # the current timeslice (i.e. the slow path would hit at
-                    # least one timer tick before the phase ends).
-                    if (
-                        self._macro
-                        and remaining > core.slice_ends_at - now
-                        and self._try_macro_step(core, thread, ex, entry)
-                    ):
-                        return
-                    # limit only ever shrinks from `remaining`, so the final
-                    # chunk is max(1, limit) — identical to
-                    # max(1, min(remaining, limit)).
-                    limit = remaining
-                    bound = core.slice_ends_at
-                    if bound is not None and bound - now < limit:
-                        limit = bound - now
-                    bound = core.pmi_due_at
-                    if bound is not None and bound - now < limit:
-                        limit = bound - now
-                    # Split at the first counter-overflow crossing. A counter
-                    # that gains fewer than `need` events in the next `limit`
-                    # cycles cannot cross within them, so the pre-check skips
-                    # its cycles_until_count exactly.
-                    end = consumed + limit
-                    for _index, ctr, ppm, mask in entry[1]:
-                        need = mask + 1 - ctr.value
+            # ex is None here only when the op completed inside its begin
+            # handler (a fast PMC read): the fetch was the whole piece.
+            if ex is not None:
+                consumed = ex.phase_consumed
+                cycles = ex.phase_cycles
+                if consumed < cycles:
+                    remaining = cycles - consumed
+                    entry = core.pmu.plan_entry(
+                        ex.phase_rates, ex.phase_domain
+                    )
+                    if ex.phase_preemptible:
+                        # Macro-step candidate: a preemptible phase that
+                        # outlives the current timeslice (i.e. the slow path
+                        # would hit at least one timer tick before the phase
+                        # ends).
                         if (
-                            (end * ppm) // 1_000_000
-                            - (consumed * ppm) // 1_000_000
-                            < need
+                            self._macro
+                            and remaining > core.slice_ends_at - now
+                            and self._try_macro_step(core, thread, ex, entry)
                         ):
-                            continue
-                        d = cycles_until_count(consumed, ppm, need)
-                        if d is not None and d < limit:
-                            limit = d
-                            end = consumed + limit
-                    chunk = limit if limit > 0 else 1
-                else:
-                    chunk = remaining
-                after = consumed + chunk
-                self._account(
-                    core, thread, ex.phase_domain, entry, consumed, after
-                )
-                ex.phase_consumed = after
-                if after < cycles:
-                    return
-            ex.adv(self, core, thread, ex)
+                            return
+                        # limit only ever shrinks from `remaining`, so the
+                        # final chunk is max(1, limit) — identical to
+                        # max(1, min(remaining, limit)).
+                        limit = remaining
+                        bound = core.slice_ends_at
+                        if bound is not None and bound - now < limit:
+                            limit = bound - now
+                        bound = core.pmi_due_at
+                        if bound is not None and bound - now < limit:
+                            limit = bound - now
+                        # Split at the first counter-overflow crossing. A
+                        # counter that gains fewer than `need` events in the
+                        # next `limit` cycles cannot cross within them, so
+                        # the pre-check skips its cycles_until_count exactly.
+                        end = consumed + limit
+                        for _index, ctr, ppm, mask in entry[1]:
+                            need = mask + 1 - ctr.value
+                            if (
+                                (end * ppm) // 1_000_000
+                                - (consumed * ppm) // 1_000_000
+                                < need
+                            ):
+                                continue
+                            d = cycles_until_count(consumed, ppm, need)
+                            if d is not None and d < limit:
+                                limit = d
+                                end = consumed + limit
+                        chunk = limit if limit > 0 else 1
+                    else:
+                        chunk = remaining
+                    after = consumed + chunk
+                    self._account(
+                        core, thread, ex.phase_domain, entry, consumed,
+                        after,
+                    )
+                    ex.phase_consumed = after
+                    if after < cycles:
+                        return
+                ex.adv(self, core, thread, ex)
             # Chain straight into the thread's next piece — the following
             # stage of a multi-phase op, or the fetch of its next op — when
             # the main loop would deterministically re-pick this core
@@ -1191,14 +1189,11 @@ class Engine:
         so counting slots recover them through the normal overflow path
         (``vaccum += wraps * new_threshold`` with the *new* threshold equals
         exactly the bits shifted out) and nothing is lost. Cached accrual
-        plans embed the old mask, so every PMU's plan caches are flushed;
-        sampling preloads saved under the old width are clamped.
+        plans and the recipes on their entries embed the old mask, so every
+        changed PMU's plan caches are flushed; sampling preloads saved under
+        the old width are clamped.
         """
         mask = (1 << width) - 1
-        # Per-engine read/spin recipes bake the old masks into their
-        # entries (and are keyed by plan ids the flush is about to free).
-        self._read_recipes.clear()
-        self._spin_recipes.clear()
         for c in self.machine.cores:
             changed = False
             for ctr in c.pmu.counters:
@@ -1382,8 +1377,10 @@ class Engine:
         ex.adv = adv
         # an op whose begin commits it whole sets no phase
         ex.phase_cycles = ex.phase_consumed = 0
-        begin(self, core, thread, ex)
+        # published first: a begin that completes its op (a fast read)
+        # clears it again
         thread.cur = ex
+        begin(self, core, thread, ex)
         return True
 
     def _bail(self, reason: str) -> bool:
@@ -1587,16 +1584,18 @@ class Engine:
         ex.set_phase(self._costs.pmc_load_accum, LIBRARY_RATES, _USER, True)
 
     def _begin_pmc_safe_read(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        if self._try_fast_read(core, thread, ex, self._safe_read_phases):
-            return
-        ex.stage = "call"
-        ex.set_phase(self._costs.pmc_call_overhead, LIBRARY_RATES, _USER, True)
+        if not self._try_fast_read(core, thread, ex, _SAFE):
+            ex.stage = "call"
+            ex.set_phase(
+                self._costs.pmc_call_overhead, LIBRARY_RATES, _USER, True
+            )
 
     def _begin_pmc_unsafe_read(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        if self._try_fast_read(core, thread, ex, self._unsafe_read_phases):
-            return
-        ex.stage = "call"
-        ex.set_phase(self._costs.pmc_call_overhead, LIBRARY_RATES, _USER, True)
+        if not self._try_fast_read(core, thread, ex, _UNSAFE):
+            ex.stage = "call"
+            ex.set_phase(
+                self._costs.pmc_call_overhead, LIBRARY_RATES, _USER, True
+            )
 
     def _begin_region(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         ex.stage = "run"
@@ -1617,7 +1616,7 @@ class Engine:
 
     def _begin_syscall_op(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         op = ex.op
-        handler = self._syscalls.get(op.name)
+        handler = _SYSCALLS.get(op.name)
         if handler is None:
             raise SimulationError(f"unknown syscall {op.name!r}")
         ex.stage = "entry"
@@ -1736,7 +1735,9 @@ class Engine:
     #
     # * fast path — when nothing can interrupt the window (no slice
     #   boundary, no due PMI, no counter wrap, not tracing), the entire
-    #   sequence commits in one piece with precomputed accrual sums;
+    #   sequence commits inside the op's begin handler, so fetch and read
+    #   are one piece, with accrual sums precomputed on the LIBRARY_RATES
+    #   plan entry;
     # * stage machine — otherwise, the op steps through phases with exactly
     #   the piece boundaries of the historical op-by-op form (Compute /
     #   PmcReadBegin / LoadVAccum / Rdpmc / PmcReadEnd / Compute), so
@@ -1746,7 +1747,8 @@ class Engine:
         """Combined accrual recipe for a whole PMC read executed as one
         piece: per-part summed running-floor deltas (each sub-phase accrues
         from its own cycle 0, so part sums are sums of ``events_in(0, c)``)
-        plus per-counter whole-read totals for the no-wrap precheck."""
+        plus per-counter whole-read totals for the no-wrap precheck.
+        ``plan`` is the LIBRARY_RATES user plan the recipe is stored with."""
         flat = LIBRARY_RATES.flat
 
         def combine(costs: tuple) -> tuple[tuple, dict[int, list]]:
@@ -1778,18 +1780,17 @@ class Engine:
             else:
                 got[2] += entry[2]
         totals = tuple((c, m, n) for c, m, n in ctr_a.values())
-        rec = (
+        return (
             d_a, e_a, sum(phases[0]),
             d_b, e_b, sum(phases[1]),
-            totals, plan,
+            totals,
         )
-        self._read_recipes[(id(plan), phases)] = rec
-        return rec
 
     def _try_fast_read(
-        self, core: Core, thread: SimThread, ex: _OpExec, phases: tuple
+        self, core: Core, thread: SimThread, ex: _OpExec, protocol: str
     ) -> bool:
-        """Commit a whole PMC read in one piece if provably uninterruptible.
+        """Complete a whole ``protocol`` (``_SAFE``/``_UNSAFE``) PMC read
+        inside its begin handler if provably uninterruptible.
 
         All prechecks are side-effect free; any possible interleaving
         (slice boundary or due PMI inside the window, userspace-read fault,
@@ -1797,7 +1798,9 @@ class Engine:
         the stage machine, which reproduces the historical behaviour
         exactly. On success the committed state — tallies, counters,
         slot-truth bookkeeping, core clocks — is identical to running the
-        uninterrupted stage sequence piece by piece.
+        uninterrupted stage sequence piece by piece, and the op is complete
+        (``thread.cur`` cleared), so :meth:`_step` ends the piece at its
+        fetch.
         """
         # Fault hooks come BEFORE the tracing bail: whenever read-targeting
         # faults are armed, traced and untraced runs must take the same
@@ -1823,11 +1826,14 @@ class Engine:
         spec = slots[index]
         if spec is None or not spec.user_readable:
             return self._bail("read_bad_slot")
-        plan = pmu.plan_entry(LIBRARY_RATES, _USER)[1]
-        rec = self._read_recipes.get((id(plan), phases))
+        entry = pmu.plan_entry(LIBRARY_RATES, _USER)
+        recipes = entry[2]
+        rec = recipes.get(protocol)
         if rec is None:
-            rec = self._read_recipe(plan, phases)
-        d_a, e_a, cycles_a, d_b, e_b, cycles_b, totals, _plan = rec
+            rec = recipes[protocol] = self._read_recipe(
+                entry[1], self._read_phases[protocol]
+            )
+        d_a, e_a, cycles_a, d_b, e_b, cycles_b, totals = rec
         total = cycles_a + cycles_b
         bound = core.slice_ends_at
         if bound is not None and bound - core.now < total:
@@ -1874,9 +1880,8 @@ class Engine:
         core.busy_cycles += total
         core.user_cycles += total
         thread.user_cycles += total
-        ex.value = acc + hw
-        ex.stage = "done"
         self._fast_reads += 1
+        self._complete(thread, acc + hw)
         return True
 
     def _adv_pmc_safe_read(
@@ -1998,8 +2003,6 @@ class Engine:
             ex.set_phase(costs.pmc_read_begin, LIBRARY_RATES, _USER, True)
         elif stage == "st":
             self._complete(thread, ex.acc + ex.hw)
-        elif stage == "done":
-            self._complete(thread, ex.value)
         else:  # pragma: no cover - stage machine is closed
             raise SimulationError(f"bad PmcSafeRead stage {stage!r}")
 
@@ -2057,8 +2060,6 @@ class Engine:
                     )
         elif stage == "st":
             self._complete(thread, ex.acc + ex.hw)
-        elif stage == "done":
-            self._complete(thread, ex.value)
         else:  # pragma: no cover - stage machine is closed
             raise SimulationError(f"bad PmcUnsafeRead stage {stage!r}")
 
@@ -2135,7 +2136,12 @@ class Engine:
         (``spin_quantum`` cycles of SPIN_RATES) followed by a CAS retry
         (``cas`` cycles of LIBRARY_RATES), both user phases accruing from
         their own cycle 0 — so a round's deltas are plain sums of
-        ``events_in(0, c)`` and k rounds accrue exactly k times them."""
+        ``events_in(0, c)`` and k rounds accrue exactly k times them.
+
+        Stored on the SPIN_RATES user plan entry. The LIBRARY_RATES entry
+        of the same programming is never replaced while that entry lives
+        (both go together in :meth:`Pmu.flush_plans`), so ``lib_plan``
+        cannot change under the stored recipe."""
         costs = self._costs
         ev: dict[int, int] = {}
         ctr: dict[int, list] = {}
@@ -2155,12 +2161,10 @@ class Engine:
                         ctr[index] = [counter, _mask, n]
                     else:
                         entry[2] += n
-        rec = (
+        return (
             tuple(ev.items()),
             tuple((counter, m, n) for counter, m, n in ctr.values()),
         )
-        self._spin_recipes[(id(spin_plan), id(lib_plan))] = rec
-        return rec
 
     def _try_spin_batch(self, core: Core, thread: SimThread, ex: _OpExec) -> bool:
         """Fast-forward k whole spin+CAS rounds of a contended lock acquire
@@ -2213,11 +2217,13 @@ class Engine:
             if k < 1:
                 return self._bail("spin_horizon")
         pmu = core.pmu
-        spin_plan = pmu.plan_entry(SPIN_RATES, _USER)[1]
-        lib_plan = pmu.plan_entry(LIBRARY_RATES, _USER)[1]
-        rec = self._spin_recipes.get((id(spin_plan), id(lib_plan)))
+        spin_entry = pmu.plan_entry(SPIN_RATES, _USER)
+        recipes = spin_entry[2]
+        rec = recipes.get(_SPIN)
         if rec is None:
-            rec = self._spin_recipe(spin_plan, lib_plan)
+            rec = recipes[_SPIN] = self._spin_recipe(
+                spin_entry[1], pmu.plan_entry(LIBRARY_RATES, _USER)[1]
+            )
         deltas, entries = rec
         for counter, mask, n in entries:
             k_w = (mask - counter.value) // n
@@ -2373,7 +2379,7 @@ class Engine:
         if ex.stage == "entry":
             handler = ex.handler
             try:
-                body_cycles, action = handler(core, thread, op.args)
+                body_cycles, action = handler(self, core, thread, op.args)
             except Exception as exc:  # deliver as the syscall's "errno"
                 ex.action = None
                 ex.exc = exc
@@ -2389,6 +2395,9 @@ class Engine:
             result: Any = None
             block: tuple | None = None
             if action is not None:
+                # the action closes over this engine: do not leave it on
+                # the thread's reused _OpExec
+                ex.action = None
                 try:
                     result, block = action(core, thread)
                 except Exception as exc:
@@ -2795,7 +2804,7 @@ class Engine:
                 for i in range(len(state.specs))
             ]
             thread.last_kernel_read_truth[state.slot] = 0  # unused for mux
-            thread.ctx.scratch["_mux_truth"] = [
+            thread.scratch["_mux_truth"] = [
                 thread.slot_truth(spec) - base
                 for spec, base in zip(state.specs, state.truth_base)
             ]
@@ -2882,6 +2891,24 @@ def _dispatch_resolve(op: Any, message: str) -> tuple[Callable, Callable]:
             return handlers
     raise SimulationError(message)
 
+
+#: Syscall handlers by name (unbound: called with the engine first, so no
+#: engine holds a bound method of itself).
+_SYSCALLS: dict[str, Callable[..., tuple[int, _SysAction | None]]] = {
+    "work": Engine._sys_work,
+    "getpid": Engine._sys_getpid,
+    "pmc_open": Engine._sys_pmc_open,
+    "pmc_close": Engine._sys_pmc_close,
+    "perf_open": Engine._sys_perf_open,
+    "perf_read": Engine._sys_perf_read,
+    "perf_close": Engine._sys_perf_close,
+    "papi_read": Engine._sys_papi_read,
+    "wait_key": Engine._sys_wait_key,
+    "wake_key": Engine._sys_wake_key,
+    "mux_open": Engine._sys_mux_open,
+    "mux_read": Engine._sys_mux_read,
+    "mux_close": Engine._sys_mux_close,
+}
 
 #: ``(begin, advance)`` handlers per op type: ``begin`` sets up an op's
 #: first phase when it is fetched, ``advance`` runs as each phase finishes.

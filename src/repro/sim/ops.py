@@ -20,11 +20,11 @@ engine (repro.sim.engine).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, TYPE_CHECKING
 
 from repro.common.errors import ConfigError
-from repro.hw.events import EventRates
+from repro.hw.events import ZERO_RATES, EventRates
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.program import ThreadContext
@@ -44,7 +44,7 @@ class Compute(Op):
     """
 
     cycles: int
-    rates: EventRates = field(default_factory=EventRates)
+    rates: EventRates = ZERO_RATES
 
     def __post_init__(self) -> None:
         if self.cycles < 0:

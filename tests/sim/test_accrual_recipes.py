@@ -19,6 +19,7 @@ from repro.hw.events import (
     KERNEL_RATES,
     N_EVENTS,
 )
+from repro.core.limit import LimitSession
 from repro.kernel.vpmu import SlotSpec
 from repro.sim import engine as engine_mod
 from repro.sim.engine import Engine, _window_recipe
@@ -182,3 +183,44 @@ def test_recipes_die_with_their_engine():
     del engine, result, pmu, held
     gc.collect()
     assert ref() is None, "a dropped engine's counter is still referenced"
+
+
+def test_default_rate_computes_share_one_plan_entry():
+    """``Compute`` without rates uses one shared zero-rates object, so many
+    such ops leave one user plan entry, not one per op."""
+    def program(ctx):
+        for _ in range(2_000):
+            yield Compute(100)
+
+    engine = Engine(SimConfig(machine=MachineConfig(n_cores=1), seed=5))
+    engine.run([ThreadSpec("t", program)])
+    pmu = engine.machine.cores[0].pmu
+    assert sum(len(user) for user, _kernel in pmu._plan_sets.values()) == 1
+    assert Compute(1).rates is Compute(2).rates
+
+
+def test_finished_engine_is_freed_without_the_cycle_collector():
+    """No engine object refers back to the engine once its threads have
+    finished (syscall handlers are unbound, actions are dropped after use,
+    threads keep their context's scratch rather than the context), so a
+    dropped engine is freed by reference counting alone."""
+    session = LimitSession([Event.INSTRUCTIONS])
+
+    def program(ctx):
+        yield from session.setup(ctx)
+        for _ in range(20):
+            yield Compute(1_000, USER_RATES)
+            yield from session.read(ctx, 0)
+        yield Syscall("work", (500,))
+        yield from session.teardown(ctx)
+
+    gc.collect()
+    gc.disable()
+    try:
+        engine = Engine(SimConfig(machine=MachineConfig(n_cores=2), seed=5))
+        result = engine.run([ThreadSpec("a", program), ThreadSpec("b", program)])
+        ref = weakref.ref(engine)
+        del engine, result
+        assert ref() is None, "a finished engine is kept alive by a cycle"
+    finally:
+        gc.enable()

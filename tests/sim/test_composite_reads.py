@@ -40,7 +40,9 @@ def _run(config, *factories):
 
 
 def _reader_factory(session_cls, observed, n_reads=20, gap=2_000):
-    session = session_cls([Event.CYCLES, Event.INSTRUCTIONS])
+    session = observed["session"] = session_cls(
+        [Event.CYCLES, Event.INSTRUCTIONS]
+    )
 
     def reader(ctx):
         yield from session.setup(ctx)
@@ -65,18 +67,55 @@ class TestValues:
         assert values[-1] >= 20 * 2_000
 
     @pytest.mark.parametrize("session_cls", [LimitSession, UnsafeLimitSession])
-    def test_fast_and_staged_paths_agree(self, session_cls):
-        """The one-piece fast path is gated on ``macro_stepping``; with it
-        off, the stage machine must produce the identical run."""
+    def test_fast_and_staged_paths_agree(self, session_cls, monkeypatch):
+        """Forcing every read through the stage machine must reproduce the
+        fast path's run, values and full read records, with macro-stepping
+        on or off."""
         results = {}
-        for macro in (True, False):
-            observed = {}
-            result = _run(
-                dataclasses.replace(SOLO, macro_stepping=macro),
-                _reader_factory(session_cls, observed),
-            )
-            results[macro] = (result.fingerprint(), observed["values"])
-        assert results[True] == results[False]
+        for staged in (False, True):
+            if staged:
+                monkeypatch.setattr(
+                    Engine, "_try_fast_read", lambda *args: False
+                )
+            for macro in (True, False):
+                observed = {}
+                result = _run(
+                    dataclasses.replace(SOLO, macro_stepping=macro),
+                    _reader_factory(session_cls, observed),
+                )
+                fast_reads = result.metrics.get("fast_reads", 0)
+                assert (fast_reads == 0) is staged
+                results[staged, macro] = (
+                    result.fingerprint(),
+                    observed["values"],
+                    observed["session"].records,
+                )
+        reference = results[False, True]
+        assert len(reference[2]) == 20
+        for outcome in results.values():
+            assert outcome == reference
+
+    def test_fast_read_completing_in_begin_is_one_piece(self):
+        """A fast read finishes inside its begin handler, so the fetch is
+        its whole piece: N reads add exactly N sim events to a solo run."""
+        n_reads = 20
+
+        def program(with_reads):
+            session = LimitSession([Event.CYCLES])
+
+            def reader(ctx):
+                yield from session.setup(ctx)
+                for _ in range(n_reads):
+                    yield Compute(2_000, SIMPLE_RATES)
+                    if with_reads:
+                        yield from session.read(ctx, 0)
+
+            return reader
+
+        plain = _run(SOLO, program(False)).metrics
+        reads = _run(SOLO, program(True)).metrics
+        assert reads["fast_reads"] == n_reads
+        assert reads["sim_events"] == plain["sim_events"] + n_reads
 
     def test_solo_reads_use_the_fast_path(self):
         observed = {}
