@@ -726,6 +726,7 @@ def main(argv: list[str] | None = None) -> int:
                             "macro_steps",
                             "quanta_batched",
                             "fast_reads",
+                            "whole_syscalls",
                             "fastpath_bailouts",
                         )
                     },

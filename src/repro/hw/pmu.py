@@ -7,6 +7,7 @@ used by the execution engine.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Iterator
 
 from repro.common.config import PmuConfig
@@ -59,11 +60,19 @@ class Pmu:
             (): (self._plans_user, self._plans_kernel)
         }
         self._plans_dirty = False
-        for ctr in self.counters:
-            ctr.on_reprogram = self._invalidate_plans
+        # The counters reach this PMU through a weak reference: a bound
+        # method would put the PMU in a reference cycle with its counters,
+        # so a dropped engine's PMUs (and the recipes on their plan
+        # entries) would wait for the cycle collector.
+        pmu = weakref.ref(self)
 
-    def _invalidate_plans(self) -> None:
-        self._plans_dirty = True
+        def invalidate_plans() -> None:
+            owner = pmu()
+            if owner is not None:
+                owner._plans_dirty = True
+
+        for ctr in self.counters:
+            ctr.on_reprogram = invalidate_plans
 
     def flush_plans(self) -> None:
         """Drop every cached accrual plan and plan set.

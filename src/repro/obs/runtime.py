@@ -343,10 +343,11 @@ class RunCollector:
         return dict(sorted(snap.items()))
 
     def macro_summary(self) -> dict[str, float]:
-        """Engine fast-path telemetry totals: macro-stepping and composite
-        PMC-read counters, plus the quantum-level hit rate (fraction of
-        scheduler quanta that were batched by a macro step rather than
-        executed piece by piece against a serviced timer tick)."""
+        """Engine fast-path telemetry totals: macro-stepping, composite
+        PMC-read and whole-syscall counters, plus the quantum-level hit
+        rate (fraction of scheduler quanta that were batched by a macro
+        step rather than executed piece by piece against a serviced timer
+        tick)."""
         macro_steps = self._metric_total("macro_steps")
         quanta = self._metric_total("quanta_batched")
         # n_timer_ticks counts every expired quantum, batched or not, so the
@@ -357,6 +358,7 @@ class RunCollector:
             "quanta_batched": quanta,
             "timer_ticks": ticks,
             "fast_reads": self._metric_total("fast_reads"),
+            "whole_syscalls": self._metric_total("whole_syscalls"),
             "fastpath_bailouts": self._metric_total("fastpath_bailouts"),
             "macro_hit_rate": quanta / ticks if ticks else 0.0,
         }

@@ -108,7 +108,7 @@ class _OpExec:
         "phase_cycles", "phase_consumed", "phase_rates", "phase_domain",
         "phase_preemptible",
         "t0", "spin_used", "contended", "slept",
-        "handler", "sys_name", "action", "exc", "result",
+        "body", "sys_name", "action", "exc", "result",
         "hw", "acc", "restarts", "fpc",
     )
 
@@ -126,7 +126,7 @@ class _OpExec:
     contended: bool
     slept: bool
     # syscall-class ops
-    handler: Callable[..., Any]
+    body: int
     sys_name: str
     action: Callable[..., Any] | None
     exc: BaseException | None
@@ -167,10 +167,12 @@ _RECIPE_MAX_WINDOW = 65536
 _RECIPES_PER_ENTRY = 1024
 #: Keys of the composite recipes that share a plan entry's recipe dict with
 #: the window recipes (whose keys are ints): whole safe/unsafe reads on the
-#: LIBRARY_RATES entry, one contended-lock spin round on the SPIN_RATES one.
+#: LIBRARY_RATES entry, one contended-lock spin round on the SPIN_RATES one,
+#: a syscall's entry and exit phases on the KERNEL_RATES kernel one.
 _SAFE = "safe"
 _UNSAFE = "unsafe"
 _SPIN = "spin"
+_FRAME = "frame"
 
 
 def _window_recipe(entry: PlanEntry, after: int) -> tuple[tuple, tuple]:
@@ -412,6 +414,7 @@ class Engine:
         self._macro_steps = 0
         self._quanta_batched = 0
         self._fast_reads = 0
+        self._whole_syscalls = 0
         self._spin_batches = 0
         self._spin_rounds_batched = 0
         self._bailouts: dict[str, int] = {}
@@ -525,6 +528,7 @@ class Engine:
         reg.counter("macro_steps").add(self._macro_steps)
         reg.counter("quanta_batched").add(self._quanta_batched)
         reg.counter("fast_reads").add(self._fast_reads)
+        reg.counter("whole_syscalls").add(self._whole_syscalls)
         reg.counter("spin_batches").add(self._spin_batches)
         reg.counter("spin_rounds_batched").add(self._spin_rounds_batched)
         reg.counter("fastpath_bailouts").add(sum(self._bailouts.values()))
@@ -767,7 +771,8 @@ class Engine:
                     return
                 ex = thread.cur
             # ex is None here only when the op completed inside its begin
-            # handler (a fast PMC read): the fetch was the whole piece.
+            # handler (a fast PMC read or a whole syscall): the fetch was
+            # the whole piece.
             if ex is not None:
                 consumed = ex.phase_consumed
                 cycles = ex.phase_cycles
@@ -1616,15 +1621,30 @@ class Engine:
 
     def _begin_syscall_op(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         op = ex.op
-        handler = _SYSCALLS.get(op.name)
+        name = op.name
+        handler = _SYSCALLS.get(name)
         if handler is None:
-            raise SimulationError(f"unknown syscall {op.name!r}")
-        ex.stage = "entry"
-        ex.handler = handler
+            raise SimulationError(f"unknown syscall {name!r}")
         thread.n_syscalls += 1
         table = self.kernel_counters.n_syscalls
-        table[op.name] = table.get(op.name, 0) + 1
-        self._begin_syscall(core, thread, ex, op.name)
+        table[name] = table.get(name, 0) + 1
+        # The handler runs here rather than at the end of the entry phase.
+        # Nothing else runs on this thread in between, and every handler
+        # reads only its args, static config and this thread's own state,
+        # so it returns (or raises) exactly what it would there.
+        exc = None
+        try:
+            body, action = handler(self, core, thread, op.args)
+        except Exception as raised:  # delivered as the syscall's "errno"
+            body, action, exc = 0, None, raised
+        else:
+            if action is None and self._try_whole_syscall(core, thread, body):
+                return
+        self._begin_syscall(core, thread, ex, name)
+        ex.stage = "entry"
+        ex.body = body
+        ex.action = action
+        ex.exc = exc
 
     def _begin_spawn(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         ex.stage = "entry"
@@ -2372,23 +2392,101 @@ class Engine:
         raise SimulationError(f"bad LockRelease stage {stage!r}")
 
     # -- syscalls ----------------------------------------------------------
+    # A Syscall runs entry, body and exit phases. One whose handler returns
+    # no action changes nothing but this core and this thread, so when no
+    # tick, PMI or counter wrap can cut the kernel path, _try_whole_syscall
+    # commits all three phases inside the begin handler; otherwise the
+    # stage machine in _adv_syscall runs them piece by piece.
+
+    def _frame_recipe(self, entry: PlanEntry) -> tuple:
+        """Accrual recipe for a syscall's entry plus exit phases on the
+        KERNEL_RATES kernel plan entry ``entry``: ``(entry_cycles,
+        frame_cycles, events, counts)`` with ``events`` the ``(Event.index,
+        ppm, n)`` and ``counts`` the ``(counter, mask, ppm, n)`` of every
+        rate and plan counter. Each phase accrues from its own cycle 0, so
+        ``n`` is ``events_in(0, entry) + events_in(0, exit)``; ``ppm`` lets
+        the caller add the body's own ``events_in(0, body)``."""
+        costs = self._costs
+        frame = (costs.syscall_entry, costs.syscall_exit)
+        events = tuple(
+            (idx, ppm, sum((c * ppm) // 1_000_000 for c in frame))
+            for _event, ppm, idx in entry[0].flat
+        )
+        counts = tuple(
+            (ctr, mask, ppm, sum((c * ppm) // 1_000_000 for c in frame))
+            for _index, ctr, ppm, mask in entry[1]
+        )
+        return costs.syscall_entry, sum(frame), events, counts
+
+    def _try_whole_syscall(
+        self, core: Core, thread: SimThread, body: int
+    ) -> bool:
+        """Commit an action-free syscall with a ``body``-cycle kernel path
+        (entry, body and exit phases) inside its begin handler.
+
+        Exact when the stage machine would run the three phases back to
+        back with nothing in between: not tracing (trace events are emitted
+        per phase), no PMI due, no timer tick before the exit phase starts,
+        no counter wrap (which would arm a PMI) and no run past
+        ``max_cycles``. The other cores' horizon is not consulted: the
+        phases touch only this core's clock and counters and this thread's
+        tallies, which no other actor reads or writes before this core next
+        acts. Armed tick faults are the exception (``shrink_counter`` on
+        another core rewrites this core's counters), so they fall back too.
+        All checks are side-effect free; on False the caller runs the stage
+        machine unchanged.
+        """
+        if self._tracing:
+            return False
+        faults = self._faults
+        if faults is not None and faults.tick_armed:
+            return False
+        if core.pmi_due_at is not None:
+            return self._bail("syscall_pmi_due")
+        kentry = core.pmu.plan_entry(KERNEL_RATES, _KERNEL)
+        recipes = kentry[2]
+        frame = recipes.get(_FRAME)
+        if frame is None:
+            frame = recipes[_FRAME] = self._frame_recipe(kentry)
+        entry_cycles, frame_cycles, events, counts = frame
+        now = core.now
+        exit_at = now + entry_cycles + body
+        bound = core.slice_ends_at
+        if bound is not None and exit_at >= bound:
+            return self._bail("syscall_slice")
+        if exit_at > self._max_cycles:
+            return False
+        for counter, mask, ppm, n in counts:
+            if counter.value + n + (body * ppm) // 1_000_000 > mask:
+                return self._bail("syscall_wrap")
+        for counter, _mask, ppm, n in counts:
+            counter.value += n + (body * ppm) // 1_000_000
+        total = frame_cycles + body
+        ev = thread.ev_kernel
+        ev[0] += total  # Event.CYCLES.index == 0
+        for idx, ppm, n in events:
+            ev[idx] += n + (body * ppm) // 1_000_000
+        core.now = now + total
+        core.busy_cycles += total
+        core.kernel_cycles += total
+        thread.kernel_cycles += total
+        region_stack = thread.region_stack
+        if region_stack:
+            thread.regions[region_stack[-1]].kernel_cycles += total
+        self._whole_syscalls += 1
+        self._complete(thread, None)
+        return True
 
     def _adv_syscall(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        op: ops.Syscall = ex.op
         costs = self._costs
         if ex.stage == "entry":
-            handler = ex.handler
-            try:
-                body_cycles, action = handler(self, core, thread, op.args)
-            except Exception as exc:  # deliver as the syscall's "errno"
-                ex.action = None
-                ex.exc = exc
+            # the handler ran at begin; if it raised, skip straight to exit
+            if ex.exc is not None:
                 ex.stage = "exit"
                 ex.set_phase(costs.syscall_exit, KERNEL_RATES, _KERNEL, False)
                 return
-            ex.action = action
             ex.stage = "body"
-            ex.set_phase(body_cycles, KERNEL_RATES, _KERNEL, False)
+            ex.set_phase(ex.body, KERNEL_RATES, _KERNEL, False)
             return
         if ex.stage == "body":
             action = ex.action

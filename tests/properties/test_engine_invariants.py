@@ -6,8 +6,14 @@ the ones DESIGN.md commits to:
 * conservation (thread cpu == core busy; user+kernel == busy),
 * LiMiT safe reads exact under arbitrary preemption,
 * lock mutual exclusion and complete accounting,
-* determinism (same seed => same fingerprint).
+* determinism (same seed => same fingerprint),
+* one-piece syscalls equal to the stage machine they shortcut.
+
+Every iteration makes a ``work`` syscall whose kernel path is empty, short,
+or longer than the smallest timeslice.
 """
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +21,8 @@ from hypothesis import strategies as st
 from repro.common.config import KernelConfig, MachineConfig, SimConfig
 from repro.core.limit import LimitSession
 from repro.hw.events import Event, EventRates
-from repro.sim.engine import run_program
-from repro.sim.ops import Compute, LockAcquire, LockRelease, Sleep
+from repro.sim.engine import Engine, run_program
+from repro.sim.ops import Compute, LockAcquire, LockRelease, Sleep, Syscall
 from repro.sim.program import ThreadSpec
 
 RATES = EventRates.profile(ipc=1.3, llc_mpki=2.0, branch_frac=0.2,
@@ -32,6 +38,11 @@ scenario = st.fixed_dictionaries(
         "think": st.integers(min_value=50, max_value=20_000),
         "n_locks": st.integers(min_value=1, max_value=3),
         "with_sleep": st.booleans(),
+        "kernel_work": st.one_of(
+            st.just(0),
+            st.integers(min_value=1, max_value=2_000),
+            st.integers(min_value=5_001, max_value=12_000),
+        ),
         "seed": st.integers(min_value=0, max_value=2**32),
     }
 )
@@ -47,6 +58,7 @@ def build(params, session=None):
             yield LockAcquire(lock)
             yield Compute(params["hold"], RATES)
             yield LockRelease(lock)
+            yield Syscall("work", (params["kernel_work"],))
             if session is not None:
                 yield from session.read(ctx, 0)
             if params["with_sleep"] and i % 5 == 4:
@@ -127,3 +139,22 @@ class TestSimulationInvariants:
         t1 = r1.thread_by_name("w0")
         t2 = r2.thread_by_name("w0")
         assert t1.user_cycles == t2.user_cycles
+
+    @given(params=scenario)
+    @settings(max_examples=20, deadline=None)
+    def test_whole_syscalls_match_the_stage_machine(self, params):
+        """Committing action-free syscalls in one piece changes nothing
+        simulated: forcing the stage machine gives the same fingerprint
+        and the same LiMiT read records."""
+
+        def run():
+            session = LimitSession([Event.CYCLES], count_kernel=True)
+            result = run_program(build(params, session), config(params))
+            return result.fingerprint(), session.records
+
+        fast = run()
+        with mock.patch.object(
+            Engine, "_try_whole_syscall", lambda *args: False
+        ):
+            staged = run()
+        assert staged == fast

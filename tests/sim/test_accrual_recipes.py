@@ -202,8 +202,10 @@ def test_default_rate_computes_share_one_plan_entry():
 def test_finished_engine_is_freed_without_the_cycle_collector():
     """No engine object refers back to the engine once its threads have
     finished (syscall handlers are unbound, actions are dropped after use,
-    threads keep their context's scratch rather than the context), so a
-    dropped engine is freed by reference counting alone."""
+    threads keep their context's scratch rather than the context), and a
+    PMU's counters reach it only through a weak reference, so a dropped
+    engine and its PMUs, plan entries and recipes are freed by reference
+    counting alone."""
     session = LimitSession([Event.INSTRUCTIONS])
 
     def program(ctx):
@@ -220,7 +222,11 @@ def test_finished_engine_is_freed_without_the_cycle_collector():
         engine = Engine(SimConfig(machine=MachineConfig(n_cores=2), seed=5))
         result = engine.run([ThreadSpec("a", program), ThreadSpec("b", program)])
         ref = weakref.ref(engine)
+        pmu_refs = [weakref.ref(core.pmu) for core in engine.machine.cores]
         del engine, result
         assert ref() is None, "a finished engine is kept alive by a cycle"
+        assert all(r() is None for r in pmu_refs), (
+            "a finished engine's PMU is kept alive by a cycle"
+        )
     finally:
         gc.enable()
