@@ -727,6 +727,7 @@ def main(argv: list[str] | None = None) -> int:
                             "quanta_batched",
                             "fast_reads",
                             "whole_syscalls",
+                            "whole_phases",
                             "fastpath_bailouts",
                         )
                     },

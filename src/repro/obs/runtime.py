@@ -344,10 +344,10 @@ class RunCollector:
 
     def macro_summary(self) -> dict[str, float]:
         """Engine fast-path telemetry totals: macro-stepping, composite
-        PMC-read and whole-syscall counters, plus the quantum-level hit
-        rate (fraction of scheduler quanta that were batched by a macro
-        step rather than executed piece by piece against a serviced timer
-        tick)."""
+        PMC-read, whole-syscall and whole-phase counters, plus the
+        quantum-level hit rate (fraction of scheduler quanta that were
+        batched by a macro step rather than executed piece by piece against
+        a serviced timer tick)."""
         macro_steps = self._metric_total("macro_steps")
         quanta = self._metric_total("quanta_batched")
         # n_timer_ticks counts every expired quantum, batched or not, so the
@@ -359,6 +359,7 @@ class RunCollector:
             "timer_ticks": ticks,
             "fast_reads": self._metric_total("fast_reads"),
             "whole_syscalls": self._metric_total("whole_syscalls"),
+            "whole_phases": self._metric_total("whole_phases"),
             "fastpath_bailouts": self._metric_total("fastpath_bailouts"),
             "macro_hit_rate": quanta / ticks if ticks else 0.0,
         }

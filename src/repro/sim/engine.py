@@ -68,7 +68,7 @@ from repro.hw.events import (
 from repro.hw.machine import Core, Machine
 from repro.hw.pmu import PlanEntry
 from repro.kernel.futex import FutexTable
-from repro.kernel.locks import LockRegistry
+from repro.kernel.locks import LockRegistry, LockState
 from repro.kernel.perf import PerfFd, PerfSubsystem, SampleRecord
 from repro.kernel.scheduler import Scheduler
 from repro.kernel.vpmu import MuxState, SlotSpec, VirtualPmu
@@ -415,6 +415,7 @@ class Engine:
         self._quanta_batched = 0
         self._fast_reads = 0
         self._whole_syscalls = 0
+        self._whole_phases = 0
         self._spin_batches = 0
         self._spin_rounds_batched = 0
         self._bailouts: dict[str, int] = {}
@@ -450,9 +451,11 @@ class Engine:
             ),
         }
         # -- main-loop actor selection ----------------------------------
-        # Multi-core runs keep a lazily-invalidated heap of (now, core_id);
-        # single-core runs bypass it entirely.
-        self._use_core_heap = self.config.machine.n_cores > 1
+        # A heap of (now, core_id) holding exactly the unparked cores other
+        # than the acting one, each at its clock: only the acting core
+        # parks or moves its clock, and _make_ready pushes a core once, as
+        # it unparks it. So no entry ever goes stale, and a 1-core run is
+        # the same algorithm on a heap of at most one entry.
         self._core_heap: list[tuple[int, int]] = []
         #: earliest time any *other* actor (core or sleeper) can commit an
         #: effect; valid while the current core chain runs.
@@ -529,6 +532,7 @@ class Engine:
         reg.counter("quanta_batched").add(self._quanta_batched)
         reg.counter("fast_reads").add(self._fast_reads)
         reg.counter("whole_syscalls").add(self._whole_syscalls)
+        reg.counter("whole_phases").add(self._whole_phases)
         reg.counter("spin_batches").add(self._spin_batches)
         reg.counter("spin_rounds_batched").add(self._spin_rounds_batched)
         reg.counter("fastpath_bailouts").add(sum(self._bailouts.values()))
@@ -654,57 +658,24 @@ class Engine:
         heappush = heapq.heappush
         max_cycles = self._max_cycles
         step = self._step
-        single = cores[0] if len(cores) == 1 else None
         n_steps = 0
+        core: Core | None = None  # the actor, off core_heap while it acts
         while self.live_count > 0:
             # -- pick the acting core: smallest (now, core_id) ------------
-            # Due sleepers (wake time <= the would-be actor's clock) are
-            # made ready first, exactly as the seed engine's rescan did.
-            if single is not None:
-                core = None if single.parked else single
-                while sleep_heap and (
-                    core is None or sleep_heap[0][0] <= core.now
-                ):
-                    wake_at, _, tid = heappop(sleep_heap)
-                    self._make_ready(threads[tid], at=wake_at)
-                    core = None if single.parked else single
-                horizon = sleep_heap[0][0] if sleep_heap else None
-            else:
-                # The heap is lazily invalidated: an entry is stale when its
-                # core has parked or moved on (clocks only advance, so a
-                # stale entry never under-reports a core's time).
-                core = None
-                while True:
-                    while core_heap:
-                        t, cid = core_heap[0]
-                        c = cores[cid]
-                        if c.parked or c.now != t:
-                            heappop(core_heap)
-                        else:
-                            break
-                    if sleep_heap and (
-                        not core_heap or sleep_heap[0][0] <= core_heap[0][0]
-                    ):
-                        wake_at, _, tid = heappop(sleep_heap)
-                        self._make_ready(threads[tid], at=wake_at)
-                        continue
-                    if core_heap:
-                        _, cid = heappop(core_heap)
-                        core = cores[cid]
-                    break
-                horizon = None
-                while core_heap:
-                    t, cid = core_heap[0]
-                    c = cores[cid]
-                    if c.parked or c.now != t:
-                        heappop(core_heap)
-                    else:
-                        horizon = t
-                        break
-                if sleep_heap and (
-                    horizon is None or sleep_heap[0][0] < horizon
-                ):
-                    horizon = sleep_heap[0][0]
+            # core_heap holds the other unparked cores at their clocks; the
+            # previous actor goes back on it unless it parked. Due sleepers
+            # (wake time <= the would-be actor's clock) are made ready first.
+            if core is not None and not core.parked:
+                heappush(core_heap, (core.now, core.core_id))
+            while sleep_heap and (
+                not core_heap or sleep_heap[0][0] <= core_heap[0][0]
+            ):
+                wake_at, _, tid = heappop(sleep_heap)
+                self._make_ready(threads[tid], at=wake_at)
+            core = cores[heappop(core_heap)[1]] if core_heap else None
+            horizon = core_heap[0][0] if core_heap else None
+            if sleep_heap and (horizon is None or sleep_heap[0][0] < horizon):
+                horizon = sleep_heap[0][0]
             if core is None:
                 blocked = [
                     f"{t.name}({t.block_key})"
@@ -732,8 +703,6 @@ class Engine:
                     break
                 if horizon is not None and core.now >= horizon:
                     break
-            if single is None and not core.parked:
-                heappush(core_heap, (core.now, core.core_id))
         # Chained pieces replace what were separate _step calls one-for-one,
         # so this total is bit-identical to the pre-fusion step count.
         self._n_steps = n_steps + self._n_fused
@@ -771,8 +740,8 @@ class Engine:
                     return
                 ex = thread.cur
             # ex is None here only when the op completed inside its begin
-            # handler (a fast PMC read or a whole syscall): the fetch was
-            # the whole piece.
+            # handler (a fast PMC read, a whole syscall or a whole phase):
+            # the fetch was the whole piece.
             if ex is not None:
                 consumed = ex.phase_consumed
                 cycles = ex.phase_cycles
@@ -904,8 +873,7 @@ class Engine:
             core.parked = False
             if at > core.now:
                 core.now = at
-            if self._use_core_heap:
-                heapq.heappush(self._core_heap, (core.now, core_id))
+            heapq.heappush(self._core_heap, (core.now, core_id))
             # a new actor may now exist below the current chain's horizon
             self._chain_break = True
         if self._tracing:
@@ -1543,6 +1511,31 @@ class Engine:
         self._quanta_batched += k
         return True
 
+    def _try_whole_phase(
+        self, core: Core, thread: SimThread, cycles: int, rates: EventRates
+    ) -> bool:
+        """Charge a preemptible ``cycles``-long user phase of ``rates``
+        inside its op's begin handler, when the stage machine would run it
+        as one chunk: no PMI due, the phase ends by the slice boundary, and
+        no counter of its plan entry can pass its mask. The caller then
+        finishes the op as its advance would.
+
+        The stage machine runs such a phase's fetch, accrual and advance in
+        one piece with nothing in between, so neither the horizon nor
+        tracing needs a check. The checks are side-effect free; on False
+        the caller sets up the stage machine unchanged.
+        """
+        if core.pmi_due_at is not None or core.slice_ends_at - core.now < cycles:
+            return False
+        if cycles:
+            entry = core.pmu.plan_entry(rates, _USER)
+            for _index, ctr, ppm, mask in entry[1]:
+                if ctr.value + (cycles * ppm) // 1_000_000 > mask:
+                    return False
+            self._account(core, thread, _USER, entry, 0, cycles)
+        self._whole_phases += 1
+        return True
+
     def _complete(self, thread: SimThread, value: Any) -> None:
         thread.send_value = value
         thread.cur = None
@@ -1559,12 +1552,19 @@ class Engine:
 
     def _begin_compute(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         op = ex.op
+        if self._try_whole_phase(core, thread, op.cycles, op.rates):
+            self._complete(thread, None)
+            return
         ex.stage = "run"
         ex.set_phase(op.cycles, op.rates, _USER, True)
 
     def _begin_rdtsc(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        cycles = self._costs.rdtsc
+        if self._try_whole_phase(core, thread, cycles, LIBRARY_RATES):
+            self._complete(thread, core.now)
+            return
         ex.stage = "run"
-        ex.set_phase(self._costs.rdtsc, LIBRARY_RATES, _USER, True)
+        ex.set_phase(cycles, LIBRARY_RATES, _USER, True)
 
     def _begin_rdpmc(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         ex.stage = "run"
@@ -1608,16 +1608,37 @@ class Engine:
         ex.set_phase(hook, LIBRARY_RATES, _USER, True)
 
     def _begin_lock_acquire(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        # A free lock is taken by the first CAS: commit it here (see
+        # _try_whole_phase). The lock word read now is the one the CAS
+        # advance would read, since nothing runs between the two.
+        lock = self.locks.get(ex.op.lock)
+        cas = self._costs.cas
+        if lock.owner is None and self._try_whole_phase(
+            core, thread, cas, LIBRARY_RATES
+        ):
+            self._lock_taken(core, thread, lock, cas, False, False)
+            return
         ex.stage = "cas"
         ex.t0 = core.now
         ex.spin_used = 0
         ex.contended = False
         ex.slept = False
-        ex.set_phase(self._costs.cas, LIBRARY_RATES, _USER, True)
+        ex.set_phase(cas, LIBRARY_RATES, _USER, True)
 
     def _begin_lock_release(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        # With no sleeper to wake, the release is its CAS alone. An
+        # unowned release raises after the CAS is charged, as it does in
+        # the stage machine.
+        lock = self.locks.get(ex.op.lock)
+        cas = self._costs.cas
+        if lock.n_sleepers == 0 and self._try_whole_phase(
+            core, thread, cas, LIBRARY_RATES
+        ):
+            self._lock_released(core, thread, lock)
+            self._complete(thread, None)
+            return
         ex.stage = "cas"
-        ex.set_phase(self._costs.cas, LIBRARY_RATES, _USER, True)
+        ex.set_phase(cas, LIBRARY_RATES, _USER, True)
 
     def _begin_syscall_op(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         op = ex.op
@@ -2292,6 +2313,36 @@ class Engine:
             )
         return True
 
+    def _lock_taken(
+        self,
+        core: Core,
+        thread: SimThread,
+        lock: LockState,
+        waited: int,
+        contended: bool,
+        slept: bool,
+    ) -> None:
+        """A CAS just took the free ``lock``: record it and finish the
+        acquire. Shared by the whole-phase and the stage-machine paths."""
+        lock.take(thread.tid, core.now, waited, contended, slept)
+        thread.owned_locks.add(lock.name)
+        if self._tracing:
+            self.obs.emit(
+                core.now, core.core_id, thread.tid, tr.LOCK_ACQ, lock.name
+            )
+        self._complete(thread, None)
+
+    def _lock_released(self, core: Core, thread: SimThread, lock: LockState) -> None:
+        """A CAS just released ``lock`` (raising LockProtocolError if this
+        thread does not own it). Shared by both release paths; the caller
+        then wakes a sleeper or completes."""
+        lock.release(thread.tid, core.now)
+        thread.owned_locks.discard(lock.name)
+        if self._tracing:
+            self.obs.emit(
+                core.now, core.core_id, thread.tid, tr.LOCK_REL, lock.name
+            )
+
     def _adv_lock_acquire(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         op: ops.LockAcquire = ex.op
         costs = self._costs
@@ -2299,20 +2350,9 @@ class Engine:
         stage = ex.stage
         if stage == "cas":
             if not lock.held:
-                waited = core.now - ex.t0
-                lock.take(
-                    thread.tid,
-                    core.now,
-                    waited=waited,
-                    contended=ex.contended,
-                    slept=ex.slept,
+                self._lock_taken(
+                    core, thread, lock, core.now - ex.t0, ex.contended, ex.slept
                 )
-                thread.owned_locks.add(op.lock)
-                if self._tracing:
-                    self.obs.emit(
-                        core.now, core.core_id, thread.tid, tr.LOCK_ACQ, op.lock
-                    )
-                self._complete(thread, None)
                 return
             ex.contended = True
             if ex.spin_used < self.config.locks.spin_limit_cycles:
@@ -2359,12 +2399,7 @@ class Engine:
         stage = ex.stage
         if stage == "cas":
             lock = self.locks.get(op.lock)
-            lock.release(thread.tid, core.now)
-            thread.owned_locks.discard(op.lock)
-            if self._tracing:
-                self.obs.emit(
-                    core.now, core.core_id, thread.tid, tr.LOCK_REL, op.lock
-                )
+            self._lock_released(core, thread, lock)
             if lock.n_sleepers > 0:
                 ex.stage = "wbody"
                 self.kernel_counters.n_futex_wakes += 1

@@ -10,6 +10,12 @@ All methods are generators (use with ``yield from``). Python-side state
 (counters, buffers) is safe to share across thread closures because every
 mutation happens under a simulated mutex, and the engine serializes
 critical sections in simulated-time order.
+
+``CondVar`` and ``BoundedQueue`` build the ops they yield once — per
+instance, or per generation for ops whose key names one — and yield the
+same instances on every call: ops are frozen records, and the engine
+dispatches on their type. ``Semaphore`` and ``Barrier``, which no
+benchmarked workload uses, build fresh ops per call.
 """
 
 from __future__ import annotations
@@ -69,11 +75,18 @@ class CondVar:
     def __init__(self, name: str, lock: str) -> None:
         self.name = name
         self.lock = lock
-        self._generation = 0
+        self._acquire = LockAcquire(lock)
+        self._release = LockRelease(lock)
         self._waiters = 0  # protected by self.lock
+        self._set_generation(0)
 
-    def _key(self, generation: int) -> str:
-        return f"cv:{self.name}:{generation}"
+    def _set_generation(self, generation: int) -> None:
+        """Enter ``generation`` and build the keyed syscalls that name it."""
+        self._generation = generation
+        key = f"cv:{self.name}:{generation}"
+        self._wait_op = Syscall("wait_key", (key,))
+        self._signal_op = Syscall("wake_key", (key, 1))
+        self._broadcast_op = Syscall("wake_key", (key, -1))
 
     def wait(self, ctx: ThreadContext) -> Generator[Any, Any, None]:
         """Release the lock, sleep until signalled, reacquire the lock.
@@ -81,25 +94,27 @@ class CondVar:
         Caller must hold ``self.lock``; as with pthreads, the predicate
         must be rechecked in a loop around the wait.
         """
-        generation = self._generation
+        # Taken under the lock: a broadcast may land between the release
+        # and the wait, and this waiter belongs to the generation it ends.
+        wait_op = self._wait_op
         self._waiters += 1
-        yield LockRelease(self.lock)
-        yield Syscall("wait_key", (self._key(generation),))
-        yield LockAcquire(self.lock)
+        yield self._release
+        yield wait_op
+        yield self._acquire
 
     def signal(self, ctx: ThreadContext) -> Generator[Any, Any, None]:
         """Wake one waiter (caller should hold the lock)."""
         if self._waiters > 0:
             self._waiters -= 1
-            yield Syscall("wake_key", (self._key(self._generation), 1))
+            yield self._signal_op
 
     def broadcast(self, ctx: ThreadContext) -> Generator[Any, Any, None]:
         """Wake every current waiter (caller should hold the lock)."""
         if self._waiters > 0:
-            generation = self._generation
-            self._generation += 1
+            op = self._broadcast_op
+            self._set_generation(self._generation + 1)
             self._waiters = 0
-            yield Syscall("wake_key", (self._key(generation), -1))
+            yield op
 
 
 class Barrier:
@@ -149,7 +164,9 @@ class BoundedQueue:
             raise ConfigError("queue capacity must be >= 1")
         self.name = name
         self.capacity = capacity
-        self.lock = f"queue:{name}:lock"
+        self.lock = lock = f"queue:{name}:lock"
+        self._acquire = LockAcquire(lock)
+        self._release = LockRelease(lock)
         self._items: deque = deque()
         self._closed = False
         self._not_full = CondVar(f"queue:{name}:not_full", self.lock)
@@ -159,17 +176,17 @@ class BoundedQueue:
         self.max_depth = 0
 
     def put(self, ctx: ThreadContext, item: Any) -> Generator[Any, Any, None]:
-        yield LockAcquire(self.lock)
+        yield self._acquire
         while len(self._items) >= self.capacity and not self._closed:
             yield from self._not_full.wait(ctx)
         if self._closed:
-            yield LockRelease(self.lock)
+            yield self._release
             raise SimulationError(f"put() on closed queue {self.name!r}")
         self._items.append(item)
         self.total_put += 1
         self.max_depth = max(self.max_depth, len(self._items))
         yield from self._not_empty.signal(ctx)
-        yield LockRelease(self.lock)
+        yield self._release
 
     def try_put(self, ctx: ThreadContext, item: Any) -> Generator[Any, Any, bool]:
         """Non-blocking offer: enqueue and return True, or return False when
@@ -179,15 +196,15 @@ class BoundedQueue:
         downstream queue is a *signal* (reject/retry/shed upstream), not a
         reason to park the producer and close the loop.
         """
-        yield LockAcquire(self.lock)
+        yield self._acquire
         if self._closed or len(self._items) >= self.capacity:
-            yield LockRelease(self.lock)
+            yield self._release
             return False
         self._items.append(item)
         self.total_put += 1
         self.max_depth = max(self.max_depth, len(self._items))
         yield from self._not_empty.signal(ctx)
-        yield LockRelease(self.lock)
+        yield self._release
         return True
 
     def depth(self) -> int:
@@ -200,22 +217,22 @@ class BoundedQueue:
         return len(self._items)
 
     def get(self, ctx: ThreadContext) -> Generator[Any, Any, Any]:
-        yield LockAcquire(self.lock)
+        yield self._acquire
         while not self._items and not self._closed:
             yield from self._not_empty.wait(ctx)
         if self._items:
             item = self._items.popleft()
             self.total_got += 1
             yield from self._not_full.signal(ctx)
-            yield LockRelease(self.lock)
+            yield self._release
             return item
-        yield LockRelease(self.lock)
+        yield self._release
         return BoundedQueue.Closed
 
     def close(self, ctx: ThreadContext) -> Generator[Any, Any, None]:
         """Mark the queue closed and wake everyone blocked on it."""
-        yield LockAcquire(self.lock)
+        yield self._acquire
         self._closed = True
         yield from self._not_empty.broadcast(ctx)
         yield from self._not_full.broadcast(ctx)
-        yield LockRelease(self.lock)
+        yield self._release

@@ -7,7 +7,9 @@ the ones DESIGN.md commits to:
 * LiMiT safe reads exact under arbitrary preemption,
 * lock mutual exclusion and complete accounting,
 * determinism (same seed => same fingerprint),
-* one-piece syscalls equal to the stage machine they shortcut.
+* one-piece syscalls and whole user phases equal to the stage machine
+  they shortcut,
+* the main loop's core heap holding exactly the other unparked cores.
 
 Every iteration makes a ``work`` syscall whose kernel path is empty, short,
 or longer than the smallest timeslice.
@@ -158,3 +160,51 @@ class TestSimulationInvariants:
         ):
             staged = run()
         assert staged == fast
+
+    @given(params=scenario)
+    @settings(max_examples=20, deadline=None)
+    def test_whole_phases_match_stage_machine(self, params):
+        """Committing whole user phases (free locks, lone releases,
+        Compute) in their begin handlers changes nothing simulated:
+        forcing the stage machine gives the same fingerprint and the same
+        lock statistics."""
+
+        def run():
+            result = run_program(build(params), config(params))
+            locks = {
+                name: (s.n_acquires, s.n_contended, s.n_futex_sleeps,
+                       s.wait_cycles, s.hold_cycles)
+                for name, s in result.locks.items()
+            }
+            return result.fingerprint(), locks
+
+        fast = run()
+        with mock.patch.object(
+            Engine, "_try_whole_phase", lambda *args: False
+        ):
+            staged = run()
+        assert staged == fast
+
+    @given(params=scenario)
+    @settings(max_examples=20, deadline=None)
+    def test_core_heap_holds_the_other_unparked_cores(self, params):
+        """Whenever a core steps, the main loop's heap holds one entry per
+        unparked core other than the actor, at that core's clock, and
+        nothing else."""
+        real_step = Engine._step
+        steps = []
+
+        def step(engine, core):
+            others = sorted(
+                (c.now, c.core_id)
+                for c in engine.machine.cores
+                if not c.parked and c is not core
+            )
+            assert not core.parked
+            assert sorted(engine._core_heap) == others
+            steps.append(core.core_id)
+            real_step(engine, core)
+
+        with mock.patch.object(Engine, "_step", step):
+            run_program(build(params), config(params))
+        assert steps

@@ -2,13 +2,28 @@
 
 import pytest
 
+from repro.common.config import KernelConfig, MachineConfig, SimConfig
 from repro.common.errors import ConfigError, SimulationError
 from repro.hw.events import EventRates
-from repro.sim.ops import Compute, Syscall
+from repro.sim.ops import Compute, LockAcquire, LockRelease, Sleep, Syscall
 from repro.sim.sync import Barrier, BoundedQueue, CondVar, Semaphore
 from tests.conftest import run_threads
 
 RATES = EventRates.profile(ipc=1.0)
+
+
+def logged(gen, log, who):
+    """``yield from gen``, logging each op as it is yielded and as its
+    result comes back."""
+    value = None
+    try:
+        while True:
+            op = gen.send(value)
+            log.append((who, "yield", type(op).__name__))
+            value = yield op
+            log.append((who, "done", type(op).__name__))
+    except StopIteration as stop:
+        return stop.value
 
 
 class TestKeyedEvents:
@@ -193,6 +208,49 @@ class TestCondVar:
         run_threads(quad_core, waiter, waiter, waiter, broadcaster)
         assert len(woken) == 3
 
+    def test_broadcast_between_release_and_wait_key_wakes(self):
+        """A broadcast whose code runs after a waiter has yielded its
+        LockRelease, but before the waiter resumes to yield its wait_key,
+        still wakes that waiter: the wait_key names the generation the
+        waiter read under the lock, which is the one the broadcast wakes.
+
+        The timings fit the default costs. The waiter's Sleep puts its
+        slice out of step with the broadcaster's. The broadcaster's code
+        runs 6 cycles before the waiter resumes, and its slice ends inside
+        its wake_key's entry phase, so a timer tick holds its kernel wake
+        back until after the waiter's kernel wait. (Broadcasting without
+        holding the lock is legal, as in pthreads.)"""
+        config = SimConfig(
+            machine=MachineConfig(n_cores=2),
+            kernel=KernelConfig(timeslice_cycles=5_000),
+        )
+        cv = CondVar("cv", lock="m")
+        log = []
+
+        def waiter(ctx):
+            yield Sleep(1_000)
+            yield LockAcquire("m")
+            yield from logged(cv.wait(ctx), log, "waiter")
+            yield LockRelease("m")
+
+        def broadcaster(ctx):
+            yield Compute(4_798, RATES)
+            log.append(("broadcaster", "broadcast"))
+            yield from cv.broadcast(ctx)
+
+        run_threads(config, waiter, broadcaster)
+        assert log[:4] == [
+            ("waiter", "yield", "LockRelease"),
+            ("broadcaster", "broadcast"),
+            ("waiter", "done", "LockRelease"),
+            ("waiter", "yield", "Syscall"),
+        ]
+        assert log[4:] == [
+            ("waiter", "done", "Syscall"),
+            ("waiter", "yield", "LockAcquire"),
+            ("waiter", "done", "LockAcquire"),
+        ]
+
     def test_signal_with_no_waiters_is_noop(self, uniprocessor):
         from repro.sim.ops import LockAcquire, LockRelease
 
@@ -327,3 +385,34 @@ class TestBoundedQueue:
     def test_validation(self):
         with pytest.raises(ConfigError):
             BoundedQueue("q", capacity=0)
+
+
+class TestCachedOps:
+    """CondVar and BoundedQueue yield the same op instances on every call
+    (within one generation for ops whose key names it). The generators are driven
+    outside the engine, with every op returning None."""
+
+    def test_condvar_within_a_generation(self):
+        cv = CondVar("cv", lock="m")
+        first = list(cv.wait(None))
+        second = list(cv.wait(None))
+        assert [type(op) for op in first] == [LockRelease, Syscall, LockAcquire]
+        assert all(a is b for a, b in zip(first, second))
+        (signal,) = list(cv.signal(None))
+        assert list(cv.signal(None))[0] is signal
+        list(cv.wait(None))  # a waiter for the broadcast to wake
+        (broadcast,) = list(cv.broadcast(None))
+        assert broadcast == Syscall("wake_key", ("cv:cv:0", -1))
+        # a new generation: new keyed syscalls, the same lock ops
+        later = list(cv.wait(None))
+        assert later[1] == Syscall("wait_key", ("cv:cv:1",))
+        assert later[0] is first[0] and later[2] is first[2]
+
+    def test_bounded_queue(self):
+        queue = BoundedQueue("q", capacity=4)
+        put = list(queue.try_put(None, 1))
+        again = list(queue.try_put(None, 2))
+        got = list(queue.get(None))
+        assert [type(op) for op in put] == [LockAcquire, LockRelease]
+        assert all(a is b for a, b in zip(put, again))
+        assert all(a is b for a, b in zip(put, got))
