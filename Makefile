@@ -2,16 +2,13 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench experiments experiments-quick trace-smoke traffic-smoke fault-smoke resilience-smoke analysis-smoke examples lint lint-smoke clean
+.PHONY: install test experiments experiments-quick trace-smoke traffic-smoke fault-smoke resilience-smoke analysis-smoke examples lint lint-smoke clean
 
 install:
 	pip install -e .
 
 test:
 	$(PYTHON) -m pytest tests/
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 experiments:
 	$(PYTHON) -m repro.experiments --out results/full
@@ -28,14 +25,16 @@ trace-smoke:
 
 # streaming observability end-to-end check: a CI-sized E19 traffic run
 # under the strict lint gate with live windowed export, then tail the
-# stream with the trace CLI (the CI job additionally asserts bounded
-# collector memory and exact reconciliation from the manifest)
+# stream with the trace CLI, then check the streaming path's 5% overhead
+# cap (the CI job additionally asserts bounded collector memory and exact
+# reconciliation from the manifest)
 traffic-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments --quick E19 --lint-strict \
 		--stream-dir results/smoke/streams \
 		--manifest results/smoke/traffic-manifest.json \
 		--window-cycles 2000000 --window-retention 8
 	PYTHONPATH=src $(PYTHON) -m repro.trace tail results/smoke/streams/e19 -n 5
+	PYTHONPATH=src $(PYTHON) -m repro.bench --quick
 
 # robustness end-to-end check: the fault matrix with its manifest ledger,
 # plus the fabric chaos and fault-injector test files
@@ -87,8 +86,7 @@ lint-smoke:
 # final artifacts, as specified in the reproduction brief
 outputs:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 clean:
-	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .benchmarks
+	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -16,7 +16,7 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
+    extras_require={"dev": ["pytest", "hypothesis"]},
     entry_points={
         "console_scripts": [
             "repro-experiments=repro.experiments.runner:main",

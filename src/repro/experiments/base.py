@@ -2,55 +2,10 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
 
 from repro.common.config import SimConfig
 from repro.common.errors import ExperimentError
-
-#: Cross-experiment result reuse. Experiment runs are deterministic pure
-#: functions of ``(exp_id, quick)``, so inside an explicit
-#: :func:`result_sharing` scope a repeated run returns the already-computed
-#: result instead of re-simulating — E12 aggregates E1/E3/E6/E8, so a full
-#: registry sweep would otherwise execute those simulations twice. The memo
-#: is OFF by default: outside a sharing scope every run executes, which is
-#: what correctness tests (e.g. tier A/B comparisons under different
-#: environment switches) rely on.
-_RESULT_MEMO: dict[tuple[str, bool], "ExperimentResult"] | None = None
-
-
-@contextmanager
-def result_sharing() -> Iterator[None]:
-    """Enable experiment-result reuse for the duration of the scope.
-
-    Nested scopes share the outermost memo; the memo is discarded when the
-    outermost scope exits.
-    """
-    global _RESULT_MEMO
-    outermost = _RESULT_MEMO is None
-    if outermost:
-        _RESULT_MEMO = {}
-    try:
-        yield
-    finally:
-        if outermost:
-            _RESULT_MEMO = None
-
-
-def run_shared(
-    exp_id: str, run: Callable[..., "ExperimentResult"], quick: bool = False
-) -> "ExperimentResult":
-    """Run an experiment, reusing a result computed earlier in the current
-    :func:`result_sharing` scope (a plain run when no scope is active)."""
-    memo = _RESULT_MEMO
-    if memo is None:
-        return run(quick=quick)
-    key = (exp_id, bool(quick))
-    result = memo.get(key)
-    if result is None:
-        result = memo[key] = run(quick=quick)
-    return result
 
 
 @dataclass

@@ -16,7 +16,7 @@ from repro.experiments import (
     e06_mysql_sync,
     e08_user_kernel,
 )
-from repro.experiments.base import ExperimentResult, run_shared
+from repro.experiments.base import ExperimentResult
 
 EXP_ID = "E12"
 TITLE = "Seven implications for architects (summary table)"
@@ -27,13 +27,10 @@ PAPER_CLAIM = (
 
 
 def run(quick: bool = False) -> ExperimentResult:
-    # Inside a result_sharing() scope (a registry sweep, repro.bench) these
-    # reuse the already-computed source-experiment results instead of
-    # re-simulating them; standalone E12 still runs everything itself.
-    e1 = run_shared("E1", e01_read_cost.run, quick=True)
-    e3 = run_shared("E3", e03_precision.run, quick=True)
-    e6 = run_shared("E6", e06_mysql_sync.run, quick=quick)
-    e8 = run_shared("E8", e08_user_kernel.run, quick=quick)
+    e1 = e01_read_cost.run(quick=True)
+    e3 = e03_precision.run(quick=True)
+    e6 = e06_mysql_sync.run(quick=quick)
+    e8 = e08_user_kernel.run(quick=quick)
 
     mean_hold_ns = DEFAULT_FREQUENCY.cycles_to_ns(e6.metric("mean_hold_cycles"))
     implications = [

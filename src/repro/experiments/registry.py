@@ -29,7 +29,7 @@ from repro.experiments import (
     e20_resilience,
     e21_refutation,
 )
-from repro.experiments.base import ExperimentResult, run_shared
+from repro.experiments.base import ExperimentResult
 
 
 @dataclass(frozen=True)
@@ -38,19 +38,6 @@ class ExperimentEntry:
     title: str
     paper_claim: str
     run: Callable[..., ExperimentResult]
-
-
-def _sharing_run(
-    exp_id: str, run: Callable[..., ExperimentResult]
-) -> Callable[..., ExperimentResult]:
-    """Route an entry's run through the (scope-gated) result memo, so a
-    registry sweep under ``result_sharing()`` never simulates the same
-    ``(exp_id, quick)`` twice — notably E12's reuse of E1/E3/E6/E8."""
-
-    def wrapped(quick: bool = False) -> ExperimentResult:
-        return run_shared(exp_id, run, quick=quick)
-
-    return wrapped
 
 
 _MODULES = [
@@ -82,7 +69,7 @@ REGISTRY: dict[str, ExperimentEntry] = {
         exp_id=m.EXP_ID,
         title=m.TITLE,
         paper_claim=m.PAPER_CLAIM,
-        run=_sharing_run(m.EXP_ID, m.run),
+        run=m.run,
     )
     for m in _MODULES
 }

@@ -386,7 +386,6 @@ class Engine:
         self.trace = self.obs.events  # same list; legacy alias
         self.metrics = MetricsRegistry(enabled=self.config.metrics)
         self._n_steps = 0
-        self._n_fused = 0  #: pieces chained inside _step (still sim events)
         self._acting_core: Core | None = None
         if self._tracing:
             self._wire_subsystem_tracers()
@@ -688,8 +687,10 @@ class Engine:
             # -- run the chosen core until another actor could act --------
             # While core.now stays below every other actor's time the core
             # remains the global minimum, so re-running selection would pick
-            # it again; chaining skips that. Any event that could create an
-            # earlier actor (unpark, sleep-heap push) sets _chain_break.
+            # it again; chaining skips that, one piece per _step call. This
+            # is the engine's only chaining path. Any event that could
+            # create an earlier actor (unpark, sleep-heap push) sets
+            # _chain_break.
             self._horizon = horizon
             self._chain_break = False
             while True:
@@ -703,17 +704,17 @@ class Engine:
                     break
                 if horizon is not None and core.now >= horizon:
                     break
-        # Chained pieces replace what were separate _step calls one-for-one,
-        # so this total is bit-identical to the pre-fusion step count.
-        self._n_steps = n_steps + self._n_fused
+        self._n_steps = n_steps
 
     def _step(self, core: Core) -> None:
         """Run one engine step of ``core``: service a due PMI or timer tick,
-        or execute one piece of the current thread's op — fetch-and-begin,
-        one phase chunk, or the op's advance. The piece execution is fused
-        into this function (rather than delegated through per-piece helper
-        calls) because it runs once per simulated micro-op and per-call
-        overhead here dominates whole-sweep wall time.
+        or execute exactly one piece of the current thread's op — the fetch
+        (with its begin handler), one phase chunk, and the op's advance once
+        its phase is done. The main loop counts each call as one sim event
+        and alone decides whether the same core runs the next piece. The
+        piece execution is inlined here (rather than delegated through
+        per-piece helper calls) because it runs once per simulated micro-op
+        and per-call overhead here dominates whole-sweep wall time.
         """
         if self._tracing:
             self._acting_core = core
@@ -729,105 +730,67 @@ class Engine:
         if core.slice_ends_at is not None and now >= core.slice_ends_at:
             self._timer_tick(core, thread)
             return
-        # invariant for the whole call, fused pieces included
-        tracing = self._tracing
-        max_cycles = self._max_cycles
-        horizon = self._horizon
         ex = thread.cur
-        while True:
-            if ex is None:
-                if not self._fetch_next_op(core, thread):
-                    return
-                ex = thread.cur
+        if ex is None:
+            if not self._fetch_next_op(core, thread):
+                return
+            ex = thread.cur
             # ex is None here only when the op completed inside its begin
             # handler (a fast PMC read, a whole syscall or a whole phase):
             # the fetch was the whole piece.
-            if ex is not None:
-                consumed = ex.phase_consumed
-                cycles = ex.phase_cycles
-                if consumed < cycles:
-                    remaining = cycles - consumed
-                    entry = core.pmu.plan_entry(
-                        ex.phase_rates, ex.phase_domain
-                    )
-                    if ex.phase_preemptible:
-                        # Macro-step candidate: a preemptible phase that
-                        # outlives the current timeslice (i.e. the slow path
-                        # would hit at least one timer tick before the phase
-                        # ends).
-                        if (
-                            self._macro
-                            and remaining > core.slice_ends_at - now
-                            and self._try_macro_step(core, thread, ex, entry)
-                        ):
-                            return
-                        # limit only ever shrinks from `remaining`, so the
-                        # final chunk is max(1, limit) — identical to
-                        # max(1, min(remaining, limit)).
-                        limit = remaining
-                        bound = core.slice_ends_at
-                        if bound is not None and bound - now < limit:
-                            limit = bound - now
-                        bound = core.pmi_due_at
-                        if bound is not None and bound - now < limit:
-                            limit = bound - now
-                        # Split at the first counter-overflow crossing. A
-                        # counter that gains fewer than `need` events in the
-                        # next `limit` cycles cannot cross within them, so
-                        # the pre-check skips its cycles_until_count exactly.
+            if ex is None:
+                return
+        consumed = ex.phase_consumed
+        cycles = ex.phase_cycles
+        if consumed < cycles:
+            remaining = cycles - consumed
+            entry = core.pmu.plan_entry(ex.phase_rates, ex.phase_domain)
+            if ex.phase_preemptible:
+                # Macro-step candidate: a preemptible phase that outlives
+                # the current timeslice (i.e. the slow path would hit at
+                # least one timer tick before the phase ends).
+                if (
+                    self._macro
+                    and remaining > core.slice_ends_at - now
+                    and self._try_macro_step(core, thread, ex, entry)
+                ):
+                    return
+                # limit only ever shrinks from `remaining`, so the final
+                # chunk is max(1, limit) — identical to
+                # max(1, min(remaining, limit)).
+                limit = remaining
+                bound = core.slice_ends_at
+                if bound is not None and bound - now < limit:
+                    limit = bound - now
+                bound = core.pmi_due_at
+                if bound is not None and bound - now < limit:
+                    limit = bound - now
+                # Split at the first counter-overflow crossing. A counter
+                # that gains fewer than `need` events in the next `limit`
+                # cycles cannot cross within them, so the pre-check skips
+                # its cycles_until_count exactly.
+                end = consumed + limit
+                for _index, ctr, ppm, mask in entry[1]:
+                    need = mask + 1 - ctr.value
+                    if (
+                        (end * ppm) // 1_000_000
+                        - (consumed * ppm) // 1_000_000
+                        < need
+                    ):
+                        continue
+                    d = cycles_until_count(consumed, ppm, need)
+                    if d is not None and d < limit:
+                        limit = d
                         end = consumed + limit
-                        for _index, ctr, ppm, mask in entry[1]:
-                            need = mask + 1 - ctr.value
-                            if (
-                                (end * ppm) // 1_000_000
-                                - (consumed * ppm) // 1_000_000
-                                < need
-                            ):
-                                continue
-                            d = cycles_until_count(consumed, ppm, need)
-                            if d is not None and d < limit:
-                                limit = d
-                                end = consumed + limit
-                        chunk = limit if limit > 0 else 1
-                    else:
-                        chunk = remaining
-                    after = consumed + chunk
-                    self._account(
-                        core, thread, ex.phase_domain, entry, consumed,
-                        after,
-                    )
-                    ex.phase_consumed = after
-                    if after < cycles:
-                        return
-                ex.adv(self, core, thread, ex)
-            # Chain straight into the thread's next piece — the following
-            # stage of a multi-phase op, or the fetch of its next op — when
-            # the main loop would deterministically re-pick this core
-            # anyway: the checks below mirror its chain conditions and this
-            # function's own preamble exactly, so the fetch/_account/advance
-            # sequence is identical to stepping one piece per call and only
-            # the per-step dispatch overhead is elided. Each fused piece is
-            # tallied so sim_events stays the dispatch-independent piece
-            # count it was before fusion existed.
-            if (
-                tracing
-                or core.current_tid != tid
-                or core.parked
-                or self._chain_break
-                or self.live_count == 0
-            ):
+                chunk = limit if limit > 0 else 1
+            else:
+                chunk = remaining
+            after = consumed + chunk
+            self._account(core, thread, ex.phase_domain, entry, consumed, after)
+            ex.phase_consumed = after
+            if after < cycles:
                 return
-            now = core.now
-            if now > max_cycles:
-                return
-            if horizon is not None and now >= horizon:
-                return
-            if core.pmi_due_at is not None and now >= core.pmi_due_at:
-                return
-            if core.slice_ends_at is not None and now >= core.slice_ends_at:
-                return
-            self._n_fused += 1
-            ex = thread.cur
+        ex.adv(self, core, thread, ex)
 
     # ------------------------------------------------------------------
     # thread lifecycle

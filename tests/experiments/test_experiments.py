@@ -16,6 +16,7 @@ from repro.experiments import (
     e09_firefox,
     e10_profilers,
     e11_enhancements,
+    e12_implications,
 )
 
 
@@ -139,6 +140,14 @@ class TestE11Enhancements:
         assert r.metric("narrow_pmis") > r.metric("wide_pmis")
         assert 0.1 < r.metric("destructive_read_saving") < 0.5
         assert r.metric("hw_virt_kernel_saving") > 0.05
+
+
+class TestE12Implications:
+    def test_seven_implications_quantified(self):
+        r = e12_implications.run(quick=True)
+        assert r.metric("n_implications") == 7.0
+        assert r.metric("limit_read_ns") < 50
+        assert r.metric("limit_slowdown") < r.metric("papi_slowdown")
 
 
 class TestRegistry:
