@@ -65,9 +65,10 @@ class MetricTree:
         return {name: parse(src) for name, src in self.metrics.items()}
 
 
-#: The standard derived-metric set, as checkable DSL declarations (the
-#: DSL twin of repro.analysis.derived; ``$``-referenceable from trees
-#: and assumptions).
+#: The standard derived-metric set, as checkable DSL declarations
+#: (``$``-referenceable from trees and assumptions). Evaluate one with
+#: :func:`repro.analysis.expr.evaluate`: a ratio whose denominator is
+#: zero or missing is undefined (``None``), never a measured 0.0.
 STANDARD_METRICS: dict[str, str] = {
     "ipc": "ratio(instructions, cycles)",
     "cpi": "ratio(cycles, instructions)",

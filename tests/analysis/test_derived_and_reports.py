@@ -1,20 +1,12 @@
-"""Tests of derived metrics and run-result exports."""
+"""Tests of the standard derived metrics and run-result exports."""
 
 import json
 
 import pytest
 
-from repro.analysis.derived import (
-    branch_miss_rate,
-    cpi,
-    deltas_to_counts,
-    ipc,
-    llc_miss_ratio,
-    mpki,
-    stall_fraction,
-    summarize,
-)
+from repro.analysis.expr import env_from_counts, evaluate, parse
 from repro.analysis.reports import result_to_dict, result_to_json, run_report
+from repro.analysis.tree import STANDARD_METRICS, default_tree
 from repro.hw.events import Event, EventRates
 from repro.sim.ops import Compute, LockAcquire, LockRelease, Syscall
 from tests.conftest import run_threads
@@ -32,51 +24,62 @@ COUNTS = {
 }
 
 
+def metrics(counts):
+    """Every standard metric over ground-truth ``counts`` (absent events
+    are true zeros, as the simulator counts exactly)."""
+    env = env_from_counts(counts)
+    return {
+        name: evaluate(parse(source), env)
+        for name, source in STANDARD_METRICS.items()
+    }
+
+
 class TestDerivedMetrics:
     def test_ipc_cpi(self):
-        assert ipc(COUNTS) == pytest.approx(1.5)
-        assert cpi(COUNTS) == pytest.approx(1 / 1.5)
+        m = metrics(COUNTS)
+        assert m["ipc"] == pytest.approx(1.5)
+        assert m["cpi"] == pytest.approx(1 / 1.5)
 
     def test_mpki(self):
-        assert mpki(COUNTS, Event.LLC_MISSES) == pytest.approx(2.0)
-        assert mpki(COUNTS, Event.L2_MISSES) == pytest.approx(8.0)
+        m = metrics(COUNTS)
+        assert m["llc_mpki"] == pytest.approx(2.0)
+        assert m["l2_mpki"] == pytest.approx(8.0)
 
     def test_ratios(self):
-        assert llc_miss_ratio(COUNTS) == pytest.approx(1 / 3)
-        assert branch_miss_rate(COUNTS) == pytest.approx(0.05)
-        assert stall_fraction(COUNTS) == pytest.approx(0.25)
+        m = metrics(COUNTS)
+        assert m["llc_miss_ratio"] == pytest.approx(1 / 3)
+        assert m["branch_miss_rate"] == pytest.approx(0.05)
+        assert m["stall_fraction"] == pytest.approx(0.25)
+        assert m["kernel_sensitive_mix"] == pytest.approx(0.2)
 
     def test_empty_counts_undefined(self):
         # No denominator data is "undefined", never a measured zero.
-        assert ipc({}) is None
-        assert cpi({}) is None
-        assert mpki({}, Event.LLC_MISSES) is None
-        assert llc_miss_ratio({}) is None
-        assert branch_miss_rate({}) is None
-        assert stall_fraction({}) is None
+        assert set(metrics({}).values()) == {None}
 
     def test_absent_numerator_is_true_zero(self):
-        counts = {Event.CYCLES: 1000, Event.INSTRUCTIONS: 500}
-        assert mpki(counts, Event.LLC_MISSES) == 0.0
-        assert ipc(counts) == pytest.approx(0.5)
+        m = metrics({Event.CYCLES: 1000, Event.INSTRUCTIONS: 500})
+        assert m["llc_mpki"] == 0.0
+        assert m["ipc"] == pytest.approx(0.5)
 
     def test_summary_surfaces_undefined(self):
-        s = summarize({Event.CYCLES: 1000})
-        assert s.ipc == 0.0  # instructions absent: true zero numerator
-        assert s.llc_mpki is None  # instructions absent: no denominator
-        d = s.as_dict()
-        assert d["llc_mpki"] == "undefined"
-        assert d["branch_miss_rate"] == "undefined"
-        assert d["stall_fraction"] == 0.0
+        m = metrics({Event.CYCLES: 1000})
+        assert m["ipc"] == 0.0  # instructions absent: true zero numerator
+        assert m["llc_mpki"] is None  # instructions absent: no denominator
+        assert m["branch_miss_rate"] is None
+        assert m["stall_fraction"] == 0.0
 
     def test_summarize_bundle(self):
-        s = summarize(COUNTS)
-        assert s.ipc == pytest.approx(1.5)
-        assert s.llc_mpki == pytest.approx(2.0)
-        assert s.as_dict()["branch_miss_rate"] == pytest.approx(0.05)
+        # The shipped tree carries the same bundle, $-referenceable.
+        env = env_from_counts(COUNTS)
+        tree_metrics = default_tree().parsed_metrics()
+        via_tree = {
+            name: evaluate(parse(f"${name}"), env, tree_metrics)
+            for name in STANDARD_METRICS
+        }
+        assert via_tree == metrics(COUNTS)
 
     def test_summarize_matches_profile_inputs(self, uniprocessor):
-        """Round trip: profile() rates -> simulation -> summarize()."""
+        """Round trip: profile() rates -> simulation -> standard metrics."""
         rates = EventRates.profile(
             ipc=1.25, llc_mpki=4.0, branch_frac=0.2, branch_miss_rate=0.1
         )
@@ -85,20 +88,10 @@ class TestDerivedMetrics:
             yield Compute(2_000_000, rates)
 
         result = run_threads(uniprocessor, program)
-        s = summarize(result.thread_by_name("t0").events_user)
-        assert s.ipc == pytest.approx(1.25, rel=0.001)
-        assert s.llc_mpki == pytest.approx(4.0, rel=0.001)
-        assert s.branch_miss_rate == pytest.approx(0.1, rel=0.001)
-
-    def test_deltas_to_counts(self):
-        counts = deltas_to_counts(
-            [Event.CYCLES, Event.LLC_MISSES], [100, 5], [600, 25]
-        )
-        assert counts == {Event.CYCLES: 500, Event.LLC_MISSES: 20}
-
-    def test_deltas_length_mismatch(self):
-        with pytest.raises(ValueError):
-            deltas_to_counts([Event.CYCLES], [1, 2], [3])
+        m = metrics(result.thread_by_name("t0").events_user)
+        assert m["ipc"] == pytest.approx(1.25, rel=0.001)
+        assert m["llc_mpki"] == pytest.approx(4.0, rel=0.001)
+        assert m["branch_miss_rate"] == pytest.approx(0.1, rel=0.001)
 
 
 def _lockful_run(quad_core):

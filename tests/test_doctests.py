@@ -5,7 +5,6 @@ import doctest
 
 import pytest
 
-import repro.analysis.derived
 import repro.common.tables
 import repro.common.units
 import repro.hw.events
@@ -14,7 +13,6 @@ MODULES = [
     repro.common.units,
     repro.common.tables,
     repro.hw.events,
-    repro.analysis.derived,
 ]
 
 
