@@ -2,19 +2,19 @@
 
 PYTHON ?= python
 
-.PHONY: install test experiments experiments-quick smoke examples lint lint-smoke clean
+.PHONY: install test experiments experiments-quick smoke examples lint lint-smoke outputs clean
 
 install:
 	pip install -e .
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 experiments:
-	$(PYTHON) -m repro.experiments --out results/full
+	PYTHONPATH=src $(PYTHON) -m repro.experiments --out results/full
 
 experiments-quick:
-	$(PYTHON) -m repro.experiments --quick
+	PYTHONPATH=src $(PYTHON) -m repro.experiments --quick
 
 # end-to-end gates from one set of recorded runs (eight legs of the quick
 # suite and the checks in repro.experiments.smoke), then the streaming
@@ -24,7 +24,7 @@ smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.bench --quick
 
 examples:
-	@for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f || exit 1; done
+	@for f in examples/*.py; do echo "== $$f =="; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 # full static gate: the repo's own measurement-hazard analyzer over every
 # target (self + registry + workload corpus), then ruff/mypy when they are
@@ -45,7 +45,7 @@ lint-smoke:
 
 # final artifacts, as specified in the reproduction brief
 outputs:
-	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache

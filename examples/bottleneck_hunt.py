@@ -3,14 +3,15 @@
 as a script.
 
 Measures four SPEC-like kernels and two server workloads with precise
-counters and prints, for each, the ranked architectural bottleneck
-diagnosis (memory / branch / TLB / kernel / synchronization / compute).
+counters and prints, for each, the top-down bottleneck classification
+(retiring vs stalled, then memory / L2 / branch / TLB / NUMA / other stall)
+under one line of measured CPI, kernel and lock shares.
 
 Run:  python examples/bottleneck_hunt.py
 """
 
 from repro import SimConfig, run_program
-from repro.analysis import describe, diagnose
+from repro.analysis import bottleneck_report
 from repro.workloads import (
     ApacheConfig,
     ApacheWorkload,
@@ -34,19 +35,18 @@ def main() -> None:
         ApacheConfig(n_workers=8, requests_per_worker=40)
     )
 
-    print("architectural bottleneck diagnoses")
-    print("==================================")
+    print("architectural bottleneck classifications")
+    print("========================================")
     for name, workload in targets.items():
         result = run_program(workload.build(), CONFIG)
         result.check_conservation()
-        diagnosis = diagnose(result)
         print()
         print(f"--- {name} ---")
-        print(describe(diagnosis))
+        print(bottleneck_report(result))
 
     print()
     print(
-        "the diagnoses come from exact per-domain event counts; on real "
+        "the classifications come from exact per-domain event counts; on real "
         "hardware, collecting\nthese at this granularity is precisely what "
         "LiMiT-class counter access enables."
     )

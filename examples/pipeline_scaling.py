@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Pipeline scaling study: where does a parallel compressor's time go?
 
-Sweeps the compressor thread count of a pbzip2-style pipeline, diagnoses
-the moving bottleneck, and renders an execution Gantt chart from a traced
-run — the kind of whole-program view the paper argues becomes reliable
-only when the underlying measurements are precise.
+Sweeps the compressor thread count of a pbzip2-style pipeline, prints the
+wall time and compressor utilization at each count, and renders an
+execution Gantt chart from a traced run — the kind of whole-program view
+the paper argues becomes reliable only when the underlying measurements
+are precise.
 
 Run:  python examples/pipeline_scaling.py
 """

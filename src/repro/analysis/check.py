@@ -428,8 +428,8 @@ class _ExprChecker:
                     node,
                     "penalty() weight must be a literal constant "
                     "(cycles per event occurrence)",
-                    fix_hint="inline the penalty as a number, like "
-                    "penalty(llc_misses, 180.0)",
+                    fix_hint="inline the penalty as a number: "
+                    "penalty(<event>, <cycles per occurrence>)",
                 )
                 return _POISON
             return Static(

@@ -1,15 +1,57 @@
-"""Run-result export: structured JSON and a human-readable run report."""
+"""Run-result export: structured JSON, a human-readable run report, the
+measured user/kernel split and the top-down bottleneck diagnosis."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Any
 
-from repro.analysis.cpi_stack import thread_cpi_stack, user_kernel_breakdown
+from repro.analysis.expr import env_from_counts, evaluate, parse
 from repro.analysis.sync_stats import sync_profile
+from repro.analysis.tree import (
+    STANDARD_METRICS,
+    classify_env,
+    counts_from_result,
+    implications_report,
+)
 from repro.common.tables import render_table
-from repro.hw.events import Domain
 from repro.sim.results import RunResult
+
+_CPI = parse(STANDARD_METRICS["cpi"])
+
+
+@dataclass(frozen=True)
+class UserKernelBreakdown:
+    """The E8 artifact: where cpu cycles go, per thread group."""
+
+    group: str
+    user_cycles: int
+    kernel_cycles: int
+    idle_wall_cycles: int      #: wall - cpu for the group's threads
+
+    @property
+    def cpu_cycles(self) -> int:
+        return self.user_cycles + self.kernel_cycles
+
+    @property
+    def kernel_fraction(self) -> float:
+        return self.kernel_cycles / self.cpu_cycles if self.cpu_cycles else 0.0
+
+
+def user_kernel_breakdown(result: RunResult, prefix: str = "") -> UserKernelBreakdown:
+    """Aggregate user/kernel split over threads whose name starts with
+    ``prefix`` (empty prefix = whole run)."""
+    threads = [t for t in result.threads.values() if t.name.startswith(prefix)]
+    user = sum(t.user_cycles for t in threads)
+    kernel = sum(t.kernel_cycles for t in threads)
+    wall = sum(t.wall_cycles for t in threads)
+    return UserKernelBreakdown(
+        group=prefix or "all",
+        user_cycles=user,
+        kernel_cycles=kernel,
+        idle_wall_cycles=max(0, wall - user - kernel),
+    )
 
 
 def result_to_dict(result: RunResult) -> dict[str, Any]:
@@ -103,13 +145,13 @@ def run_report(result: RunResult, top_locks: int = 5) -> str:
 
     rows = []
     for t in sorted(result.threads.values(), key=lambda t: -t.cpu_cycles):
-        stack = thread_cpi_stack(t, Domain.USER)
+        cpi = evaluate(_CPI, env_from_counts(t.events_user))
         rows.append(
             [
                 t.name,
                 t.user_cycles,
                 t.kernel_cycles,
-                round(stack.cpi, 2) if stack.instructions else "-",
+                "-" if cpi is None else round(cpi, 2),
                 t.n_context_switches,
             ]
         )
@@ -146,3 +188,20 @@ def run_report(result: RunResult, top_locks: int = 5) -> str:
         )
 
     return "\n\n".join(sections)
+
+
+def bottleneck_report(result: RunResult) -> str:
+    """The top-down diagnosis of a run — the same tree walk the manifest
+    ``classification`` block records — under one line of measured facts:
+    CPI over both domains (``$cpi``), the kernel share of cpu cycles, and
+    the share of cpu cycles spent holding and waiting on locks."""
+    env = env_from_counts(counts_from_result(result))
+    cpi = evaluate(_CPI, env)
+    kernel = user_kernel_breakdown(result).kernel_fraction
+    sync = sync_profile(result)
+    facts = (
+        f"CPI {'-' if cpi is None else format(cpi, '.2f')}; "
+        f"kernel {kernel:.1%}; lock-hold {sync.hold_fraction:.1%}; "
+        f"lock-wait {sync.wait_fraction:.1%}"
+    )
+    return facts + "\n" + implications_report(classify_env(env))

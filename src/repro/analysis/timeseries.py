@@ -14,9 +14,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.expr import Expr, env_from_counts, evaluate, parse
+from repro.analysis.tree import STANDARD_METRICS
 from repro.common.errors import ReproError
 from repro.core.limit import LimitSession
 from repro.hw.events import Event
+
+_IPC = parse(STANDARD_METRICS["ipc"])
+_MPKI: dict[Event, Expr] = {
+    event: parse(f"per_kilo_insn({event.value})") for event in Event
+}
+
+
+def _value(expr: Expr, env: dict[str, float]) -> float:
+    """A DSL metric over ``env``; undefined (``None``) reads as 0.0."""
+    value = evaluate(expr, env)
+    return 0.0 if value is None else float(value)
 
 
 @dataclass(frozen=True)
@@ -34,12 +47,10 @@ class IntervalSample:
 
     @property
     def ipc(self) -> float:
-        cycles = self.deltas.get(Event.CYCLES, 0)
-        return self.deltas.get(Event.INSTRUCTIONS, 0) / cycles if cycles else 0.0
+        return _value(_IPC, env_from_counts(self.deltas))
 
     def mpki(self, miss_event: Event) -> float:
-        insn = self.deltas.get(Event.INSTRUCTIONS, 0)
-        return 1000.0 * self.deltas.get(miss_event, 0) / insn if insn else 0.0
+        return _value(_MPKI[miss_event], env_from_counts(self.deltas))
 
 
 def interval_samples(session: LimitSession) -> list[IntervalSample]:
@@ -113,19 +124,18 @@ def windowed_series(
         buckets.setdefault(sample.midpoint // window_cycles, []).append(sample)
     for index in sorted(buckets):
         window = buckets[index]
-        cycles = sum(s.deltas.get(Event.CYCLES, 0) for s in window)
-        insns = sum(s.deltas.get(Event.INSTRUCTIONS, 0) for s in window)
-        mpki = {}
-        for event in miss_events:
-            misses = sum(s.deltas.get(event, 0) for s in window)
-            mpki[event] = 1000.0 * misses / insns if insns else 0.0
+        totals: dict[Event, int] = {}
+        for sample in window:
+            for event, delta in sample.deltas.items():
+                totals[event] = totals.get(event, 0) + delta
+        env = env_from_counts(totals)
         points.append(
             WindowPoint(
                 window_start=index * window_cycles,
                 window_end=min(horizon, (index + 1) * window_cycles),
                 n_intervals=len(window),
-                ipc=insns / cycles if cycles else 0.0,
-                mpki=mpki,
+                ipc=_value(_IPC, env),
+                mpki={event: _value(_MPKI[event], env) for event in miss_events},
             )
         )
     return points

@@ -8,12 +8,13 @@ descended — shallow metrics stay cheap, detail appears only where it
 matters. This module brings that discipline to the Nehalem-like model:
 the tree is *declared* (node expressions in the :mod:`repro.analysis.expr`
 DSL, statically validated by :mod:`repro.analysis.check`), not hard-coded
-Python like the flat list in :mod:`repro.analysis.bottlenecks`.
+Python, and it is the package's only bottleneck model: its ``penalty``
+weights are the only cycle-attribution weights in the package.
 
 Partition semantics (rule AN006): every non-leaf node has exactly one
 *residual* child (``expr=None``) whose value is the parent minus its
 siblings, so children always sum to the parent by construction. Sibling
-estimates use the CPI-stack penalty weights; when latency overlap makes
+estimates are penalty-weighted miss counts; when latency overlap makes
 their raw sum overshoot the measured parent they are rescaled
 proportionally (documented attribution, deterministic and
 order-independent), and negatives clamp to zero.
@@ -86,8 +87,8 @@ def _nehalem_topdown() -> MetricTree:
 
     Level 1 splits cycles into stalled vs retiring by the measured
     STALL_CYCLES fraction. Level 2 attributes the stalled share across
-    penalty-weighted miss sources (weights shared with
-    :data:`repro.analysis.cpi_stack.DEFAULT_PENALTIES`); what those
+    miss sources, each count weighted by an approximate Nehalem-class
+    cycle penalty (the literal ``penalty`` weights below); what those
     estimates cannot explain stays in the ``other_stall`` residual.
     """
     stalled_children = (
@@ -263,35 +264,26 @@ def _order(parent: MetricNode, child: MetricNode) -> int:
     return parent.children.index(child)
 
 
-def counts_from_result(result: Any) -> dict[Event, int]:
-    """Merge one run's ground-truth counts across threads and domains."""
+def counts_from_result(result: Any, prefix: str = "") -> dict[Event, int]:
+    """Merge one run's ground-truth counts across domains and the threads
+    whose name starts with ``prefix`` (empty prefix = whole run)."""
+    threads = [t for t in result.threads.values() if t.name.startswith(prefix)]
+    if prefix and not threads:
+        raise ValueError(f"no threads match prefix {prefix!r}")
     totals: dict[Event, int] = {}
-    for thread in result.threads.values():
+    for thread in threads:
         for domain in (thread.events_user, thread.events_kernel):
             for event, count in domain.items():
                 totals[event] = totals.get(event, 0) + count
     return totals
 
 
-def counts_from_records(records: Iterable[Any]) -> dict[str, int] | None:
-    """Sum the per-run event-count totals captured on EngineRunRecords
-    (None when no record carries counts — e.g. replays cached by an older
-    version)."""
-    totals: dict[str, int] = {}
-    seen = False
-    for record in records:
-        counts = getattr(record, "counts", None)
-        if not counts:
-            continue
-        seen = True
-        for name, count in counts.items():
-            totals[name] = totals.get(name, 0) + count
-    return totals if seen else None
-
-
-def classify_result(result: Any, tree: MetricTree | None = None) -> dict[str, Any]:
-    """Classify one RunResult's dominant bottleneck."""
-    return classify_env(env_from_counts(counts_from_result(result)), tree)
+def classify_result(
+    result: Any, tree: MetricTree | None = None, prefix: str = ""
+) -> dict[str, Any]:
+    """Classify the dominant bottleneck of one RunResult, or of the thread
+    group whose names start with ``prefix``."""
+    return classify_env(env_from_counts(counts_from_result(result, prefix)), tree)
 
 
 def classify_counts(

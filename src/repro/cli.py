@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro run mysql                 # run + text report
-    python -m repro run apache --diagnose     # + bottleneck diagnosis
+    python -m repro run apache --diagnose     # + top-down bottleneck tree
     python -m repro run firefox --json out.json
     python -m repro run pipeline --gantt      # + execution timeline
     python -m repro run mysql --manifest m.json --trace-dir traces/
@@ -24,9 +24,8 @@ import time
 from pathlib import Path
 
 from repro.analysis import (
+    bottleneck_report,
     build_timelines,
-    describe,
-    diagnose,
     render_gantt,
     result_to_json,
     run_report,
@@ -153,7 +152,7 @@ def _cmd_run(args) -> int:
         print()
         print("bottleneck diagnosis")
         print("====================")
-        print(describe(diagnose(result)))
+        print(bottleneck_report(result))
     if args.gantt:
         print()
         print(render_gantt(build_timelines(result), width=args.gantt_width))
@@ -232,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="workload size multiplier")
     run_p.add_argument("--timeslice", type=int, default=1_000_000)
     run_p.add_argument("--diagnose", action="store_true",
-                       help="print the bottleneck diagnosis")
+                       help="print the top-down bottleneck classification")
     run_p.add_argument("--gantt", action="store_true",
                        help="trace the run and print a timeline")
     run_p.add_argument("--gantt-width", type=int, default=72)

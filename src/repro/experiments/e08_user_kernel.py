@@ -8,7 +8,7 @@ virtualized counters) expose the split; SPEC-class compute is the control.
 
 from __future__ import annotations
 
-from repro.analysis.cpi_stack import user_kernel_breakdown
+from repro.analysis.reports import user_kernel_breakdown
 from repro.common.tables import render_table
 from repro.experiments.base import ExperimentResult, multicore_config
 from repro.sim.engine import run_program

@@ -8,7 +8,7 @@ global LRU-maintenance lock, over a kernel-heavy network path.
 Distinguishing shape versus the MySQL model: far shorter critical
 sections (hash probe + pointer splice), much higher request rates, and a
 single contended maintenance lock that becomes the scaling bottleneck at
-high thread counts — a good target for the bottleneck diagnoser.
+high thread counts — a good target for `repro run memcached --diagnose`.
 """
 
 from __future__ import annotations

@@ -1,85 +1,67 @@
-"""Tests of CPI stacks and user/kernel breakdowns."""
+"""Tests of the CPI stack: CPI from the ``$cpi`` declaration, and its
+breakdown into retiring and stalled cycles by the top-down tree."""
 
 import pytest
 
-from repro.analysis.cpi_stack import (
-    build_cpi_stack,
-    thread_cpi_stack,
-    user_kernel_breakdown,
+from repro.analysis.expr import env_from_counts, evaluate, parse
+from repro.analysis.tree import (
+    STANDARD_METRICS,
+    classify_counts,
+    counts_from_result,
 )
-from repro.hw.events import Domain, Event, EventRates
+from repro.hw.events import Event, EventRates
 from repro.sim.ops import Compute, Syscall
 from tests.conftest import run_threads
+
+CPI = parse(STANDARD_METRICS["cpi"])
+
+
+def cpi(counts):
+    return evaluate(CPI, env_from_counts(counts))
 
 
 class TestBuildCpiStack:
     def test_cpi(self):
-        stack = build_cpi_stack(
-            {Event.CYCLES: 2_000, Event.INSTRUCTIONS: 1_000}
-        )
-        assert stack.cpi == 2.0
-        assert stack.base_cpi == 2.0  # nothing attributed
-
-    def test_components_attributed(self):
-        stack = build_cpi_stack(
-            {
-                Event.CYCLES: 100_000,
-                Event.INSTRUCTIONS: 50_000,
-                Event.LLC_MISSES: 100,   # 100 * 180 = 18k cycles
-            }
-        )
-        assert stack.components["llc_misses"] == pytest.approx(18_000)
-        assert stack.component_cpi("llc_misses") == pytest.approx(0.36)
-        fracs = stack.fractions()
-        assert fracs["llc_misses"] == pytest.approx(0.18)
-        assert fracs["base"] == pytest.approx(0.82)
-
-    def test_attribution_capped_at_total(self):
-        """Penalty model can never attribute more than observed cycles."""
-        stack = build_cpi_stack(
-            {
-                Event.CYCLES: 1_000,
-                Event.INSTRUCTIONS: 100,
-                Event.LLC_MISSES: 1_000,  # would be 180k cycles
-            }
-        )
-        assert sum(stack.components.values()) <= 1_000
-        assert stack.base_cpi == 0.0
+        counts = {Event.CYCLES: 2_000, Event.INSTRUCTIONS: 1_000}
+        assert cpi(counts) == 2.0
+        # nothing attributed: every cycle is retiring
+        level = classify_counts(counts)["levels"][0]
+        assert level["dominant"] == "retiring"
+        assert level["share"] == 1.0
 
     def test_empty_counts(self):
-        stack = build_cpi_stack({})
-        assert stack.cpi == 0.0
-        assert stack.fractions() == {}
+        assert cpi({}) is None
+        assert classify_counts({})["path"] == "retiring"
 
     def test_dominant_component(self):
-        stack = build_cpi_stack(
+        cls = classify_counts(
             {
                 Event.CYCLES: 100_000,
                 Event.INSTRUCTIONS: 10_000,
+                Event.STALL_CYCLES: 80_000,
                 Event.LLC_MISSES: 400,      # 72k
                 Event.BRANCH_MISSES: 100,   # 1.6k
             }
         )
-        assert stack.dominant_component() == "llc_misses"
+        assert cls["path"] == "stalled/memory_bound"
 
     def test_dominant_base_when_no_misses(self):
-        stack = build_cpi_stack(
-            {Event.CYCLES: 1_000, Event.INSTRUCTIONS: 900}
-        )
-        assert stack.dominant_component() == "base"
+        cls = classify_counts({Event.CYCLES: 1_000, Event.INSTRUCTIONS: 900})
+        assert cls["path"] == "retiring"
 
 
 class TestThreadCpiStack:
     def test_from_run(self, uniprocessor):
-        rates = EventRates.profile(ipc=0.5, llc_mpki=20.0)
+        # the tree splits only the stalls the run measured
+        rates = EventRates.profile(ipc=0.5, llc_mpki=20.0, stall_frac=0.6)
 
         def program(ctx):
             yield Compute(1_000_000, rates)
 
         result = run_threads(uniprocessor, program)
-        stack = thread_cpi_stack(result.thread_by_name("t0"))
-        assert stack.cpi == pytest.approx(2.0, rel=0.01)
-        assert stack.dominant_component() == "llc_misses"
+        user = result.thread_by_name("t0").events_user
+        assert cpi(user) == pytest.approx(2.0, rel=0.01)
+        assert classify_counts(user)["path"] == "stalled/memory_bound"
 
     def test_domain_selection(self, uniprocessor):
         def program(ctx):
@@ -88,30 +70,10 @@ class TestThreadCpiStack:
 
         result = run_threads(uniprocessor, program)
         t = result.thread_by_name("t0")
-        user = thread_cpi_stack(t, Domain.USER)
-        kernel = thread_cpi_stack(t, Domain.KERNEL)
-        both = thread_cpi_stack(t, None)
-        assert user.cycles == 10_000
-        assert kernel.cycles > 10_000
-        assert both.cycles == user.cycles + kernel.cycles
-
-
-class TestUserKernelBreakdown:
-    def test_fractions(self, uniprocessor):
-        def program(ctx):
-            yield Compute(30_000, EventRates.profile(ipc=1.0))
-            yield Syscall("work", (30_000,))
-
-        result = run_threads(uniprocessor, program)
-        b = user_kernel_breakdown(result)
-        assert b.cpu_cycles == b.user_cycles + b.kernel_cycles
-        assert 0.4 < b.kernel_fraction < 0.7
-
-    def test_prefix_filter(self, quad_core):
-        def busy(ctx):
-            yield Compute(10_000, EventRates.profile(ipc=1.0))
-
-        result = run_threads(quad_core, busy, busy, names=["app:x", "bg:y"])
-        b = user_kernel_breakdown(result, "app:")
-        assert b.group == "app:"
-        assert b.user_cycles == 10_000
+        user = t.events_user[Event.CYCLES]
+        kernel = t.events_kernel[Event.CYCLES]
+        both = counts_from_result(result, "t0")[Event.CYCLES]
+        assert user == 10_000
+        assert kernel > 10_000
+        assert both == user + kernel
+        assert cpi(t.events_user) == pytest.approx(0.5)

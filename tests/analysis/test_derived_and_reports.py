@@ -5,7 +5,12 @@ import json
 import pytest
 
 from repro.analysis.expr import env_from_counts, evaluate, parse
-from repro.analysis.reports import result_to_dict, result_to_json, run_report
+from repro.analysis.reports import (
+    result_to_dict,
+    result_to_json,
+    run_report,
+    user_kernel_breakdown,
+)
 from repro.analysis.tree import STANDARD_METRICS, default_tree
 from repro.hw.events import Event, EventRates
 from repro.sim.ops import Compute, LockAcquire, LockRelease, Syscall
@@ -137,3 +142,24 @@ class TestReports:
         result = run_threads(uniprocessor, program)
         report = run_report(result)
         assert "hottest locks" not in report
+
+
+class TestUserKernelBreakdown:
+    def test_fractions(self, uniprocessor):
+        def program(ctx):
+            yield Compute(30_000, EventRates.profile(ipc=1.0))
+            yield Syscall("work", (30_000,))
+
+        result = run_threads(uniprocessor, program)
+        b = user_kernel_breakdown(result)
+        assert b.cpu_cycles == b.user_cycles + b.kernel_cycles
+        assert 0.4 < b.kernel_fraction < 0.7
+
+    def test_prefix_filter(self, quad_core):
+        def busy(ctx):
+            yield Compute(10_000, EventRates.profile(ipc=1.0))
+
+        result = run_threads(quad_core, busy, busy, names=["app:x", "bg:y"])
+        b = user_kernel_breakdown(result, "app:")
+        assert b.group == "app:"
+        assert b.user_cycles == 10_000

@@ -83,6 +83,34 @@ class TestClassification:
         )
         assert cls["path"] == "retiring"
 
+    def test_penalty_estimates_attribute_the_stalled_share(self):
+        # 300 LLC misses at 180 cycles each: 54% of all cycles
+        cls = classify_named_counts(
+            {"cycles": 100_000, "instructions": 50_000,
+             "stall_cycles": 60_000, "llc_misses": 300}
+        )
+        assert cls["path"] == "stalled/memory_bound"
+        stall = cls["levels"][1]["shares"]
+        assert stall["memory_bound"] == pytest.approx(0.54)
+        assert stall["other_stall"] == pytest.approx(0.06)
+
+    def test_overshooting_estimates_rescale_to_the_stalled_share(self):
+        # 1,000 LLC misses would explain 180x the cycles the run measured
+        cls = classify_named_counts(
+            {"cycles": 1_000, "instructions": 100, "stall_cycles": 900,
+             "llc_misses": 1_000, "branch_misses": 10}
+        )
+        stall = cls["levels"][1]["shares"]
+        assert sum(stall.values()) == pytest.approx(0.9)
+        assert stall["other_stall"] == 0.0
+        # both estimates shrink by the same factor, 0.9 / 180.16
+        assert stall["memory_bound"] == pytest.approx(
+            0.9 * 180_000 / 180_160, abs=1e-6
+        )
+        assert stall["branch_resteer"] == pytest.approx(
+            0.9 * 160 / 180_160, abs=1e-6
+        )
+
     def test_implications_report_names_the_path(self):
         report = implications_report(classify_named_counts(MEM_COUNTS))
         assert "stalled/memory_bound" in report

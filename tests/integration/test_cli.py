@@ -30,7 +30,7 @@ class TestRun:
         assert main(["run", "spec", "--scale", "0.1", "--diagnose"]) == 0
         out = capsys.readouterr().out
         assert "bottleneck diagnosis" in out
-        assert "ranked bottlenecks:" in out
+        assert "top-down classification" in out
 
     def test_gantt_flag(self, capsys):
         assert main(["run", "pipeline", "--scale", "0.3", "--gantt"]) == 0

@@ -12,7 +12,7 @@ from repro import (
     run_program,
     with_all_enhancements,
 )
-from repro.analysis import diagnose, sync_profile, user_kernel_breakdown
+from repro.analysis import classify_result, sync_profile, user_kernel_breakdown
 from repro.baselines import PapiLikeSession, SamplingProfiler
 from repro.workloads import (
     ApacheConfig,
@@ -63,8 +63,8 @@ class TestFullCaseStudyPipeline:
         assert profile.total_acquires > 0
         assert profile.hold_fraction < 0.5
 
-        diagnosis = diagnose(result)
-        assert diagnosis.bottlenecks
+        classification = classify_result(result)
+        assert classification["path"]
 
         observations = instr.lock_observations()
         assert "mysql:log" in observations

@@ -12,7 +12,7 @@ EXPECTED_MARKERS = {
     "quickstart.py": "every read exact",
     "mysql_lock_study.py": "observer effect",
     "firefox_function_profile.py": "limit profiling overhead",
-    "bottleneck_hunt.py": "ranked bottlenecks",
+    "bottleneck_hunt.py": "top-down classification",
     "pipeline_scaling.py": "pipeline scaling",
     "observer_effect.py": "verdict:",
 }

@@ -8,7 +8,7 @@ interacts with every other.
 
 import pytest
 
-from repro.analysis import diagnose, sync_profile, user_kernel_breakdown
+from repro.analysis import classify_result, sync_profile, user_kernel_breakdown
 from repro.baselines import SamplingProfiler
 from repro.common.config import KernelConfig, MachineConfig, SimConfig
 from repro.core.limit import LimitSession
@@ -92,9 +92,9 @@ class TestSoak:
     def test_every_app_diagnosable(self, soak):
         result, *_ = soak
         for prefix in ("mysql:", "apache:", "firefox:", "memcached:", "pipeline:"):
-            diagnosis = diagnose(result, prefix)
-            assert diagnosis.bottlenecks
-            assert 0 <= diagnosis.primary.severity <= 1.0
+            classification = classify_result(result, prefix=prefix)
+            assert classification["path"]
+            assert 0 <= classification["levels"][0]["share"] <= 1.0
 
     def test_server_kernel_shares_ordered(self, soak):
         result, *_ = soak
