@@ -16,7 +16,7 @@ experiments:
 experiments-quick:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments --quick
 
-# end-to-end gates from one set of recorded runs (eight legs of the quick
+# end-to-end gates from one set of recorded runs (five legs of the quick
 # suite and the checks in repro.experiments.smoke), then the streaming
 # path's 5% overhead cap; the CI smoke job runs the same two commands
 smoke:

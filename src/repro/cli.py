@@ -117,8 +117,6 @@ def _cmd_run(args) -> int:
         from repro.fabric import default_cache_dir
 
         cache_dir = default_cache_dir()
-    if args.no_cache:
-        cache_dir = None
     # Traces and gantt timelines must come from a real execution.
     if cache_dir and not want_traces and not args.gantt:
         from repro.fabric import ResultCache
@@ -245,8 +243,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="reuse cached simulation results (default dir)")
     run_p.add_argument("--cache-dir", type=Path, metavar="DIR",
                        help="result cache directory (implies --cache)")
-    run_p.add_argument("--no-cache", action="store_true",
-                       help="disable the result cache")
 
     cal_p = sub.add_parser("calibrate", help="measure per-read costs")
     cal_p.add_argument("--reads", type=int, default=2_000)

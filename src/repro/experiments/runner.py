@@ -5,7 +5,7 @@ Usage::
     python -m repro.experiments            # run all, print to stdout
     python -m repro.experiments E1 E4      # a subset
     python -m repro.experiments --quick    # smaller parameters
-    python -m repro.experiments --jobs 4   # experiments in worker processes
+    python -m repro.experiments --jobs 4   # runs in up to 4 worker processes
     python -m repro.experiments --cache    # reuse cached simulation results
     python -m repro.experiments --lint     # static hazard gate before runs
                                            # (--lint-strict: warnings fail)
@@ -23,14 +23,14 @@ reproducibility hash over every (seed, config) the experiment ran. With
 ``--quick`` artifact files carry a ``.quick`` stem suffix (``e2.quick.txt``)
 so CI-sized output can never clobber full results.
 
-``--jobs N`` fans experiments out over a process pool (or, for a single
-experiment, lets its internal run fan out via :mod:`repro.fabric`); wall
-times reported per experiment are measured in the executing process, so
-they reflect compute, not queueing. ``--cache``/``--cache-dir`` enable the
-deterministic result cache at both the experiment and the individual-run
-level; simulation is reproducible, so cached replays are exact. Cache hits
-are marked on the progress line and counted in the manifest and in the
-``--cache-stats`` JSON.
+Experiments run one after another in this process. ``--jobs N`` sets
+the width of :func:`repro.fabric.run_many`'s process-per-job pool, so the
+runs inside each experiment fan out over up to N worker processes and a
+crashed or hung worker is blamed on its own job. ``--cache``/``--cache-dir``
+enable the deterministic result cache at both the experiment and the
+individual-run level; simulation is reproducible, so cached replays are
+exact. Cache hits are marked on the progress line and counted in the
+manifest and in the ``--cache-stats`` JSON.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class EntryOutcome:
     text: str | None
     wall_seconds: float
     records: list = field(default_factory=list)  #: EngineRunRecord list
-    cache_stats: dict | None = None  #: worker-side run-cache counters
     cached: bool = False
     #: structured fabric JobFailure dicts from this experiment's runs
     job_failures: list = field(default_factory=list)
@@ -159,48 +158,6 @@ def _execute(
     )
 
 
-def _execute_in_worker(
-    exp_id: str,
-    quick: bool,
-    capture_traces: bool,
-    cache_dir: str | None,
-    cache_salt: str | None,
-    fail_fast: bool | None = None,
-    lint_mode: str = "off",
-    window_spec: WindowSpec | None = None,
-    stream_dir: str | None = None,
-    timeout: float | None = None,
-) -> EntryOutcome:
-    """Pool-worker entry point: look the experiment up by id and run it.
-
-    The worker gets its own run-level fabric cache (same directory, own
-    counters) and ships its hit/miss delta back in the outcome. The lint
-    gate is re-armed from ``lint_mode`` so experiments gate identically
-    inline and pooled; each experiment owns its own stream subdirectory,
-    so pooled experiments stream without contention.
-    """
-    from repro import fabric
-    from repro.lint import gate as lint_gate
-
-    fabric.configure(jobs=1, cache_dir=cache_dir, salt=cache_salt)
-    if fail_fast is not None:
-        fabric.configure(fail_fast=fail_fast)
-    if timeout is not None:
-        fabric.configure(timeout=timeout)
-    lint_gate.restore(lint_mode)
-    outcome = _execute(
-        get(exp_id),
-        quick,
-        capture_traces,
-        window_spec=window_spec,
-        stream_dir=Path(stream_dir) if stream_dir else None,
-    )
-    worker_cache = fabric.current().cache
-    if worker_cache is not None:
-        outcome.cache_stats = worker_cache.stats.as_dict()
-    return outcome
-
-
 def _emit(
     outcome: EntryOutcome,
     quick: bool,
@@ -208,7 +165,6 @@ def _emit(
     trace_dir: Path | None,
     stdout,
     stderr,
-    analysis: bool = True,
 ) -> dict[str, Any]:
     """Print one experiment's output and build its manifest record."""
     collector = obs_runtime.RunCollector(
@@ -234,22 +190,21 @@ def _emit(
         },
         "faults": collector.fault_summary(),
     }
-    if analysis:
-        # Top-down bottleneck classification over the experiment's summed
-        # ground-truth counts, plus any refutation verdicts it published.
-        # Pure host-side post-processing of recorded counts: fingerprints
-        # and all simulated quantities are identical with --no-analysis.
-        analysis_block: dict[str, Any] = {}
-        counts = collector.counts_total()
-        if counts is not None:
-            from repro.analysis.tree import classify_named_counts
+    # Top-down bottleneck classification over the experiment's summed
+    # ground-truth counts, plus any refutation verdicts it published.
+    # Pure host-side post-processing of recorded counts: it cannot change
+    # a fingerprint or any simulated quantity.
+    analysis_block: dict[str, Any] = {}
+    counts = collector.counts_total()
+    if counts is not None:
+        from repro.analysis.tree import classify_named_counts
 
-            analysis_block["classification"] = classify_named_counts(counts)
-        verdicts = getattr(outcome, "assumption_verdicts", None) or []
-        if verdicts:
-            analysis_block["assumptions"] = list(verdicts)
-        if analysis_block:
-            record["analysis"] = analysis_block
+        analysis_block["classification"] = classify_named_counts(counts)
+    verdicts = getattr(outcome, "assumption_verdicts", None) or []
+    if verdicts:
+        analysis_block["assumptions"] = list(verdicts)
+    if analysis_block:
+        record["analysis"] = analysis_block
     fingerprints = [r.fingerprint for r in collector.records if r.fingerprint]
     if fingerprints:
         # Captured only under REPRO_FP_RECORDS=1 (the equivalence smokes);
@@ -327,26 +282,25 @@ def run_entries(
     stderr=None,
     jobs: int = 1,
     cache: ResultCache | None = None,
-    fail_fast: bool | None = None,
+    keep_going: bool = False,
     lint_mode: str = "off",
     window_spec: WindowSpec | None = None,
     stream_dir: Path | None = None,
     timeout: float | None = None,
-    analysis: bool = True,
 ) -> tuple[list[dict[str, Any]], float]:
     """Run experiments; returns (manifest entry dicts, total wall seconds).
 
-    ``jobs > 1`` runs experiments in worker processes (a single experiment
-    instead fans out its internal runs through the fabric). ``cache``
-    replays previously simulated experiments/runs; tracing bypasses it so
-    trace files always reflect a real execution. ``fail_fast`` sets the
-    fabric failure policy for every run (None keeps the current policy;
-    False lets sweeps continue past dead/hung workers and reports them as
-    structured job failures in the manifest). ``lint_mode`` ("off", "on",
-    "strict") arms the fail-closed static-analysis gate in front of every
-    fabric dispatch, inline and in pool workers alike. ``window_spec``
-    shapes windowed observations; ``stream_dir`` streams them to one
-    ``repro.obs/stream/v1`` directory per experiment as runs complete.
+    Experiments run one after another in this process; ``jobs`` is the
+    width of the fabric's process-per-job pool their runs fan out over.
+    ``cache`` replays previously simulated experiments/runs; tracing
+    bypasses it so trace files always reflect a real execution.
+    ``keep_going`` lets sweeps continue past dead/hung workers and reports
+    them as structured job failures in the manifest (otherwise the current
+    fabric failure policy holds). ``lint_mode`` ("off", "on", "strict")
+    arms the fail-closed static-analysis gate in front of every fabric
+    dispatch. ``window_spec`` shapes windowed observations; ``stream_dir``
+    streams them to one ``repro.obs/stream/v1`` directory per experiment
+    as runs complete.
     ``timeout`` caps each fabric job's wall-clock seconds (None keeps the
     current policy); a timed-out worker is killed mid-stream, so streaming
     runs sweep orphaned (never-closed) stream directories first.
@@ -373,96 +327,52 @@ def run_entries(
         sweep_orphan_streams(stream_dir)
     total_started = time.perf_counter()
 
-    outcomes: list[EntryOutcome | None] = [None] * len(entries)
-    pending: list[tuple[int, str | None]] = []
-    if use_cache is not None:
-        for i, entry in enumerate(entries):
-            key = use_cache.key("experiment", entry.exp_id, quick)
-            loaded = time.perf_counter()
-            hit = use_cache.get(key)
-            if hit is not None:
-                hit.cached = True
-                hit.wall_seconds = time.perf_counter() - loaded
-                outcomes[i] = hit
-            else:
-                pending.append((i, key))
-    else:
-        pending = [(i, None) for i in range(len(entries))]
-
-    if jobs > 1 and len(pending) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.fabric.jobs import _mp_context
-
-        cache_dir = str(use_cache.root) if use_cache is not None else None
-        cache_salt = use_cache.salt if use_cache is not None else None
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(pending)), mp_context=_mp_context()
-        ) as pool:
-            futures = [
-                (
-                    i,
-                    key,
-                    pool.submit(
-                        _execute_in_worker,
-                        entries[i].exp_id,
-                        quick,
-                        capture_traces,
-                        cache_dir,
-                        cache_salt,
-                        fail_fast,
-                        lint_mode,
-                        window_spec,
-                        str(stream_dir) if stream_dir else None,
-                        timeout,
-                    ),
+    previous = fabric.current()
+    prev_jobs, prev_cache = previous.jobs, previous.cache
+    prev_fail_fast, prev_timeout = previous.fail_fast, previous.timeout
+    prev_lint = lint_gate.state()
+    fabric.configure(jobs=jobs, cache=use_cache)
+    if keep_going:
+        fabric.configure(fail_fast=False)
+    if timeout is not None:
+        fabric.configure(timeout=timeout)
+    lint_gate.restore(lint_mode)
+    outcomes: list[EntryOutcome] = []
+    try:
+        for entry in entries:
+            outcome: EntryOutcome | None = None
+            if use_cache is not None:
+                key = use_cache.key("experiment", entry.exp_id, quick)
+                loaded = time.perf_counter()
+                outcome = use_cache.get(key)
+                if outcome is not None:
+                    outcome.cached = True
+                    outcome.wall_seconds = time.perf_counter() - loaded
+            if outcome is None:
+                outcome = _execute(
+                    entry, quick, capture_traces, window_spec, stream_dir
                 )
-                for i, key in pending
-            ]
-            for i, key, future in futures:
-                outcomes[i] = future.result()
-    else:
-        # In-process: a lone experiment under --jobs N fans out internally.
-        previous = fabric.current()
-        prev_jobs, prev_cache = previous.jobs, previous.cache
-        prev_fail_fast, prev_timeout = previous.fail_fast, previous.timeout
-        prev_lint = lint_gate.state()
-        fabric.configure(jobs=jobs, cache=use_cache)
-        if fail_fast is not None:
-            fabric.configure(fail_fast=fail_fast)
-        if timeout is not None:
-            fabric.configure(timeout=timeout)
-        lint_gate.restore(lint_mode)
-        try:
-            for i, key in pending:
-                outcomes[i] = _execute(
-                    entries[i],
-                    quick,
-                    capture_traces,
-                    window_spec=window_spec,
-                    stream_dir=stream_dir,
-                )
-        finally:
-            fabric.configure(
-                jobs=prev_jobs,
-                cache=prev_cache,
-                fail_fast=prev_fail_fast,
-                timeout=prev_timeout,
-            )
-            lint_gate.restore(*prev_lint)
-
-    if use_cache is not None:
-        for i, key in pending:
-            outcome = outcomes[i]
-            if outcome.cache_stats is not None:
-                use_cache.stats.add(outcome.cache_stats)
-            # Partial results (fabric job failures) must never be cached:
-            # a replay would hide the failure and serve incomplete data.
-            if outcome.error is None and not outcome.job_failures:
-                use_cache.put(key, outcome)
+                # Partial results (fabric job failures) must never be
+                # cached: a replay would hide the failure and serve
+                # incomplete data.
+                if (
+                    use_cache is not None
+                    and outcome.error is None
+                    and not outcome.job_failures
+                ):
+                    use_cache.put(key, outcome)
+            outcomes.append(outcome)
+    finally:
+        fabric.configure(
+            jobs=prev_jobs,
+            cache=prev_cache,
+            fail_fast=prev_fail_fast,
+            timeout=prev_timeout,
+        )
+        lint_gate.restore(*prev_lint)
 
     records = [
-        _emit(outcome, quick, out, trace_dir, stdout, stderr, analysis)
+        _emit(outcome, quick, out, trace_dir, stdout, stderr)
         for outcome in outcomes
     ]
     return records, time.perf_counter() - total_started
@@ -486,7 +396,10 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="run experiments in N worker processes (default: 1, serial)",
+        help=(
+            "run each experiment's engine runs in up to N worker "
+            "processes, one process per run (default: 1, serial)"
+        ),
     )
     parser.add_argument(
         "--timeout",
@@ -495,7 +408,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="SECONDS",
         help=(
             "kill any fabric job running longer than SECONDS of wall "
-            "clock (killed jobs surface as structured job failures; "
+            "clock; each job then runs in a worker process, also at "
+            "--jobs 1 (killed jobs surface as structured job failures; "
             "combine with --keep-going to finish the sweep around them)"
         ),
     )
@@ -509,11 +423,6 @@ def main(argv: list[str] | None = None) -> int:
         type=Path,
         default=None,
         help="cache simulation results under this directory (implies --cache)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the result cache even if other cache flags are given",
     )
     parser.add_argument(
         "--cache-stats",
@@ -569,15 +478,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--no-analysis",
-        action="store_true",
-        help=(
-            "skip the manifest 'analysis' block (top-down bottleneck "
-            "classification + refutation verdicts); a diff switch — "
-            "simulated results and fingerprints are identical either way"
-        ),
-    )
-    parser.add_argument(
         "--list", action="store_true", help="list experiments and exit"
     )
     lint_group = parser.add_mutually_exclusive_group()
@@ -595,23 +495,14 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="like --lint, but warnings also fail the gate",
     )
-    policy = parser.add_mutually_exclusive_group()
-    policy.add_argument(
-        "--fail-fast",
-        dest="fail_fast",
-        action="store_true",
-        help="abort an experiment on the first fabric job failure",
-    )
-    policy.add_argument(
+    parser.add_argument(
         "--keep-going",
-        dest="fail_fast",
-        action="store_false",
+        action="store_true",
         help=(
             "survive crashed/hung fabric workers: finish the sweep and "
             "report failures in the summary and manifest"
         ),
     )
-    parser.set_defaults(fail_fast=None)
     args = parser.parse_args(argv)
 
     if args.list:
@@ -632,8 +523,6 @@ def main(argv: list[str] | None = None) -> int:
     cache_dir: Path | None = args.cache_dir
     if cache_dir is None and (args.cache or args.cache_stats):
         cache_dir = default_cache_dir()
-    if args.no_cache:
-        cache_dir = None
     cache = ResultCache(cache_dir) if cache_dir else None
 
     if args.out:
@@ -684,12 +573,11 @@ def main(argv: list[str] | None = None) -> int:
         trace_dir=args.trace_dir,
         jobs=args.jobs,
         cache=cache,
-        fail_fast=args.fail_fast,
+        keep_going=args.keep_going,
         lint_mode=lint_mode,
         window_spec=window_spec,
         stream_dir=args.stream_dir,
         timeout=args.timeout,
-        analysis=not args.no_analysis,
     )
     passed = sum(1 for r in records if r["status"] == "passed")
     failed = len(records) - passed

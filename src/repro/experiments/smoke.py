@@ -1,6 +1,6 @@
 """Smoke matrix: every end-to-end gate from one set of recorded runs.
 
-Runs eight legs of the experiment runner in-process with
+Runs five legs of the experiment runner in-process with
 ``REPRO_FP_RECORDS=1``, so every engine run's
 :meth:`~repro.sim.results.RunResult.fingerprint` lands in the leg's
 manifest, then applies plain check functions to the manifests. Each
@@ -9,12 +9,10 @@ violation. The legs (see :data:`LEGS`):
 
 * ``serial`` — the full quick suite under the strict lint gate; the
   reference every other leg is compared with;
-* ``cold`` / ``warm`` — the quick suite over two worker processes,
-  first into an empty result cache, then served from it;
-* ``pool20`` / ``pool21`` — quick E20 and quick E21 alone under
-  ``--jobs 2``, so the runner fans the experiment's own runs (E20's
-  policy arms, E21's sweep) over the workers;
-* ``plain`` — quick E21 with the manifest analysis block switched off;
+* ``cold`` / ``warm`` — the quick suite under ``--jobs 2``: ``cold``
+  into an empty result cache, pooling every experiment's runs (E20's
+  policy arms and E21's sweep among them) over two worker processes,
+  ``warm`` served from that cache;
 * ``stream`` — quick E19 streaming windows with a tight retention;
 * ``trace`` — quick E1 and E4 with trace capture.
 
@@ -54,9 +52,6 @@ LEGS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("serial", ("--quick", "--lint-strict", "--keep-going", "--out", "{leg}/out")),
     ("cold", _CACHED),
     ("warm", _CACHED),
-    ("pool20", ("--quick", "E20", "--jobs", "2")),
-    ("pool21", ("--quick", "E21", "--jobs", "2")),
-    ("plain", ("--quick", "E21", "--no-analysis")),
     (
         "stream",
         (
@@ -67,11 +62,9 @@ LEGS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("trace", ("--quick", "E1", "E4", "--trace-dir", "{leg}/traces")),
 )
 
-#: Legs whose ``analysis`` and ``alerts`` blocks must equal serial's. The
-#: runner spreads one experiment's runs over workers only when it is the
-#: lone selection, so ``cold`` pools whole experiments and the ``pool``
-#: legs pool the runs inside E20 and E21.
-POOLED_LEGS = ("cold", "pool20", "pool21")
+#: Legs whose ``analysis`` and ``alerts`` blocks must equal serial's:
+#: ``cold`` pools the runs inside every experiment over two workers.
+POOLED_LEGS = ("cold",)
 
 #: Every fault kind in the taxonomy; E17 must inject each one.
 FAULT_KINDS = frozenset({
@@ -111,8 +104,8 @@ def check_summaries(manifests: Manifests) -> list[str]:
 
 def check_fingerprints(manifests: Manifests) -> list[str]:
     """Every leg's per-experiment fingerprint multiset equals serial's:
-    pooling, the cache, streaming, tracing and the analysis switch are
-    all bit-invisible to the simulated results."""
+    pooling, the cache, streaming and tracing are all bit-invisible to
+    the simulated results."""
     serial = manifests["serial"]
     reference = {
         exp["id"]: sorted(exp.get("fingerprints", []))
@@ -151,15 +144,6 @@ def check_pooled_blocks(manifests: Manifests) -> list[str]:
                         f"{exp['id']}: {block} blocks differ serial vs {name!r}"
                     )
     return problems
-
-
-def check_no_analysis(manifests: Manifests) -> list[str]:
-    """``--no-analysis`` removes the analysis block."""
-    return [
-        f"{exp['id']}: --no-analysis leg still carries an analysis block"
-        for exp in manifests["plain"]["experiments"]
-        if "analysis" in exp
-    ]
 
 
 def check_refutation(manifests: Manifests) -> list[str]:
@@ -388,7 +372,6 @@ CHECKS: tuple[Callable[[Manifests], list[str]], ...] = (
     check_summaries,
     check_fingerprints,
     check_pooled_blocks,
-    check_no_analysis,
     check_refutation,
     check_classification,
     check_alert_placement,

@@ -80,29 +80,6 @@ class CacheStats:
             "quarantined": self.quarantined,
         }
 
-    def add(self, other: "CacheStats | dict") -> None:
-        if isinstance(other, CacheStats):
-            other = other.as_dict()
-        self.hits += other.get("hits", 0)
-        self.misses += other.get("misses", 0)
-        self.stores += other.get("stores", 0)
-        self.errors += other.get("errors", 0)
-        self.quarantined += other.get("quarantined", 0)
-
-    def delta(self, since: "CacheStats") -> "CacheStats":
-        return CacheStats(
-            hits=self.hits - since.hits,
-            misses=self.misses - since.misses,
-            stores=self.stores - since.stores,
-            errors=self.errors - since.errors,
-            quarantined=self.quarantined - since.quarantined,
-        )
-
-    def copy(self) -> "CacheStats":
-        return CacheStats(
-            self.hits, self.misses, self.stores, self.errors, self.quarantined
-        )
-
 
 class ResultCache:
     """A directory of integrity-checked pickled values, addressed by key.

@@ -11,12 +11,12 @@ the run; whatever the caller needs back travels as picklable data:
   (use it to ship tool-side observations such as session read records).
 
 :func:`run_many` executes a batch of jobs — in worker processes when the
-fabric is configured with ``jobs > 1``, inline otherwise — consults the
-result cache when one is configured, and merges every engine run into the
-ambient :mod:`repro.obs` collector so manifests stay correct regardless of
-where runs physically executed. Simulation is deterministic, so outcomes
-are byte-identical across serial, parallel and cache-hit execution (a
-property test enforces this).
+fabric is configured with ``jobs > 1`` or a per-job ``timeout``, inline
+otherwise — consults the result cache when one is configured, and merges
+every engine run into the ambient :mod:`repro.obs` collector so manifests
+stay correct regardless of where runs physically executed. Simulation
+is deterministic, so outcomes are byte-identical across serial, parallel
+and cache-hit execution (a property test enforces this).
 
 Worker execution is *fault-isolated*: every pooled job runs in its own
 process, so a crashed worker (segfault, ``os._exit``, OOM kill) or a hung
@@ -71,9 +71,9 @@ class FabricConfig:
 
     jobs: int = 1
     cache: ResultCache | None = None
-    #: per-job wall-clock budget in seconds for pooled execution; None
-    #: disables the watchdog (inline runs are never timed out — there is
-    #: no process boundary to kill).
+    #: per-job wall-clock budget in seconds; None disables the watchdog.
+    #: A budget runs every job in a worker process (``max(1, jobs)`` at a
+    #: time), even at ``jobs=1``, so there is a process boundary to kill.
     timeout: float | None = None
     #: how many times a crashed or timed-out job is re-run before it
     #: becomes a terminal failure (deterministic exceptions never retry).
@@ -103,8 +103,6 @@ def drain_failures() -> list["JobFailure"]:
 def configure(
     jobs: int | None = None,
     cache: "ResultCache | None | _Unset" = _UNSET,
-    cache_dir: "str | None | _Unset" = _UNSET,
-    salt: str | None = None,
     timeout: "float | None | _Unset" = _UNSET,
     retries: int | None = None,
     backoff: float | None = None,
@@ -113,9 +111,9 @@ def configure(
     """Set the process-wide fabric policy; returns the live config.
 
     ``cache`` takes a ready :class:`ResultCache` (or None to disable);
-    ``cache_dir`` builds one at that path. Passing neither leaves the
-    current cache untouched. ``timeout``/``retries``/``backoff``/
-    ``fail_fast`` set the failure policy (see :class:`FabricConfig`).
+    omitting it leaves the current cache untouched. ``timeout``/
+    ``retries``/``backoff``/``fail_fast`` set the failure policy (see
+    :class:`FabricConfig`).
     """
     if jobs is not None:
         if jobs < 1:
@@ -123,10 +121,6 @@ def configure(
         _config.jobs = jobs
     if not isinstance(cache, _Unset):
         _config.cache = cache
-    elif not isinstance(cache_dir, _Unset):
-        _config.cache = (
-            ResultCache(cache_dir, salt=salt) if cache_dir else None
-        )
     if not isinstance(timeout, _Unset):
         if timeout is not None and timeout <= 0:
             raise ConfigError(f"fabric timeout must be > 0, got {timeout}")
@@ -533,16 +527,12 @@ def run_many(
     else:
         pending = [(i, None, job) for i, job in enumerate(jobs)]
 
-    # Pool when parallelism is requested; a single pending job only pays
-    # for a worker process when a timeout needs the process boundary.
-    use_pool = jobs_n > 1 and (
-        len(pending) > 1 or (pending and timeout is not None)
-    )
-    if use_pool:
-        workers = min(jobs_n, len(pending))
+    # Jobs run one per worker process when parallelism is requested or a
+    # timeout needs a process boundary to kill; inline otherwise.
+    if pending and (jobs_n > 1 or timeout is not None):
         pooled = _run_pooled(
             pending,
-            workers,
+            min(max(1, jobs_n), len(pending)),
             capture_traces,
             timeout,
             retries,

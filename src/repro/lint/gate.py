@@ -13,10 +13,11 @@ the live objects a run will use are never touched. That also means the gate
 sees exactly what the worker will execute — not a stale copy the caller
 linted earlier.
 
-State is process-local (like :func:`repro.fabric.configure`); the runner
-ships :func:`state` to pool workers and calls :func:`restore` there so
-experiments gate identically inline and pooled. Reports accumulate per
-process and are drained into manifests via :func:`drain_reports`.
+State is process-local (like :func:`repro.fabric.configure`) and lives in
+the process that calls :func:`~repro.fabric.run_many`, which gates every
+batch before it spawns any worker; the runner saves it with :func:`state`
+and puts it back with :func:`restore` around a sweep. Reports accumulate
+per process and are drained into manifests via :func:`drain_reports`.
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ def active() -> bool:
 
 
 def state() -> tuple[str, tuple[str, ...]]:
-    """Picklable gate state, for re-arming worker processes."""
+    """The gate's current (mode, suppressed rules), for :func:`restore`."""
     return (_mode, _suppress)
 
 
 def restore(mode: str, suppress: tuple[str, ...] = ()) -> None:
-    """Worker-side counterpart of :func:`state`."""
+    """Set the gate's mode and suppressed rules (see :func:`state`)."""
     global _mode, _suppress
     _mode = mode
     _suppress = tuple(suppress)

@@ -124,3 +124,58 @@ class TestRunnerCache:
         rc = main(["--quick", "E5", "--cache-dir", str(cache_dir)])
         assert rc == 1
         assert not any(cache_dir.rglob("*.pkl")), "failures must not be cached"
+
+
+def _chaos_experiment(exp_id: str, mode: str):
+    """An experiment ``run`` that submits one ChaosWorkload job."""
+    from repro import fabric
+    from repro.common.config import MachineConfig, SimConfig
+    from repro.experiments.base import ExperimentResult
+
+    def run(quick=False):
+        (outcome,) = fabric.run_many(
+            [
+                fabric.RunJob(
+                    workload="repro.fabric.testing.ChaosWorkload",
+                    config=SimConfig(machine=MachineConfig(n_cores=2), seed=1),
+                    kwargs={"mode": mode},
+                    label=f"{exp_id}:{mode}",
+                )
+            ]
+        )
+        return ExperimentResult(
+            exp_id=exp_id,
+            title=f"chaos {mode}",
+            paper_claim="none",
+            metrics={"job_failed": isinstance(outcome, fabric.JobFailure)},
+        )
+
+    return run
+
+
+class TestRunnerPool:
+    def test_worker_crash_is_blamed_on_its_experiment(
+        self, tmp_path: Path, capsys, monkeypatch
+    ):
+        """With several experiments under --jobs N, a crashed worker is a
+        structured job failure of the experiment that ran it, and the
+        other experiment still passes."""
+        import dataclasses
+
+        from repro.experiments import registry
+
+        for exp_id, mode in (("E5", "crash"), ("E13", "ok")):
+            entry = dataclasses.replace(
+                registry.REGISTRY[exp_id], run=_chaos_experiment(exp_id, mode)
+            )
+            monkeypatch.setitem(registry.REGISTRY, exp_id, entry)
+        manifest = tmp_path / "m.json"
+        rc = main(
+            ["--quick", "E5", "E13", "--jobs", "2", "--keep-going",
+             "--manifest", str(manifest)]
+        )
+        assert rc == 1
+        crashed, ok = read_manifest(manifest)["experiments"]
+        assert [f["kind"] for f in crashed["job_failures"]] == ["crash"]
+        assert crashed["job_failures"][0]["label"] == "E5:crash"
+        assert ok["status"] == "passed" and "job_failures" not in ok

@@ -53,19 +53,9 @@ def test_missing_fingerprints_are_reported():
     assert "no fingerprints" in problem
 
 
-def test_analysis_block_under_no_analysis_is_reported():
-    legs = _legs(plain=[{"id": "E21"}])
-    assert smoke.check_no_analysis(legs) == []
-
-    legs, record = _broken(legs, "plain", "E21")
-    record["analysis"] = {"assumptions": []}
-    (problem,) = smoke.check_no_analysis(legs)
-    assert "E21" in problem and "--no-analysis" in problem
-
-
 def test_alerts_blocks_differing_serial_vs_cold_are_reported():
     e20 = {"id": "E20", "alerts": {"slos": [{"fired": 3}]}, "analysis": {}}
-    legs = _legs(serial=[e20], cold=[e20], pool20=[e20])
+    legs = _legs(serial=[e20], cold=[e20])
     assert smoke.check_pooled_blocks(legs) == []
 
     legs, record = _broken(legs, "cold", "E20")
@@ -78,16 +68,16 @@ def test_alerts_blocks_differing_serial_vs_cold_are_reported():
 def test_blocks_differing_serial_vs_pooled_runs_are_reported():
     e20 = {"id": "E20", "alerts": {"slos": [{"fired": 3}]}}
     e21 = {"id": "E21", "analysis": {"verdicts": {"a": "refuted"}}}
-    legs = _legs(serial=[e20, e21], pool20=[e20], pool21=[e21])
+    legs = _legs(serial=[e20, e21], cold=[e20, e21])
     assert smoke.check_pooled_blocks(legs) == []
 
-    legs, record = _broken(legs, "pool20", "E20")
+    legs, record = _broken(legs, "cold", "E20")
     record["alerts"]["slos"][0]["fired"] = 2
-    legs, record = _broken(legs, "pool21", "E21")
+    legs, record = _broken(legs, "cold", "E21")
     record["analysis"]["verdicts"]["a"] = "held"
     assert smoke.check_pooled_blocks(legs) == [
-        "E20: alerts blocks differ serial vs 'pool20'",
-        "E21: analysis blocks differ serial vs 'pool21'",
+        "E20: alerts blocks differ serial vs 'cold'",
+        "E21: analysis blocks differ serial vs 'cold'",
     ]
 
 
@@ -151,11 +141,11 @@ def test_missing_e17_fault_kind_is_reported():
 
 
 def test_leg_failures_and_wrong_selection_are_reported():
-    legs = _legs(plain=[{"id": "E21"}])
+    legs = _legs(trace=[{"id": "E1"}, {"id": "E4"}])
     assert smoke.check_summaries(legs) == []
 
-    legs["plain"]["summary"]["failed"] = 1
-    legs["plain"]["experiments"].append({"id": "E1"})
+    legs["trace"]["summary"]["failed"] = 1
+    legs["trace"]["experiments"].append({"id": "E21"})
     assert len(smoke.check_summaries(legs)) == 2
 
 

@@ -8,7 +8,7 @@ rely on to prove the cache actually worked.
 
 from pathlib import Path
 
-from repro.fabric.cache import CacheStats, ResultCache, code_salt
+from repro.fabric.cache import ResultCache, code_salt
 
 
 class TestKeys:
@@ -104,17 +104,4 @@ class TestPoisonedEntries:
         assert cache.get(key) == "good"
         assert cache.stats.as_dict() == {
             "hits": 1, "misses": 1, "stores": 2, "errors": 1, "quarantined": 1,
-        }
-
-
-class TestStats:
-    def test_add_and_delta(self):
-        stats = CacheStats(hits=2, misses=1)
-        stats.add({"hits": 3, "stores": 4})
-        assert stats.hits == 5 and stats.stores == 4
-        before = stats.copy()
-        stats.add(CacheStats(errors=2))
-        delta = stats.delta(before)
-        assert delta.as_dict() == {
-            "hits": 0, "misses": 0, "stores": 0, "errors": 2, "quarantined": 0,
         }

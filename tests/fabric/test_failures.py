@@ -74,6 +74,23 @@ class TestCrashAndHangIsolation:
         as_dict = crash.as_dict()
         assert as_dict["kind"] == "crash" and as_dict["attempts"] == 2
 
+    def test_timeout_kills_a_hung_job_at_one_worker(self):
+        """A timeout needs a process boundary to kill, so even at
+        ``jobs_n=1`` the job runs in a worker process and a hang ends as
+        a structured timeout instead of running to completion inline."""
+        fabric.drain_failures()
+        (failure,) = fabric.run_many(
+            [chaos_job("hang", hang_seconds=4.0)],
+            jobs_n=1,
+            cache=None,
+            timeout=0.5,
+            retries=0,
+            fail_fast=False,
+        )
+        assert isinstance(failure, fabric.JobFailure)
+        assert failure.kind == "timeout" and failure.attempts == 1
+        assert [f.kind for f in fabric.drain_failures()] == ["timeout"]
+
     def test_flaky_job_retries_to_success(self, tmp_path: Path):
         marker = tmp_path / "flaky.marker"
         job = chaos_job("flaky", marker=str(marker))

@@ -127,7 +127,7 @@ class TestConfigure:
         previous = fabric.current()
         prev_jobs, prev_cache = previous.jobs, previous.cache
         try:
-            fabric.configure(jobs=2, cache_dir=tmp_path, salt="t")
+            fabric.configure(jobs=2, cache=fabric.ResultCache(tmp_path, salt="t"))
             cfg = fabric.current()
             assert cfg.jobs == 2
             assert cfg.cache is not None and cfg.cache.root == tmp_path
