@@ -3,7 +3,9 @@
 The paper closes its case studies with seven implications for computer
 architects in the cloud era. This experiment aggregates the headline
 metric behind each implication from the other experiments' machinery,
-producing the summary table.
+producing the summary table. It takes E1, E3, E6 and E8 through
+:func:`~repro.experiments.base.reuse`, so a sweep that already ran them
+does not simulate them again.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from repro.experiments import (
     e06_mysql_sync,
     e08_user_kernel,
 )
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, reuse
 
 EXP_ID = "E12"
 TITLE = "Seven implications for architects (summary table)"
@@ -27,10 +29,10 @@ PAPER_CLAIM = (
 
 
 def run(quick: bool = False) -> ExperimentResult:
-    e1 = e01_read_cost.run(quick=True)
-    e3 = e03_precision.run(quick=True)
-    e6 = e06_mysql_sync.run(quick=quick)
-    e8 = e08_user_kernel.run(quick=quick)
+    e1 = reuse(e01_read_cost, quick=True)
+    e3 = reuse(e03_precision, quick=True)
+    e6 = reuse(e06_mysql_sync, quick=quick)
+    e8 = reuse(e08_user_kernel, quick=quick)
 
     mean_hold_ns = DEFAULT_FREQUENCY.cycles_to_ns(e6.metric("mean_hold_cycles"))
     implications = [

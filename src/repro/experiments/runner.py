@@ -31,6 +31,15 @@ enable the deterministic result cache at both the experiment and the
 individual-run level; simulation is reproducible, so cached replays are
 exact. Cache hits are marked on the progress line and counted in the
 manifest and in the ``--cache-stats`` JSON.
+
+Each experiment runs once per invocation: an experiment that re-derives
+another's results (E12 takes E1, E3, E6 and E8 through
+:func:`repro.experiments.base.reuse`) is served the outcome this
+invocation already produced, merged into its own record and listed in
+the record's ``reused`` key. Like the experiment-level cache, sharing is
+off under ``--trace-dir``, ``--lint``/``--lint-strict`` and
+``--stream-dir``: a reused outcome dispatches nothing, so it would write
+no trace or stream and pass no lint gate.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.experiments import base
 from repro.experiments.registry import all_experiments, get
 from repro.fabric import ResultCache, default_cache_dir
 from repro.obs import runtime as obs_runtime
@@ -91,6 +101,9 @@ class EntryOutcome:
     #: refutation-sweep verdicts published during the experiment
     #: (repro.analysis.refute Verdict.as_dict payloads)
     assumption_verdicts: list = field(default_factory=list)
+    #: ids of the experiments whose outcomes this one reused instead of
+    #: running them again (see :func:`repro.experiments.base.reuse`)
+    reused: list = field(default_factory=list)
 
 
 def _execute(
@@ -112,6 +125,7 @@ def _execute(
 
     fabric.drain_failures()  # start this experiment with a clean slate
     lint_gate.drain_reports()
+    base.drain_reused()
     writer = None
     if stream_dir is not None:
         writer = JsonlStreamWriter(
@@ -155,6 +169,7 @@ def _execute(
         alert_specs=list(collector.alert_specs),
         result_metrics=result_metrics,
         assumption_verdicts=list(collector.assumption_verdicts),
+        reused=base.drain_reused(),
     )
 
 
@@ -171,7 +186,7 @@ def _emit(
         capture_traces=trace_dir is not None, label=outcome.exp_id
     )
     collector.merge_records(outcome.records, keep_traces=trace_dir is not None)
-    collector.alert_specs = list(getattr(outcome, "alert_specs", []) or [])
+    collector.alert_specs = list(outcome.alert_specs)
 
     record: dict[str, Any] = {
         "id": outcome.exp_id,
@@ -200,9 +215,8 @@ def _emit(
         from repro.analysis.tree import classify_named_counts
 
         analysis_block["classification"] = classify_named_counts(counts)
-    verdicts = getattr(outcome, "assumption_verdicts", None) or []
-    if verdicts:
-        analysis_block["assumptions"] = list(verdicts)
+    if outcome.assumption_verdicts:
+        analysis_block["assumptions"] = list(outcome.assumption_verdicts)
     if analysis_block:
         record["analysis"] = analysis_block
     fingerprints = [r.fingerprint for r in collector.records if r.fingerprint]
@@ -217,21 +231,21 @@ def _emit(
     alerts = collector.alerts_summary()
     if alerts is not None:
         record["alerts"] = alerts
-    result_metrics = getattr(outcome, "result_metrics", None)
-    if result_metrics:
+    if outcome.result_metrics:
         # The experiment's headline claims (distinct from the engine-run
         # "metrics" aggregate above) — what smoke checks assert against.
-        record["result_metrics"] = result_metrics
-    if getattr(outcome, "stream", None) is not None:
+        record["result_metrics"] = outcome.result_metrics
+    if outcome.stream is not None:
         record["stream"] = outcome.stream
     if outcome.cached:
         record["cached"] = True
-    lint_reports = getattr(outcome, "lint_reports", [])
-    if lint_reports:
+    if outcome.reused:
+        record["reused"] = outcome.reused
+    if outcome.lint_reports:
         record["lint"] = {
-            "gated_batches": len(lint_reports),
-            "programs": sum(r.get("n_jobs", 0) for r in lint_reports),
-            "reports": lint_reports,
+            "gated_batches": len(outcome.lint_reports),
+            "programs": sum(r.get("n_jobs", 0) for r in outcome.lint_reports),
+            "reports": outcome.lint_reports,
         }
     if outcome.job_failures:
         record["job_failures"] = outcome.job_failures
@@ -293,7 +307,10 @@ def run_entries(
     Experiments run one after another in this process; ``jobs`` is the
     width of the fabric's process-per-job pool their runs fan out over.
     ``cache`` replays previously simulated experiments/runs; tracing
-    bypasses it so trace files always reflect a real execution.
+    bypasses it so trace files always reflect a real execution. Clean
+    outcomes (no error, no job failures) are shared with later
+    experiments through :func:`repro.experiments.base.reuse` for the
+    length of the call, under the cache's bypass rule.
     ``keep_going`` lets sweeps continue past dead/hung workers and reports
     them as structured job failures in the manifest (otherwise the current
     fabric failure policy holds). ``lint_mode`` ("off", "on", "strict")
@@ -311,15 +328,13 @@ def run_entries(
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     capture_traces = trace_dir is not None
-    # The lint gate must observe every fabric dispatch, so an armed gate
-    # bypasses the experiment-level cache (a replayed experiment dispatches
-    # nothing). Run-level caching stays on: run_many gates before serving.
-    # Streaming bypasses it too: stream files must reflect a real execution.
-    use_cache = (
-        cache
-        if not capture_traces and lint_mode == "off" and stream_dir is None
-        else None
-    )
+    # A replayed (cached) or reused outcome dispatches nothing, so neither
+    # may stand in for an execution that must be observed: the lint gate
+    # must see every fabric dispatch, and trace and stream files must
+    # reflect a real execution. Run-level caching stays on: run_many gates
+    # before serving.
+    replayable = not capture_traces and lint_mode == "off" and stream_dir is None
+    use_cache = cache if replayable else None
     if stream_dir is not None:
         # A previous run killed mid-stream (per-job --timeout, ^C) leaves
         # stream dirs whose manifests never closed; clear them before new
@@ -352,17 +367,16 @@ def run_entries(
                 outcome = _execute(
                     entry, quick, capture_traces, window_spec, stream_dir
                 )
-                # Partial results (fabric job failures) must never be
-                # cached: a replay would hide the failure and serve
-                # incomplete data.
-                if (
-                    use_cache is not None
-                    and outcome.error is None
-                    and not outcome.job_failures
-                ):
+            # Partial results (fabric job failures) must never be cached
+            # or reused: a replay would hide the failure and serve
+            # incomplete data.
+            if replayable and outcome.error is None and not outcome.job_failures:
+                if use_cache is not None and not outcome.cached:
                     use_cache.put(key, outcome)
+                base.outcomes[(entry.exp_id, quick)] = outcome
             outcomes.append(outcome)
     finally:
+        base.outcomes.clear()
         fabric.configure(
             jobs=prev_jobs,
             cache=prev_cache,

@@ -146,6 +146,18 @@ def check_pooled_blocks(manifests: Manifests) -> list[str]:
     return problems
 
 
+def check_reuse(manifests: Manifests) -> list[str]:
+    """E12 reuses the E1/E3/E6/E8 outcomes of the cold leg's sweep, and
+    reuses nothing under the serial leg's lint gate."""
+    problems = []
+    reused = _exp(manifests["cold"], "E12").get("reused")
+    if reused != ["E1", "E3", "E6", "E8"]:
+        problems.append(f"cold E12 reused {reused!r}, not E1/E3/E6/E8")
+    if "reused" in _exp(manifests["serial"], "E12"):
+        problems.append("E12 reused outcomes under the serial leg's lint gate")
+    return problems
+
+
 def check_refutation(manifests: Manifests) -> list[str]:
     """E21 judged every declared assumption and refuted at least one
     with a concrete counterexample configuration."""
@@ -372,6 +384,7 @@ CHECKS: tuple[Callable[[Manifests], list[str]], ...] = (
     check_summaries,
     check_fingerprints,
     check_pooled_blocks,
+    check_reuse,
     check_refutation,
     check_classification,
     check_alert_placement,

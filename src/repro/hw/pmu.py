@@ -205,38 +205,6 @@ class Pmu:
                 best = d
         return best
 
-    def overflow_crossings(
-        self,
-        rates: EventRates,
-        domain: Domain,
-        start: int,
-        end: int,
-    ) -> list[tuple[int, int]]:
-        """All counter-overflow crossings in the phase-relative window
-        ``(start, end]``, as ``(phase_cycle, counter_index)`` pairs sorted by
-        crossing time (ties by index).
-
-        Generalizes :meth:`cycles_to_next_overflow` from "first crossing"
-        to "every crossing in a window", which is what the macro-stepping
-        fast path needs to prove a batched jump contains none (or to locate
-        them all if it did).
-        """
-        crossings: list[tuple[int, int]] = []
-        for index, ctr, ppm, _mask in self.plan_entry(rates, domain)[1]:
-            needed = ctr.events_until_overflow()
-            threshold = ctr.threshold
-            while True:
-                d = cycles_until_count(start, ppm, needed)
-                if d is None:
-                    break
-                at = start + d
-                if at > end:
-                    break
-                crossings.append((at, index))
-                needed += threshold
-        crossings.sort()
-        return crossings
-
     def pending_overflow_indices(self) -> list[int]:
         """Counters with latched, unserviced overflows."""
         return [i for i, c in enumerate(self.counters) if c.overflow_pending]

@@ -269,12 +269,6 @@ def write_perfetto(
     return doc
 
 
-def result_runs(result, label: str = "run"):
-    """The ``runs`` entry for :func:`write_perfetto` from one RunResult."""
-    names = {tid: t.name for tid, t in result.threads.items()}
-    return (label, list(result.trace), result.config.machine.frequency, names)
-
-
 # -- summaries ---------------------------------------------------------------
 
 

@@ -81,6 +81,20 @@ def test_blocks_differing_serial_vs_pooled_runs_are_reported():
     ]
 
 
+def test_reuse_missing_from_cold_or_leaking_into_serial_is_reported():
+    reused = {"id": "E12", "reused": ["E1", "E3", "E6", "E8"]}
+    legs = _legs(serial=[{"id": "E12"}], cold=[reused])
+    assert smoke.check_reuse(legs) == []
+
+    legs, record = _broken(legs, "cold", "E12")
+    del record["reused"]
+    legs["serial"] = _manifest(reused)
+    assert smoke.check_reuse(legs) == [
+        "cold E12 reused None, not E1/E3/E6/E8",
+        "E12 reused outcomes under the serial leg's lint gate",
+    ]
+
+
 def _cache_legs():
     cold = {
         "hits": 4, "misses": 66, "stores": 66, "errors": 0,
