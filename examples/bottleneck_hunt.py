@@ -4,8 +4,8 @@ as a script.
 
 Measures four SPEC-like kernels and two server workloads with precise
 counters and prints, for each, the top-down bottleneck classification
-(retiring vs stalled, then memory / L2 / branch / TLB / NUMA / other stall)
-under one line of measured CPI, kernel and lock shares.
+(stalled vs retiring, by the measured stall fraction) under one line of
+measured CPI, kernel and lock shares.
 
 Run:  python examples/bottleneck_hunt.py
 """

@@ -419,27 +419,6 @@ class _ExprChecker:
         ]
         poisoned = any(a.poisoned for a in args)
         may_undef = any(a.may_undef for a in args)
-        if node.func == "penalty":
-            count, weight = args
-            if not weight.const and not weight.poisoned:
-                self.finding(
-                    "AN010",
-                    ERROR,
-                    node,
-                    "penalty() weight must be a literal constant "
-                    "(cycles per event occurrence)",
-                    fix_hint="inline the penalty as a number: "
-                    "penalty(<event>, <cycles per occurrence>)",
-                )
-                return _POISON
-            return Static(
-                kind="num",
-                unit=Unit.base("cycles"),
-                interval=count.interval.mul(weight.interval),
-                may_undef=may_undef,
-                const=False,
-                poisoned=poisoned,
-            )
         if node.func == "ratio":
             num, den = args
             unit = (

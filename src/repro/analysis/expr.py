@@ -21,9 +21,7 @@ Grammar (see docs/analysis.md for the full catalog):
 * functions: ``ratio(a, b)`` (guarded division: undefined when ``b`` is
   zero), ``per_kilo_insn(x)`` (``1000*x`` per instruction, guarded),
   ``guard(x, default)`` (replaces an undefined value), ``min(a, b)``,
-  ``max(a, b)``, ``penalty(count, cycles_each)`` (count times a literal
-  cycles-per-event weight; the unit-sound spelling of a CPI-stack term —
-  the result carries the ``cycles`` unit).
+  ``max(a, b)``.
 
 Values are ``float | bool | None``: ``None`` is *undefined* (a division
 with a zero denominator, or a metric over counts that were never
@@ -264,7 +262,6 @@ FUNCTIONS: dict[str, int] = {
     "guard": 2,
     "min": 2,
     "max": 2,
-    "penalty": 2,
 }
 
 
@@ -617,8 +614,6 @@ def evaluate(
         nums = [v for v in values if v is not None]
         if node.func == "ratio":
             return None if nums[1] == 0.0 else nums[0] / nums[1]
-        if node.func == "penalty":
-            return nums[0] * nums[1]
         if node.func == "per_kilo_insn":
             insn = env.get(Event.INSTRUCTIONS.value)
             if insn is None or float(insn) == 0.0:

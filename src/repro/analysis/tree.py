@@ -8,14 +8,14 @@ descended — shallow metrics stay cheap, detail appears only where it
 matters. This module brings that discipline to the Nehalem-like model:
 the tree is *declared* (node expressions in the :mod:`repro.analysis.expr`
 DSL, statically validated by :mod:`repro.analysis.check`), not hard-coded
-Python, and it is the package's only bottleneck model: its ``penalty``
-weights are the only cycle-attribution weights in the package.
+Python, and it is the package's only bottleneck model. Every node value
+is a measured count ratio; the tree attributes no cycles by assumed
+per-event weights.
 
 Partition semantics (rule AN006): every non-leaf node has exactly one
 *residual* child (``expr=None``) whose value is the parent minus its
-siblings, so children always sum to the parent by construction. Sibling
-estimates are penalty-weighted miss counts; when latency overlap makes
-their raw sum overshoot the measured parent they are rescaled
+siblings, so children always sum to the parent by construction. When
+sibling estimates overshoot the measured parent they are rescaled
 proportionally (documented attribution, deterministic and
 order-independent), and negatives clamp to zero.
 
@@ -85,55 +85,11 @@ STANDARD_METRICS: dict[str, str] = {
 def _nehalem_topdown() -> MetricTree:
     """The shipped top-down tree for the Nehalem-like model.
 
-    Level 1 splits cycles into stalled vs retiring by the measured
-    STALL_CYCLES fraction. Level 2 attributes the stalled share across
-    miss sources, each count weighted by an approximate Nehalem-class
-    cycle penalty (the literal ``penalty`` weights below); what those
-    estimates cannot explain stays in the ``other_stall`` residual.
+    One level: cycles split into stalled vs retiring by the measured
+    STALL_CYCLES fraction. The simulator sets a workload's stall fraction
+    independently of its miss rates, so miss counts cannot say which
+    source the stalls came from, and the tree does not break them down.
     """
-    stalled_children = (
-        MetricNode(
-            name="memory_bound",
-            expr="ratio(penalty(llc_misses, 180.0), cycles)",
-            doc="LLC misses served from local DRAM",
-            implication="reduce working set or improve locality; consider "
-            "software prefetch (LLC miss penalty dominates)",
-        ),
-        MetricNode(
-            name="l2_bound",
-            expr="ratio(penalty(l2_misses, 28.0), cycles)",
-            doc="L2 misses that hit in the LLC",
-            implication="tile/block for the L2; the working set spills one "
-            "level, not to memory",
-        ),
-        MetricNode(
-            name="branch_resteer",
-            expr="ratio(penalty(branch_misses, 16.0), cycles)",
-            doc="pipeline refills after mispredictions",
-            implication="straighten hot control flow or hint unpredictable "
-            "branches",
-        ),
-        MetricNode(
-            name="tlb_bound",
-            expr="ratio(penalty(dtlb_misses + itlb_misses, 30.0), cycles)",
-            doc="page walks",
-            implication="use huge pages or compact the page working set",
-        ),
-        MetricNode(
-            name="numa_bound",
-            expr="ratio(penalty(remote_accesses, 120.0), cycles)",
-            doc="cross-socket memory accesses",
-            implication="pin threads near their data; remote DRAM costs "
-            "~2x local",
-        ),
-        MetricNode(
-            name="other_stall",
-            expr=None,
-            doc="stalls the penalty model cannot attribute",
-            implication="profile dependencies/ports: stalls not explained "
-            "by cache, branch, TLB or NUMA events",
-        ),
-    )
     root = MetricNode(
         name="cycles",
         expr=None,
@@ -143,9 +99,9 @@ def _nehalem_topdown() -> MetricTree:
                 name="stalled",
                 expr="$stall_fraction",
                 doc="cycles with no uop issued",
-                implication="the machine waits more than it works; descend "
-                "into the stall breakdown",
-                children=stalled_children,
+                implication="the machine waits more than it works; find "
+                "the latency source (memory, branches, TLB, dependencies) "
+                "with a targeted profile: the stall count does not name it",
             ),
             MetricNode(
                 name="retiring",

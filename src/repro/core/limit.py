@@ -196,27 +196,6 @@ class LimitSession:
         end = yield from self.read(ctx, i)
         return end - start, result
 
-    def measure_all(
-        self,
-        ctx: ThreadContext,
-        body: Generator[Any, Any, Any],
-    ) -> Generator[Any, Any, tuple[dict[Event, int], Any]]:
-        """Measure ``body`` across every counter of the session at once.
-
-        Returns ``({event: delta}, body_result)``. Like :meth:`delta`, each
-        counter's delta includes one read's worth of in-band overhead (the
-        calibrated ``limit_delta_overhead`` constant, scaled by position in
-        the read batch for multi-counter sessions).
-        """
-        start = yield from self.read_all(ctx)
-        result = yield from body
-        end = yield from self.read_all(ctx)
-        deltas = {
-            spec.event: e - s
-            for spec, s, e in zip(self.specs, start, end)
-        }
-        return deltas, result
-
     # -- post-run record access -----------------------------------------------
 
     def records_for(self, tid: int) -> list[ReadRecord]:

@@ -187,7 +187,7 @@ class RunCollector:
         Per-window detail evicted before the record reached us lives only
         in its ``spilled`` aggregate — exported as an index ``-1`` window
         so stream totals still reconcile exactly."""
-        stats = getattr(record, "windows", None)
+        stats = record.windows
         if stats is None:
             return
         if self.stream is not None and not record.windows_streamed:
@@ -394,16 +394,14 @@ class RunCollector:
 
     def counts_total(self) -> dict[str, int] | None:
         """Ground-truth event totals across every run in this scope, or
-        None when no record carries counts (records adopted from an older
-        cache entry predating the field)."""
+        None when no record carries counts."""
         totals: dict[str, int] = {}
         seen = False
         for r in self.records:
-            counts = getattr(r, "counts", None)
-            if not counts:
+            if not r.counts:
                 continue
             seen = True
-            for name, n in counts.items():
+            for name, n in r.counts.items():
                 totals[name] = totals.get(name, 0) + n
         return dict(sorted(totals.items())) if seen else None
 

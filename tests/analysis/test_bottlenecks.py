@@ -45,7 +45,7 @@ class TestDiagnose:
             yield Compute(2_000_000, MEMORY_BOUND)
 
         result = run_threads(uniprocessor, program)
-        assert classify_result(result)["path"] == "stalled/memory_bound"
+        assert classify_result(result)["path"] == "stalled"
         assert metric("cpi", result) > 2.0
 
     def test_compute_bound_identified(self, uniprocessor):
@@ -87,9 +87,7 @@ class TestDiagnose:
             yield Compute(500_000, COMPUTE_BOUND)
 
         result = run_threads(quad_core, mem, cpu, names=["m:0", "c:0"])
-        assert classify_result(result, prefix="m:")["path"] == (
-            "stalled/memory_bound"
-        )
+        assert classify_result(result, prefix="m:")["path"] == "stalled"
         assert classify_result(result, prefix="c:")["path"] == "retiring"
 
     def test_prefix_classifies_the_groups_merged_counts(self, quad_core):
@@ -109,7 +107,7 @@ class TestDiagnose:
                     merged[event] = merged.get(event, 0) + n
         cls = classify_result(result, prefix="m:")
         assert cls == classify_counts(merged)
-        assert len(cls["levels"]) == 2
+        assert len(cls["levels"]) == 1
         assert_levels_partition(cls)
 
     def test_unknown_prefix_raises(self, uniprocessor):
@@ -130,8 +128,7 @@ class TestDiagnose:
             assert shares[level["dominant"]] == max(shares.values())
 
     def test_spec_stalled_share_is_the_measured_stall_fraction(self):
-        """The tree fits its penalty estimates inside the measured stall
-        share, so no attribution can exceed what the counters saw; and the
+        """The stalled share is exactly what the counters saw, and the
         verdict is the one the runner records in manifests."""
         config = SimConfig(machine=MachineConfig(n_cores=4), seed=0)
         with obs_runtime.collect() as collector:
@@ -155,5 +152,5 @@ class TestDescribe:
         text = bottleneck_report(result)
         assert text.startswith("CPI ")
         assert "top-down classification" in text
-        assert "stalled/memory_bound" in text
+        assert "nehalem model): stalled\n" in text
         assert "implication:" in text

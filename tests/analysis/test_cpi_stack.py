@@ -39,11 +39,12 @@ class TestBuildCpiStack:
                 Event.CYCLES: 100_000,
                 Event.INSTRUCTIONS: 10_000,
                 Event.STALL_CYCLES: 80_000,
-                Event.LLC_MISSES: 400,      # 72k
-                Event.BRANCH_MISSES: 100,   # 1.6k
+                Event.LLC_MISSES: 400,
+                Event.BRANCH_MISSES: 100,
             }
         )
-        assert cls["path"] == "stalled/memory_bound"
+        assert cls["path"] == "stalled"
+        assert cls["levels"][0]["share"] == pytest.approx(0.8)
 
     def test_dominant_base_when_no_misses(self):
         cls = classify_counts({Event.CYCLES: 1_000, Event.INSTRUCTIONS: 900})
@@ -52,7 +53,7 @@ class TestBuildCpiStack:
 
 class TestThreadCpiStack:
     def test_from_run(self, uniprocessor):
-        # the tree splits only the stalls the run measured
+        # the stalled share is the stall fraction the run measured
         rates = EventRates.profile(ipc=0.5, llc_mpki=20.0, stall_frac=0.6)
 
         def program(ctx):
@@ -61,7 +62,7 @@ class TestThreadCpiStack:
         result = run_threads(uniprocessor, program)
         user = result.thread_by_name("t0").events_user
         assert cpi(user) == pytest.approx(2.0, rel=0.01)
-        assert classify_counts(user)["path"] == "stalled/memory_bound"
+        assert classify_counts(user)["path"] == "stalled"
 
     def test_domain_selection(self, uniprocessor):
         def program(ctx):

@@ -73,9 +73,6 @@ class TestEvaluate:
         assert ev("per_kilo_insn(llc_misses)") == pytest.approx(2.0)
         assert ev("per_kilo_insn(llc_misses)", {"llc_misses": 5.0}) is None
 
-    def test_penalty_scales_counts(self):
-        assert ev("penalty(llc_misses, 180.0)") == 3_000.0 * 180.0
-
     def test_min_max(self):
         assert ev("min(cycles, instructions)") == 1_000_000.0
         assert ev("max(cycles, instructions)") == 1_500_000.0

@@ -5,6 +5,8 @@ import pytest
 from repro.analysis.check import check_tree
 from repro.analysis.tree import (
     STANDARD_METRICS,
+    MetricNode,
+    MetricTree,
     classify_named_counts,
     classify_result,
     counts_from_result,
@@ -16,7 +18,7 @@ from repro.hw.events import Event, EventRates
 from repro.sim.engine import Engine
 from repro.workloads.synthetic import ContentionConfig, ContentionWorkload
 
-#: A memory-bound count vector: 60% stalled, LLC penalties dominating.
+#: A memory-bound count vector: 60% stalled, with heavy LLC misses.
 MEM_COUNTS = {
     "cycles": 1_000_000,
     "instructions": 600_000,
@@ -49,11 +51,15 @@ class TestTreeShape:
 
 
 class TestClassification:
-    def test_memory_bound_counts_descend_to_memory_bound(self):
+    def test_stall_dominated_counts_stop_at_stalled(self):
+        # however many LLC misses the run took, the measured stall
+        # fraction is the whole verdict: there is no level below stalled
         cls = classify_named_counts(MEM_COUNTS)
-        assert cls["path"] == "stalled/memory_bound"
+        assert cls["path"] == "stalled"
+        assert len(cls["levels"]) == 1
+        assert cls["levels"][0]["share"] == pytest.approx(0.6)
         assert cls["tree"] == "topdown"
-        assert "locality" in cls["implication"]
+        assert "latency" in cls["implication"]
 
     def test_shares_partition_each_level(self):
         # shares are fractions of *total* cycles: level 1 sums to 1, and
@@ -83,38 +89,49 @@ class TestClassification:
         )
         assert cls["path"] == "retiring"
 
-    def test_penalty_estimates_attribute_the_stalled_share(self):
-        # 300 LLC misses at 180 cycles each: 54% of all cycles
-        cls = classify_named_counts(
-            {"cycles": 100_000, "instructions": 50_000,
-             "stall_cycles": 60_000, "llc_misses": 300}
-        )
-        assert cls["path"] == "stalled/memory_bound"
-        stall = cls["levels"][1]["shares"]
-        assert stall["memory_bound"] == pytest.approx(0.54)
-        assert stall["other_stall"] == pytest.approx(0.06)
-
     def test_overshooting_estimates_rescale_to_the_stalled_share(self):
-        # 1,000 LLC misses would explain 180x the cycles the run measured
-        cls = classify_named_counts(
-            {"cycles": 1_000, "instructions": 100, "stall_cycles": 900,
-             "llc_misses": 1_000, "branch_misses": 10}
+        # two estimates whose raw sum (1.5) overshoots the stalled share
+        # (0.9) both shrink by the same factor; the residual gets nothing
+        tree = MetricTree(
+            name="split",
+            model="nehalem",
+            root=MetricNode(
+                name="cycles",
+                expr=None,
+                children=(
+                    MetricNode(
+                        name="stalled",
+                        expr="ratio(stall_cycles, cycles)",
+                        children=(
+                            MetricNode(
+                                "a", "ratio(llc_misses, llc_references)"
+                            ),
+                            MetricNode("b", "ratio(l2_misses, l1d_misses)"),
+                            MetricNode("rest", None),
+                        ),
+                    ),
+                    MetricNode(name="retiring", expr=None),
+                ),
+            ),
+            metrics={},
         )
+        assert not check_tree(tree).findings
+        cls = classify_named_counts(
+            {"cycles": 1_000, "stall_cycles": 900, "llc_misses": 900,
+             "llc_references": 1_000, "l2_misses": 600, "l1d_misses": 1_000},
+            tree,
+        )
+        assert cls["path"] == "stalled/a"
         stall = cls["levels"][1]["shares"]
         assert sum(stall.values()) == pytest.approx(0.9)
-        assert stall["other_stall"] == 0.0
-        # both estimates shrink by the same factor, 0.9 / 180.16
-        assert stall["memory_bound"] == pytest.approx(
-            0.9 * 180_000 / 180_160, abs=1e-6
-        )
-        assert stall["branch_resteer"] == pytest.approx(
-            0.9 * 160 / 180_160, abs=1e-6
-        )
+        assert stall["rest"] == 0.0
+        assert stall["a"] == pytest.approx(0.9 * 0.9 / 1.5)
+        assert stall["b"] == pytest.approx(0.9 * 0.6 / 1.5)
 
     def test_implications_report_names_the_path(self):
         report = implications_report(classify_named_counts(MEM_COUNTS))
-        assert "stalled/memory_bound" in report
-        assert "locality" in report
+        assert "nehalem model): stalled\n" in report
+        assert "latency" in report
 
 
 class TestFromResults:

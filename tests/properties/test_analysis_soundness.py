@@ -47,7 +47,6 @@ def _compose(children: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
         pair.map(lambda ab: f"min({ab[0]}, {ab[1]})"),
         pair.map(lambda ab: f"max({ab[0]}, {ab[1]})"),
         children.map(lambda a: f"per_kilo_insn({a})"),
-        children.map(lambda a: f"penalty({a}, 42.0)"),
         children.map(lambda a: f"-({a})"),
     )
 

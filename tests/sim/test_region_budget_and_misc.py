@@ -3,8 +3,7 @@
 import dataclasses
 
 from repro.common.config import MachineConfig, SimConfig
-from repro.core.limit import LimitSession
-from repro.hw.events import Event, EventRates
+from repro.hw.events import EventRates
 from repro.sim.ops import Compute, RegionBegin, RegionEnd
 from repro.sim.program import ThreadSpec
 from repro.sim.engine import run_program
@@ -54,26 +53,3 @@ class TestRegionLogBudget:
         )
         assert logged == 8
 
-
-class TestMeasureAll:
-    def test_dict_of_exact_deltas(self):
-        session = LimitSession([Event.CYCLES, Event.INSTRUCTIONS])
-        got = {}
-
-        def body():
-            yield Compute(40_000, RATES)
-
-        def program(ctx):
-            yield from session.setup(ctx)
-            deltas, result = yield from session.measure_all(ctx, body())
-            got["deltas"] = deltas
-            got["result"] = result
-
-        run_program(
-            [ThreadSpec("t", program)],
-            SimConfig(machine=MachineConfig(n_cores=1)),
-        )
-        assert got["result"] is None
-        assert 40_000 <= got["deltas"][Event.CYCLES] <= 41_000
-        assert 40_000 <= got["deltas"][Event.INSTRUCTIONS] <= 41_000
-        assert session.max_abs_error() == 0
