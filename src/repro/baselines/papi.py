@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Iterable
 
-from repro.core.limit import LimitSession, ReadRecord, _as_spec
+from repro.core.limit import LimitSession, _as_spec
 from repro.hw.events import Event, LIBRARY_RATES
 from repro.kernel.vpmu import SlotSpec
 from repro.sim.ops import Compute, Syscall
@@ -80,14 +80,6 @@ class PapiLikeSession(LimitSession):
     ) -> None:
         thread = ctx.thread()
         truth = thread.last_kernel_read_truth.get(idx, 0)
-        self.records.append(
-            ReadRecord(
-                tid=ctx.tid,
-                time=ctx.now(),
-                slot=idx,
-                event=self.specs[i].event,
-                value=value,
-                truth=truth,
-                protocol="papi",
-            )
+        self.records.add(
+            ctx.tid, ctx.now(), idx, self.specs[i].event, value, truth, "papi"
         )

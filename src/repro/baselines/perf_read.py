@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Iterable
 
-from repro.core.limit import ReadRecord
+from repro.core.limit import ReadLog
 from repro.common.errors import SessionError
 from repro.hw.events import Event
 from repro.sim.ops import Syscall
@@ -35,7 +35,7 @@ class PerfReadSession:
         self.count_kernel = count_kernel
         #: per-thread fd list, same order as events
         self.fds: dict[int, list[int]] = {}
-        self.records: list[ReadRecord] = []
+        self.records = ReadLog()
 
     def setup(self, ctx: ThreadContext) -> Generator[Any, Any, None]:
         if ctx.tid in self.fds:
@@ -66,16 +66,8 @@ class PerfReadSession:
         engine = ctx._engine
         slot = engine.perf.get(fds[i]).slot
         truth = thread.last_kernel_read_truth.get(slot, 0)
-        self.records.append(
-            ReadRecord(
-                tid=ctx.tid,
-                time=ctx.now(),
-                slot=slot,
-                event=self.events[i],
-                value=value,
-                truth=truth,
-                protocol="perf_read",
-            )
+        self.records.add(
+            ctx.tid, ctx.now(), slot, self.events[i], value, truth, "perf_read"
         )
         return value
 
@@ -86,10 +78,10 @@ class PerfReadSession:
         return values
 
     def errors(self) -> list[int]:
-        return [r.error for r in self.records]
+        return self.records.errors()
 
     def max_abs_error(self) -> int:
-        return max((abs(e) for e in self.errors()), default=0)
+        return self.records.max_abs_error()
 
     def _fds(self, ctx: ThreadContext) -> list[int]:
         try:

@@ -20,7 +20,10 @@ Typical use inside a thread program::
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, NamedTuple, Sequence
+from array import array
+from collections.abc import Sequence
+from operator import eq, sub
+from typing import Any, Callable, Generator, Iterable, Iterator, NamedTuple, overload
 
 from repro.common.errors import SessionError
 from repro.core.read_protocol import destructive_read
@@ -33,8 +36,8 @@ from repro.sim.program import ThreadContext
 class ReadRecord(NamedTuple):
     """One counter read as observed by the tool, plus ground truth.
 
-    Immutable; a named tuple rather than a frozen dataclass because one is
-    built per read, and positional tuple construction costs a third as much.
+    Immutable. Sessions do not keep these: a :class:`ReadLog` stores each
+    read in columns, at about 42 bytes, and builds the record on access.
     """
 
     tid: int
@@ -43,11 +46,134 @@ class ReadRecord(NamedTuple):
     event: Event
     value: int           #: what the tool saw
     truth: int           #: exact count at the rdpmc instant (engine ground truth)
-    protocol: str        #: 'safe' | 'unsafe' | 'destructive'
+    protocol: str        #: 'safe' | 'unsafe' | 'destructive' | 'papi' | 'perf_read'
 
     @property
     def error(self) -> int:
         return self.value - self.truth
+
+
+class ReadLog(Sequence[ReadRecord]):
+    """A session's read records, stored column by column.
+
+    ``tid``, ``time``, ``slot``, ``value`` and ``truth`` are unsigned 64-bit
+    arrays; ``event`` and ``protocol`` are one-byte indices into tables kept
+    per log. A read costs about 42 bytes, where a :class:`ReadRecord` tuple
+    of boxed ints cost 220. A field outside ``[0, 2**64)`` raises
+    ``OverflowError`` and the log is left as it was.
+
+    A read-only sequence of records: ``len``, indexing, slicing (a list)
+    and iteration build :class:`ReadRecord` s on access, and ``==``
+    compares with any sequence of records.
+    """
+
+    __slots__ = (
+        "_tid", "_time", "_slot", "_event", "_value", "_truth", "_protocol",
+        "_events", "_event_ids", "_protocols", "_protocol_ids",
+    )
+
+    def __init__(self) -> None:
+        self._tid = array("Q")
+        self._time = array("Q")
+        self._slot = array("Q")
+        self._event = array("B")
+        self._value = array("Q")
+        self._truth = array("Q")
+        self._protocol = array("B")
+        self._events: list[Event] = []
+        self._event_ids: dict[Event, int] = {}
+        self._protocols: list[str] = []
+        self._protocol_ids: dict[str, int] = {}
+
+    def add(
+        self,
+        tid: int,
+        time: int,
+        slot: int,
+        event: Event,
+        value: int,
+        truth: int,
+        protocol: str,
+    ) -> None:
+        """Append one read."""
+        event_id = self._event_ids.get(event)
+        if event_id is None:
+            event_id = self._event_ids[event] = len(self._events)
+            self._events.append(event)
+        protocol_id = self._protocol_ids.get(protocol)
+        if protocol_id is None:
+            protocol_id = self._protocol_ids[protocol] = len(self._protocols)
+            self._protocols.append(protocol)
+        n = len(self._tid)
+        try:
+            self._tid.append(tid)
+            self._time.append(time)
+            self._slot.append(slot)
+            self._event.append(event_id)
+            self._value.append(value)
+            self._truth.append(truth)
+            self._protocol.append(protocol_id)
+        except (OverflowError, TypeError):
+            for column in (
+                self._tid, self._time, self._slot, self._event,
+                self._value, self._truth, self._protocol,
+            ):
+                del column[n:]
+            raise
+
+    def _record(self, i: int) -> ReadRecord:
+        return ReadRecord(
+            self._tid[i],
+            self._time[i],
+            self._slot[i],
+            self._events[self._event[i]],
+            self._value[i],
+            self._truth[i],
+            self._protocols[self._protocol[i]],
+        )
+
+    def __len__(self) -> int:
+        return len(self._tid)
+
+    @overload
+    def __getitem__(self, index: int) -> ReadRecord: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[ReadRecord]: ...
+
+    def __getitem__(self, index: int | slice) -> ReadRecord | list[ReadRecord]:
+        if isinstance(index, slice):
+            return [self._record(i) for i in range(*index.indices(len(self)))]
+        return self._record(index)
+
+    def __iter__(self) -> Iterator[ReadRecord]:
+        return map(
+            ReadRecord,
+            self._tid,
+            self._time,
+            self._slot,
+            map(self._events.__getitem__, self._event),
+            self._value,
+            self._truth,
+            map(self._protocols.__getitem__, self._protocol),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    # -- queries over the columns ---------------------------------------------
+
+    def records_for(self, tid: int) -> list[ReadRecord]:
+        return [self._record(i) for i, t in enumerate(self._tid) if t == tid]
+
+    def errors(self) -> list[int]:
+        """Signed value-minus-truth error of every read."""
+        return list(map(sub, self._value, self._truth))
+
+    def max_abs_error(self) -> int:
+        return max(map(abs, map(sub, self._value, self._truth)), default=0)
 
 
 #: Read protocols a session's ``default_protocol`` may name; each has a
@@ -110,7 +236,7 @@ class LimitSession:
         #: setup() and yielded by every such read (ops are immutable)
         self._safe_ops: dict[int, tuple[_ReadOp, ...]] = {}
         self._unsafe_ops: dict[int, tuple[_ReadOp, ...]] = {}
-        self.records: list[ReadRecord] = []
+        self.records = ReadLog()
 
     # -- lifecycle (generators; use with `yield from`) ----------------------
 
@@ -199,14 +325,14 @@ class LimitSession:
     # -- post-run record access -----------------------------------------------
 
     def records_for(self, tid: int) -> list[ReadRecord]:
-        return [r for r in self.records if r.tid == tid]
+        return self.records.records_for(tid)
 
     def errors(self) -> list[int]:
         """Signed value-minus-truth error of every recorded read."""
-        return [r.error for r in self.records]
+        return self.records.errors()
 
     def max_abs_error(self) -> int:
-        return max((abs(e) for e in self.errors()), default=0)
+        return self.records.max_abs_error()
 
     # -- internals -----------------------------------------------------------
 
@@ -246,16 +372,14 @@ class LimitSession:
         self, ctx: ThreadContext, idx: int, i: int, value: int, protocol: str
     ) -> None:
         truth = ctx.thread().last_rdpmc_truth
-        self.records.append(
-            ReadRecord(
-                ctx.tid,
-                ctx.now(),
-                idx,
-                self.specs[i].event,
-                value,
-                truth if truth is not None else 0,
-                protocol,
-            )
+        self.records.add(
+            ctx.tid,
+            ctx.now(),
+            idx,
+            self.specs[i].event,
+            value,
+            truth if truth is not None else 0,
+            protocol,
         )
 
 
@@ -265,12 +389,12 @@ LimitSession._bind_protocol()
 class UnbufferedLimitSession(LimitSession):
     """A LimitSession for production-shaped load: constant-memory audit.
 
-    The base class appends a :class:`ReadRecord` per read — perfect for
-    experiments that audit individual reads, fatal for workloads issuing
-    millions of them. This subclass keeps only O(1) incremental error
-    statistics (count, signed error sum, max absolute error), so read
-    volume never grows session memory. :meth:`max_abs_error` still works;
-    :meth:`errors`/:meth:`records_for` see an empty record list.
+    The base class logs every read in its :class:`ReadLog` — perfect for
+    experiments that audit individual reads, but the log still grows with
+    reads, at about 42 bytes each. This subclass keeps only O(1)
+    incremental error statistics (count, signed error sum, max absolute
+    error), so read volume never grows session memory. :meth:`max_abs_error`
+    still works; :meth:`errors`/:meth:`records_for` see an empty log.
     """
 
     def __init__(

@@ -9,6 +9,11 @@ from repro.common.errors import ConfigError
 from repro.lint.gate import LintError
 
 IPC = {"ipc": "ratio(instructions, cycles)"}
+#: five events, one more than the default PMU co-schedules (AN007)
+FIVE_EVENT_SHARES = (
+    "ratio(llc_misses, cycles) + ratio(l2_misses, cycles) + "
+    "ratio(branch_misses, cycles) + ratio(dtlb_misses, cycles)"
+)
 
 
 def grid_point(label, **coords):
@@ -18,6 +23,27 @@ def grid_point(label, **coords):
         config=SimConfig(),
         coords=coords,
     )
+
+
+def contention_points():
+    """Two real contention-trial runs, at one and two threads."""
+    from repro.experiments.base import multicore_config
+
+    return [
+        GridPoint(
+            label=f"t{n}",
+            workload="repro.experiments.e21_refutation.ContentionTrial",
+            config=multicore_config(n_cores=2, seed=0),
+            kwargs={
+                "threads": n,
+                "profile": "compute",
+                "iterations": 4,
+                "randomize": False,
+            },
+            coords={"threads": n},
+        )
+        for n in (1, 2)
+    ]
 
 
 def env(cycles, instructions):
@@ -216,24 +242,35 @@ class TestSweep:
         with pytest.raises(LintError):
             sweep([bad], [grid_point("p0", threads=1)])
 
-    def test_sweep_runs_the_fabric_and_judges(self):
-        from repro.experiments.base import multicore_config
+    def test_precheck_rejects_warnings_other_than_multiplexing(self):
+        tautology = Assumption(
+            name="vacuous",
+            claim="miss counts are never negative",
+            kind=refute.POINTWISE,
+            predicate="llc_misses + l2_misses + branch_misses + dtlb_misses"
+            " + itlb_misses >= 0.0",
+        )
+        with pytest.raises(LintError, match="AN009") as caught:
+            refute.precheck([tautology])
+        assert "AN007" not in str(caught.value)
 
-        points = [
-            GridPoint(
-                label=f"t{n}",
-                workload="repro.experiments.e21_refutation.ContentionTrial",
-                config=multicore_config(n_cores=2, seed=0),
-                kwargs={
-                    "threads": n,
-                    "profile": "compute",
-                    "iterations": 4,
-                    "randomize": False,
-                },
-                coords={"threads": n},
-            )
-            for n in (1, 2)
-        ]
+    def test_sweep_judges_a_five_event_claim_with_the_check_on(self):
+        """More events than the PMU co-schedules (AN007) is no hazard for
+        a sweep: it judges ground-truth counts, never multiplexed ones."""
+        bound = Assumption(
+            name="miss_shares",
+            claim="the four miss rates sum to at most one per cycle",
+            kind=refute.POINTWISE,
+            predicate="$misses <= 1.0",
+            subject="$misses",
+            metrics={"misses": FIVE_EVENT_SHARES},
+        )
+        result = sweep([bound], contention_points())
+        assert result.points == 2
+        assert result.verdicts[0].verdict == refute.SUPPORTED
+
+    def test_sweep_runs_the_fabric_and_judges(self):
+        points = contention_points()
         bound = Assumption(
             name="bound",
             claim="ipc stays physical",
