@@ -629,6 +629,8 @@ def main(argv: list[str] | None = None) -> int:
                             "quanta_batched",
                             "fast_reads",
                             "whole_syscalls",
+                            "whole_sleeps",
+                            "resumed_exits",
                             "whole_phases",
                             "fastpath_bailouts",
                         )

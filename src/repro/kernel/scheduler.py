@@ -27,7 +27,6 @@ class Scheduler:
             raise SchedulerError("socket_of must cover every core")
         self.runqueues: list[deque[int]] = [deque() for _ in range(n_cores)]
         self._rr_next = 0
-        self.n_enqueues = 0
         self.n_steals = 0
         #: observability hook: called as (thief_core, victim_core, tid) when
         #: a steal happens. Installed by the engine only when tracing, so an
@@ -69,7 +68,6 @@ class Scheduler:
         if not 0 <= core_id < self.n_cores:
             raise SchedulerError(f"bad core id {core_id}")
         self.runqueues[core_id].append(tid)
-        self.n_enqueues += 1
 
     def requeue_front(self, tid: int, core_id: int) -> None:
         """Requeue at the *head* of the core's queue (fault-injection storms:
@@ -79,7 +77,6 @@ class Scheduler:
         if not 0 <= core_id < self.n_cores:
             raise SchedulerError(f"bad core id {core_id}")
         self.runqueues[core_id].appendleft(tid)
-        self.n_enqueues += 1
 
     def pick_next(self, core_id: int) -> int | None:
         """Pop the next thread for this core, stealing if the local queue is

@@ -121,9 +121,6 @@ class VirtualPmu:
     def active_indices(self) -> list[int]:
         return [i for i, s in enumerate(self.slots) if s is not None]
 
-    def n_active(self) -> int:
-        return sum(1 for s in self.slots if s is not None)
-
     def read_accumulator(self, index: int) -> int:
         """The user-page accumulator load (LoadVAccum op semantics)."""
         spec = self.spec(index)

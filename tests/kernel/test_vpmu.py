@@ -71,7 +71,6 @@ class TestAllocation:
         v.allocate(spec())
         v.free(0)
         assert v.active_indices() == [1]
-        assert v.n_active() == 1
 
 
 class TestAccumulatorAccess:

@@ -134,8 +134,8 @@ class TestRunnerManifest:
         # macro-stepping telemetry rides along, per experiment and summed
         macro = exp["macro"]
         for key in ("macro_steps", "quanta_batched", "fast_reads",
-                    "whole_syscalls", "whole_phases", "fastpath_bailouts",
-                    "macro_hit_rate"):
+                    "whole_syscalls", "whole_sleeps", "resumed_exits",
+                    "whole_phases", "fastpath_bailouts", "macro_hit_rate"):
             assert key in macro
         assert isinstance(macro["bailouts"], dict)
         assert 0.0 <= macro["macro_hit_rate"] <= 1.0
@@ -143,6 +143,8 @@ class TestRunnerManifest:
         assert summary_macro["macro_steps"] == macro["macro_steps"]
         assert summary_macro["quanta_batched"] == macro["quanta_batched"]
         assert summary_macro["whole_syscalls"] == macro["whole_syscalls"]
+        assert summary_macro["whole_sleeps"] == macro["whole_sleeps"]
+        assert summary_macro["resumed_exits"] == macro["resumed_exits"]
         assert summary_macro["whole_phases"] == macro["whole_phases"] > 0
         # trace files exist, parse, and agree with the manifest
         files = exp["trace_files"]

@@ -7,8 +7,8 @@ the ones DESIGN.md commits to:
 * LiMiT safe reads exact under arbitrary preemption,
 * lock mutual exclusion and complete accounting,
 * determinism (same seed => same fingerprint),
-* one-piece syscalls and whole user phases equal to the stage machine
-  they shortcut,
+* one-piece syscalls, whole user phases and two-piece sleeps equal to
+  the stage machine they shortcut,
 * the main loop's core heap holding exactly the other unparked cores.
 
 Every iteration makes a ``work`` syscall whose kernel path is empty, short,
@@ -157,6 +157,28 @@ class TestSimulationInvariants:
         fast = run()
         with mock.patch.object(
             Engine, "_try_whole_syscall", lambda *args: False
+        ):
+            staged = run()
+        assert staged == fast
+
+    @given(params=scenario)
+    @settings(max_examples=20, deadline=None)
+    def test_two_piece_sleeps_match_the_stage_machine(self, params):
+        """Whole sleeps and exits resumed in the switch-in piece change
+        nothing simulated: forcing the stage machine gives the same
+        fingerprint and the same LiMiT read records."""
+        params = dict(params, with_sleep=True)
+
+        def run():
+            session = LimitSession([Event.CYCLES], count_kernel=True)
+            result = run_program(build(params, session), config(params))
+            return result.fingerprint(), session.records
+
+        fast = run()
+        with mock.patch.object(
+            Engine, "_try_whole_sleep", lambda *args: False
+        ), mock.patch.object(
+            Engine, "_try_resumed_exit", lambda *args: False
         ):
             staged = run()
         assert staged == fast

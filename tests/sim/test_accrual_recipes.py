@@ -21,8 +21,10 @@ from repro.hw.events import (
 )
 from repro.core.limit import LimitSession
 from repro.kernel.vpmu import SlotSpec
+from repro.sim import base as base_mod
 from repro.sim import engine as engine_mod
-from repro.sim.engine import Engine, _window_recipe
+from repro.sim.base import _window_recipe
+from repro.sim.engine import Engine
 from repro.sim.ops import Compute, Rdpmc, Syscall
 from repro.sim.program import ThreadSpec
 from repro.sim.results import RegionTruth
@@ -140,9 +142,9 @@ def test_recipe_lifecycle_matches_arithmetic(domain):
 
 def test_recipes_per_entry_are_capped():
     engine, thread, core, entry = _setup(Domain.KERNEL, None)
-    for after in range(1, engine_mod._RECIPES_PER_ENTRY + 50):
+    for after in range(1, base_mod._RECIPES_PER_ENTRY + 50):
         engine._account(core, thread, Domain.KERNEL, entry, 0, after)
-        assert len(entry[2]) <= engine_mod._RECIPES_PER_ENTRY
+        assert len(entry[2]) <= base_mod._RECIPES_PER_ENTRY
 
 
 def _counting_program(ctx):
@@ -157,8 +159,9 @@ def _counting_program(ctx):
 
 def _module_state():
     return {
-        name: len(value)
-        for name, value in vars(engine_mod).items()
+        (module.__name__, name): len(value)
+        for module in (engine_mod, base_mod)
+        for name, value in vars(module).items()
         if isinstance(value, (dict, set, list))
     }
 

@@ -2,10 +2,13 @@
 that chains a core's pieces, so the run's ``sim_events`` metric is exactly
 the number of ``_step`` calls."""
 
+from repro.common.config import KernelConfig, MachineConfig, SimConfig
 from repro.core.limit import LimitSession
 from repro.experiments.base import multicore_config
 from repro.hw.events import Event
 from repro.sim.engine import Engine, run_program
+from repro.sim.ops import Sleep
+from repro.sim.program import ThreadSpec
 from repro.workloads.base import Instrumentation
 from repro.workloads.mysql import MysqlConfig, MysqlWorkload
 
@@ -39,3 +42,26 @@ def test_sim_events_equal_step_calls(monkeypatch):
     assert result.locks and result.metrics["sim_events"] > 0
     assert calls == result.metrics["sim_events"]
     assert result.fingerprint() == FINGERPRINT
+
+
+def test_sleep_is_two_pieces():
+    """A lone thread's Sleep takes two pieces: the fetch piece runs entry,
+    body and block and parks the core, and the switch-in piece after the
+    wake runs the exit. The stage machine takes five (fetch and entry,
+    body and block, the parking dispatch, the switch-in, the exit)."""
+    config = SimConfig(
+        machine=MachineConfig(n_cores=1),
+        kernel=KernelConfig(timeslice_cycles=1_000_000),
+        seed=3,
+    )
+
+    def sleeps(n):
+        def program(ctx):
+            for i in range(n):
+                yield Sleep(5_000 + 100 * i)
+
+        return run_program([ThreadSpec("t0", program)], config).metrics
+
+    base, ten = sleeps(0), sleeps(10)
+    assert ten["whole_sleeps"] == ten["resumed_exits"] == 10
+    assert ten["sim_events"] == base["sim_events"] + 2 * 10
