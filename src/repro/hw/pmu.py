@@ -23,7 +23,7 @@ _USER = Domain.USER
 PlanEntry = tuple[
     EventRates,
     tuple[tuple[int, HardwareCounter, int, int], ...],
-    dict[int, Any],
+    dict[int | tuple[int, ...], Any],
 ]
 
 
@@ -46,8 +46,8 @@ class Pmu:
         #: the rates object (kept so an id can never be recycled while its
         #: entry is live), the flat accrual plan, and a dict the engine fills
         #: with accrual recipes: whole-window ones keyed by window length,
-        #: and composite read/spin ones keyed by name. The recipes die with
-        #: their entry.
+        #: and frames (fixed runs of sub-phases) keyed by their tuple of
+        #: sub-phase lengths. The recipes die with their entry.
         self._plans_user: dict[int, PlanEntry] = {}
         self._plans_kernel: dict[int, PlanEntry] = {}
         #: per-programming-signature plan sets. Counter virtualization

@@ -131,14 +131,6 @@ _RECIPE_MAX_WINDOW = 65536
 #: Cap on the windows one plan entry tracks (recipes and first sightings);
 #: the dict is cleared when it fills.
 _RECIPES_PER_ENTRY = 1024
-#: Keys of the composite recipes that share a plan entry's recipe dict with
-#: the window recipes (whose keys are ints): whole safe/unsafe reads on the
-#: LIBRARY_RATES entry and one contended-lock spin round on the SPIN_RATES
-#: one. Kernel frames (see _frame_recipe) sit on the KERNEL_RATES kernel
-#: entry under the tuple of their phase lengths.
-_SAFE = "safe"
-_UNSAFE = "unsafe"
-_SPIN = "spin"
 #: Kernel cycles of a Sleep's body phase (the nanosleep path up to the block).
 _SLEEP_BODY = 900
 
@@ -167,28 +159,58 @@ def _window_recipe(entry: PlanEntry, after: int) -> tuple[tuple, tuple]:
     return deltas, counts
 
 
-def _frame_recipe(entry: PlanEntry, phases: tuple[int, ...]) -> tuple:
-    """Accrual recipe for a run of fixed-length kernel phases on the
-    KERNEL_RATES kernel plan entry ``entry``, each phase accruing from its
-    own cycle 0: ``(cycles, deltas, events, counts)`` with ``cycles`` the
-    phases' sum, ``events`` the ``(Event.index, ppm, n)`` of every rate,
-    ``deltas`` its non-zero ``(Event.index, n)`` and ``counts`` the
-    ``(counter, mask, ppm, n)`` of every plan counter, where ``n`` sums
-    ``events_in(0, phase)`` over the phases. ``ppm`` lets the caller add
-    one more phase of variable length (a syscall's body).
+def _frame_recipe(phases: tuple[tuple[PlanEntry, int], ...]) -> tuple:
+    """Accrual recipe of a frame: a fixed run of ``(entry, cycles)``
+    sub-phases of one domain, each accruing from its own cycle 0, so the
+    frame adds the sum of ``events_in(0, cycles)`` over its sub-phases and
+    k frames add k times that.
 
-    The recipe depends on nothing but ``entry`` and ``phases``, so it is
-    stored on the entry under the ``phases`` tuple."""
-    events = tuple(
-        (idx, ppm, sum((c * ppm) // 1_000_000 for c in phases))
-        for _event, ppm, idx in entry[0].flat
+    Returns ``(cycles, deltas, events, counts)``: ``cycles`` the
+    sub-phases' sum, ``events`` one ``(Event.index, ppm, n)`` per event a
+    sub-phase's rates name, ``deltas`` the ``(Event.index, n)`` of those
+    with ``n``, and ``counts`` one ``(counter, mask, ppm, n)`` per counter a
+    sub-phase's plan names. ``n`` is the summed add; ``ppm`` is the rate in
+    the first entry (0 if it has none), which lets a caller add one more
+    first-entry sub-phase of variable length (a syscall's body). The recipe
+    depends on nothing but the sub-phases, so :func:`_frame` stores it on
+    the first entry."""
+    first = phases[0][0]
+    ev = {idx: [ppm, 0] for _event, ppm, idx in first[0].flat}
+    ctr = {index: [c, mask, ppm, 0] for index, c, ppm, mask in first[1]}
+    for entry, cycles in phases:
+        for _event, ppm, idx in entry[0].flat:
+            ev.setdefault(idx, [0, 0])[1] += (cycles * ppm) // 1_000_000
+        for index, c, ppm, mask in entry[1]:
+            got = ctr.get(index)
+            if got is None:
+                got = ctr[index] = [c, mask, 0, 0]
+            got[3] += (cycles * ppm) // 1_000_000
+    events = tuple((idx, ppm, n) for idx, (ppm, n) in ev.items())
+    return (
+        sum(cycles for _entry, cycles in phases),
+        tuple((idx, n) for idx, _ppm, n in events if n),
+        events,
+        tuple(tuple(got) for got in ctr.values()),
     )
-    counts = tuple(
-        (ctr, mask, ppm, sum((c * ppm) // 1_000_000 for c in phases))
-        for _index, ctr, ppm, mask in entry[1]
-    )
-    deltas = tuple((idx, n) for idx, _ppm, n in events if n)
-    return sum(phases), deltas, events, counts
+
+
+def _frame(
+    entry: PlanEntry,
+    cycles: tuple[int, ...],
+    entries: tuple[PlanEntry, ...] | None = None,
+) -> tuple:
+    """The :func:`_frame_recipe` of the sub-phases ``zip(entries, cycles)``
+    (every one on ``entry`` when ``entries`` is None), memoized on
+    ``entry`` under the ``cycles`` tuple. Only one call site builds the
+    frames of a given first entry with other entries (a lock's spin round),
+    so the cycle tuple names the frame."""
+    recipes = entry[2]
+    frame = recipes.get(cycles)
+    if frame is None:
+        frame = recipes[cycles] = _frame_recipe(
+            tuple(zip(entries or (entry,) * len(cycles), cycles))
+        )
+    return frame
 
 
 def accrue_rate_events(
@@ -417,28 +439,25 @@ class EngineBase:
             for event, ppm in KERNEL_RATES.items()
             if events_in(0, tick, ppm)
         )
-        self._kernel_flat = KERNEL_RATES.flat
-        # -- composite PMC-read fast path -------------------------------
-        # Sub-phase cycle costs of the safe/unsafe read sequences, split at
-        # the rdpmc: the accumulator/hardware values and slot-truth
-        # bookkeeping must be taken with exactly the pre-rdpmc cycles
-        # accrued, so the one-piece fast path applies part A, reads, then
-        # applies part B. Each sub-phase accrues from its own cycle 0.
-        # The combined recipes live on the LIBRARY_RATES plan entry under
-        # the protocol name (see _try_fast_read).
+        # -- one-piece commits: the cycle tuples of their frames ----------
+        # (see _frame_recipe). Kernel frames: a syscall's entry and exit
+        # around its body, and a Sleep's entry and body up to the block. A
+        # contended lock's spin round: the spin phase, then the CAS retry.
+        # A composite read per protocol: the whole read, and its tail, the
+        # phases after the rdpmc, whose adds the rdpmc did not see.
         c = self._costs
-        # Kernel frames (see _frame_recipe): a syscall's entry and exit
-        # around its body, and a Sleep's entry and body up to the block.
         self._syscall_frame = (c.syscall_entry, c.syscall_exit)
         self._sleep_frame = (c.syscall_entry, _SLEEP_BODY)
-        self._read_phases = {
-            _SAFE: (
+        self._spin_round = (c.spin_quantum, c.cas)
+        self._read_frames = {
+            "safe": (
                 (c.pmc_call_overhead, c.pmc_read_begin, c.pmc_load_accum,
-                 c.rdpmc),
+                 c.rdpmc, c.pmc_read_end, c.pmc_store_result),
                 (c.pmc_read_end, c.pmc_store_result),
             ),
-            _UNSAFE: (
-                (c.pmc_call_overhead, c.pmc_load_accum, c.rdpmc),
+            "unsafe": (
+                (c.pmc_call_overhead, c.pmc_load_accum, c.rdpmc,
+                 c.pmc_store_result),
                 (c.pmc_store_result,),
             ),
         }
@@ -1064,6 +1083,72 @@ class EngineBase:
                 core, thread, _KERNEL,
                 core.pmu.plan_entry(KERNEL_RATES, _KERNEL), 0, cycles,
             )
+
+    def _charge_frame(
+        self,
+        core: Core,
+        thread: SimThread,
+        domain: Domain,
+        frame: tuple,
+        k: int = 1,
+        body: int = 0,
+    ) -> int:
+        """Charge up to ``k`` applications of ``frame`` (see
+        :func:`_frame_recipe`) as one accrual, and return how many.
+
+        A kernel frame may carry a ``body``-cycle sub-phase of its first
+        entry (a syscall's body). The charge adds what one :meth:`_account`
+        call per sub-phase adds, so it stops short of any application that
+        would take a counter past its mask: there a wrap arms a PMI, which
+        only the stage machine delivers. The fit check comes first and
+        changes nothing, so a return of 0 leaves every tally, counter and
+        clock as it was. Kernel time keeps no region event tallies.
+        """
+        cycles, deltas, events, counts = frame
+        for counter, mask, ppm, n in counts:
+            room = mask - counter.value
+            if body:
+                room -= (body * ppm) // 1_000_000
+            if room < k * n:
+                if room < n:
+                    return 0
+                k = room // n
+        total = k * cycles + body
+        core.now += total
+        core.busy_cycles += total
+        region_stack = thread.region_stack
+        rev = None
+        if domain is _USER:
+            core.user_cycles += total
+            thread.user_cycles += total
+            ev = thread.ev_user
+            if region_stack:
+                rev = thread.region_ev[region_stack[-1]]
+                rev[0] += total
+        else:
+            core.kernel_cycles += total
+            thread.kernel_cycles += total
+            ev = thread.ev_kernel
+            if region_stack:
+                thread.regions[region_stack[-1]].kernel_cycles += total
+        ev[0] += total  # Event.CYCLES.index == 0
+        if body:
+            for idx, ppm, n in events:
+                ev[idx] += k * n + (body * ppm) // 1_000_000
+            for counter, _mask, ppm, n in counts:
+                counter.value += k * n + (body * ppm) // 1_000_000
+            return k
+        if rev is None:
+            for idx, n in deltas:
+                ev[idx] += k * n
+        else:
+            for idx, n in deltas:
+                n *= k
+                ev[idx] += n
+                rev[idx] += n
+        for counter, _mask, _ppm, n in counts:
+            counter.value += k * n
+        return k
 
     def _bail(self, reason: str) -> bool:
         """Count a fast-path bailout; always False (for `return` chaining)."""

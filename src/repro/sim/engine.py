@@ -65,13 +65,10 @@ from repro.sim.base import (
     SimThread,
     ThreadState,
     _KERNEL,
-    _SAFE,
     _SLEEP_BODY,
-    _SPIN,
-    _UNSAFE,
     _USER,
     _OpExec,
-    _frame_recipe,
+    _frame,
 )
 
 #: Default cap on stored per-invocation region durations (see
@@ -398,15 +395,8 @@ class Engine(EngineBase):
         ex.stage = "run"
         ex.set_phase(self._costs.pmc_load_accum, LIBRARY_RATES, _USER, True)
 
-    def _begin_pmc_safe_read(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        if not self._try_fast_read(core, thread, ex, _SAFE):
-            ex.stage = "call"
-            ex.set_phase(
-                self._costs.pmc_call_overhead, LIBRARY_RATES, _USER, True
-            )
-
-    def _begin_pmc_unsafe_read(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        if not self._try_fast_read(core, thread, ex, _UNSAFE):
+    def _begin_pmc_read(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        if not self._try_fast_read(core, thread, ex):
             ex.stage = "call"
             ex.set_phase(
                 self._costs.pmc_call_overhead, LIBRARY_RATES, _USER, True
@@ -534,16 +524,36 @@ class Engine(EngineBase):
     def _adv_rdtsc(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         self._complete(thread, core.now)
 
-    def _adv_pmc_read_begin(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+    # -- the LiMiT read protocol --------------------------------------------
+    # Open the window, load the accumulator, rdpmc, then the verdict (and a
+    # restart when it fails). Each step is written once and shared by the
+    # op-by-op handlers (PmcReadBegin / LoadVAccum / Rdpmc / PmcReadEnd)
+    # and the composite reads. PmcSafeRead / PmcUnsafeRead run the whole
+    # protocol as one op, on one of two paths chosen per attempt:
+    #
+    # * fast path (_try_fast_read) — when nothing can interrupt the window
+    #   (no slice boundary, no due PMI, no counter wrap, not tracing), the
+    #   whole read commits inside the op's begin handler as one frame, so
+    #   fetch and read are one piece;
+    # * stage machine (_adv_pmc_read) — otherwise, the op steps through
+    #   phases with exactly the piece boundaries of the op-by-op form
+    #   (Compute / PmcReadBegin / LoadVAccum / Rdpmc / PmcReadEnd /
+    #   Compute), so interrupted reads restart, fault and undercount
+    #   identically. The unsafe protocol skips the window.
+
+    def _open_window(self, core: Core, thread: SimThread) -> None:
+        """Enter the read critical region: until the verdict, a context
+        switch or PMI flags the read interrupted."""
         thread.in_pmc_read = True
         thread.pmc_read_interrupted = False
         if self._tracing:
             self.obs.emit(
                 core.now, core.core_id, thread.tid, tr.PMC_READ_BEGIN
             )
-        self._complete(thread, None)
 
-    def _adv_pmc_read_end(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+    def _window_verdict(self, core: Core, thread: SimThread) -> bool:
+        """Leave the read critical region: True when nothing interrupted
+        the read and no overflow is latched; a False counts a restart."""
         ok = (
             not thread.pmc_read_interrupted
             and not core.pmu.pending_overflow_indices()
@@ -556,93 +566,58 @@ class Engine(EngineBase):
             self.obs.emit(
                 core.now, core.core_id, thread.tid, tr.PMC_READ_END, ok
             )
-        self._complete(thread, ok)
+        return ok
 
-    def _adv_load_vaccum(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+    def _load_vaccum(self, thread: SimThread, index: int) -> int | None:
+        """Load slot ``index``'s virtual accumulator, or throw the
+        CounterError into the thread and return None."""
         try:
-            value = thread.vpmu.read_accumulator(ex.op.index)
+            return thread.vpmu.read_accumulator(index)
         except CounterError as exc:
             self._throw(thread, exc)
-        else:
+            return None
+
+    def _rdpmc(self, core: Core, thread: SimThread, index: int) -> int | None:
+        """Execute rdpmc on slot ``index`` and note the slot's truth, or
+        throw the CounterError into the thread and return None."""
+        try:
+            value = core.pmu.rdpmc(index, from_user=True)
+        except CounterError as exc:
+            self._throw(thread, exc)
+            return None
+        self._note_rdpmc_truth(thread, index)
+        return value
+
+    def _note_rdpmc_truth(self, thread: SimThread, index: int) -> None:
+        """Note the ground truth of slot ``index`` as an rdpmc of it reads
+        now (``last_rdpmc_truth``). A thread has one slot per hardware
+        counter, so any index rdpmc accepts is a slot index."""
+        spec = thread.vpmu.slots[index]
+        if spec is not None:
+            thread.last_rdpmc_truth = thread.slot_truth_since_open(index, spec)
+
+    def _adv_pmc_read_begin(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        self._open_window(core, thread)
+        self._complete(thread, None)
+
+    def _adv_pmc_read_end(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        self._complete(thread, self._window_verdict(core, thread))
+
+    def _adv_load_vaccum(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        value = self._load_vaccum(thread, ex.op.index)
+        if value is not None:
             self._complete(thread, value)
 
     def _adv_rdpmc(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        op = ex.op
-        try:
-            value = core.pmu.rdpmc(op.index, from_user=True)
-        except CounterError as exc:
-            self._throw(thread, exc)
-            return
-        if 0 <= op.index < len(thread.vpmu.slots):
-            spec = thread.vpmu.slots[op.index]
-            if spec is not None:
-                thread.last_rdpmc_truth = thread.slot_truth_since_open(
-                    op.index, spec
-                )
-        self._complete(thread, value)
-
-    # -- composite PMC reads ------------------------------------------------
-    # PmcSafeRead / PmcUnsafeRead run the whole LiMiT read protocol as one
-    # op. Two execution paths, chosen per attempt by _try_fast_read:
-    #
-    # * fast path — when nothing can interrupt the window (no slice
-    #   boundary, no due PMI, no counter wrap, not tracing), the entire
-    #   sequence commits inside the op's begin handler, so fetch and read
-    #   are one piece, with accrual sums precomputed on the LIBRARY_RATES
-    #   plan entry;
-    # * stage machine — otherwise, the op steps through phases with exactly
-    #   the piece boundaries of the historical op-by-op form (Compute /
-    #   PmcReadBegin / LoadVAccum / Rdpmc / PmcReadEnd / Compute), so
-    #   interrupted reads restart, fault and undercount identically.
-
-    def _read_recipe(self, plan: tuple, phases: tuple) -> tuple:
-        """Combined accrual recipe for a whole PMC read executed as one
-        piece: per-part summed running-floor deltas (each sub-phase accrues
-        from its own cycle 0, so part sums are sums of ``events_in(0, c)``)
-        plus per-counter whole-read totals for the no-wrap precheck.
-        ``plan`` is the LIBRARY_RATES user plan the recipe is stored with."""
-        flat = LIBRARY_RATES.flat
-
-        def combine(costs: tuple) -> tuple[tuple, dict[int, list]]:
-            ev: dict[int, int] = {}
-            ctr: dict[int, list] = {}
-            for cyc in costs:
-                for _event, ppm, idx in flat:
-                    n = (cyc * ppm) // 1_000_000
-                    if n:
-                        ev[idx] = ev.get(idx, 0) + n
-                for index, counter, ppm, _mask in plan:
-                    n = (cyc * ppm) // 1_000_000
-                    if n:
-                        entry = ctr.get(index)
-                        if entry is None:
-                            ctr[index] = [counter, _mask, n]
-                        else:
-                            entry[2] += n
-            return tuple(ev.items()), ctr
-
-        d_a, ctr_a = combine(phases[0])
-        d_b, ctr_b = combine(phases[1])
-        e_a = tuple((c, m, n) for c, m, n in ctr_a.values())
-        e_b = tuple((c, m, n) for c, m, n in ctr_b.values())
-        for index, entry in ctr_b.items():
-            got = ctr_a.get(index)
-            if got is None:
-                ctr_a[index] = entry
-            else:
-                got[2] += entry[2]
-        totals = tuple((c, m, n) for c, m, n in ctr_a.values())
-        return (
-            d_a, e_a, sum(phases[0]),
-            d_b, e_b, sum(phases[1]),
-            totals,
-        )
+        value = self._rdpmc(core, thread, ex.op.index)
+        if value is not None:
+            self._complete(thread, value)
 
     def _try_fast_read(
-        self, core: Core, thread: SimThread, ex: _OpExec, protocol: str
+        self, core: Core, thread: SimThread, ex: _OpExec
     ) -> bool:
-        """Complete a whole ``protocol`` (``_SAFE``/``_UNSAFE``) PMC read
-        inside its begin handler if provably uninterruptible.
+        """Complete a whole composite PMC read inside its begin handler if
+        provably uninterruptible.
 
         All prechecks are side-effect free; any possible interleaving
         (slice boundary or due PMI inside the window, userspace-read fault,
@@ -673,92 +648,67 @@ class Engine(EngineBase):
         vpmu = thread.vpmu
         slots = vpmu.slots
         counters = pmu.counters
-        if not 0 <= index < len(slots) or index >= len(counters):
+        if not 0 <= index < len(slots):
             return self._bail("read_bad_slot")
         spec = slots[index]
         if spec is None or not spec.user_readable:
             return self._bail("read_bad_slot")
         entry = pmu.plan_entry(LIBRARY_RATES, _USER)
         recipes = entry[2]
-        rec = recipes.get(protocol)
-        if rec is None:
-            rec = recipes[protocol] = self._read_recipe(
-                entry[1], self._read_phases[protocol]
-            )
-        d_a, e_a, cycles_a, d_b, e_b, cycles_b, totals = rec
-        total = cycles_a + cycles_b
+        whole, tail_cycles = self._read_frames[ex.op.protocol]
+        frame = recipes.get(whole) or _frame(entry, whole)
         bound = core.slice_ends_at
-        if bound is not None and bound - core.now < total:
+        if bound is not None and bound - core.now < frame[0]:
             return self._bail("read_slice")
         for counter in counters:
             if counter.overflow_pending:
                 return self._bail("read_overflow_pending")
-        for counter, mask, n in totals:
-            if counter.value + n > mask:
-                return self._bail("read_wrap")
-        # Commit. Part A (call + [begin +] load + rdpmc phases) accrues
-        # before the values and ground truth are captured, part B ([end +]
-        # store) after — exactly where the stage boundaries fall.
-        ev = thread.ev_user
-        rev = None
-        region_stack = thread.region_stack
-        if region_stack:
-            rev = thread.region_ev[region_stack[-1]]
-            rev[0] += total
-        ev[0] += cycles_a
-        if rev is None:
-            for idx, n in d_a:
-                ev[idx] += n
-        else:
-            for idx, n in d_a:
-                ev[idx] += n
-                rev[idx] += n
-        for counter, _mask, n in e_a:
-            counter.value += n
-        acc = vpmu.vaccum[index]
-        hw = counters[index].value
-        thread.last_rdpmc_truth = thread.slot_truth_since_open(index, spec)
-        ev[0] += cycles_b
-        if rev is None:
-            for idx, n in d_b:
-                ev[idx] += n
-        else:
-            for idx, n in d_b:
-                ev[idx] += n
-                rev[idx] += n
-        for counter, _mask, n in e_b:
-            counter.value += n
-        core.now += total
-        core.busy_cycles += total
-        core.user_cycles += total
-        thread.user_cycles += total
+        if not self._charge_frame(core, thread, _USER, frame):
+            return self._bail("read_wrap")
+        # The whole read is charged as one frame; now take the rdpmc (no
+        # rdpmc fault is left, so the counter is read directly). It ran
+        # before the read's tail ([end +] store), so back out what the tail
+        # added to the slot's counter and, when the slot counts user
+        # events, to its ground truth.
+        counter = counters[index]
+        hw = counter.value
+        self._note_rdpmc_truth(thread, index)
+        tail = recipes.get(tail_cycles) or _frame(entry, tail_cycles)
+        for c, _mask, _ppm, n in tail[3]:
+            if c is counter:
+                hw -= n
+        if spec.count_user:
+            event = spec.event.index
+            if event == 0:  # Event.CYCLES: the tail's cycles
+                thread.last_rdpmc_truth -= tail[0]
+            else:
+                for idx, n in tail[1]:
+                    if idx == event:
+                        thread.last_rdpmc_truth -= n
         self._fast_reads += 1
-        self._complete(thread, acc + hw)
+        self._complete(thread, vpmu.vaccum[index] + hw)
         return True
 
-    def _adv_pmc_safe_read(
-        self, core: Core, thread: SimThread, ex: _OpExec
-    ) -> None:
-        # ``stage`` names the phase that just finished; each transition
-        # keeps the piece boundaries of the op-by-op protocol.
+    def _adv_pmc_read(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        """Stage machine of a composite read. ``stage`` names the phase
+        that just finished: ``call``, then ``rb`` (open the window), ``va``,
+        ``rd``, ``re`` (the verdict: on to ``st`` or restart at ``rb``) and
+        ``st``. The unsafe protocol skips ``rb`` and ``re``."""
         stage = ex.stage
         costs = self._costs
         if stage == "rd":
-            op = ex.op
-            try:
-                value = core.pmu.rdpmc(op.index, from_user=True)
-            except CounterError as exc:
-                self._throw(thread, exc)
+            hw = self._rdpmc(core, thread, ex.op.index)
+            if hw is None:
                 return
-            if 0 <= op.index < len(thread.vpmu.slots):
-                spec = thread.vpmu.slots[op.index]
-                if spec is not None:
-                    thread.last_rdpmc_truth = thread.slot_truth_since_open(
-                        op.index, spec
-                    )
-            ex.hw = value
-            ex.stage = "re"
-            ex.set_phase(costs.pmc_read_end, LIBRARY_RATES, _USER, True)
+            ex.hw = hw
+            if ex.op.protocol == "safe":
+                ex.stage = "re"
+                ex.set_phase(costs.pmc_read_end, LIBRARY_RATES, _USER, True)
+            else:
+                ex.stage = "st"
+                ex.set_phase(
+                    costs.pmc_store_result, LIBRARY_RATES, _USER, True
+                )
         elif stage == "re":
             faults = self._faults
             if faults is not None and not ex.fpc:
@@ -781,20 +731,9 @@ class Engine(EngineBase):
                         core, thread, requeue=True, preempted=True, front=True
                     )
                     return
-            ok = (
-                not thread.pmc_read_interrupted
-                and not core.pmu.pending_overflow_indices()
-            )
+            ok = self._window_verdict(core, thread)
             if faults is not None:
                 faults.resolve_safe_check(thread.tid, ok)
-            thread.in_pmc_read = False
-            thread.pmc_read_interrupted = False
-            if not ok:
-                thread.read_restarts += 1
-            if self._tracing:
-                self.obs.emit(
-                    core.now, core.core_id, thread.tid, tr.PMC_READ_END, ok
-                )
             if ok:
                 ex.stage = "st"
                 ex.set_phase(
@@ -814,34 +753,31 @@ class Engine(EngineBase):
             ex.stage = "rb"
             ex.set_phase(costs.pmc_read_begin, LIBRARY_RATES, _USER, True)
         elif stage == "rb":
-            thread.in_pmc_read = True
-            thread.pmc_read_interrupted = False
-            if self._tracing:
-                self.obs.emit(
-                    core.now, core.core_id, thread.tid, tr.PMC_READ_BEGIN
-                )
+            self._open_window(core, thread)
             ex.stage = "va"
             ex.set_phase(costs.pmc_load_accum, LIBRARY_RATES, _USER, True)
         elif stage == "va":
-            try:
-                acc = thread.vpmu.read_accumulator(ex.op.index)
-            except CounterError as exc:
-                self._throw(thread, exc)
+            acc = self._load_vaccum(thread, ex.op.index)
+            if acc is None:
                 return
             ex.acc = acc
             ex.stage = "rd"
             ex.set_phase(costs.rdpmc, LIBRARY_RATES, _USER, True)
             faults = self._faults
             if faults is not None:
+                protocol = ex.op.protocol
                 spec = faults.fire(
                     fp.PREEMPT_IN_READ, core, thread,
-                    protocol="safe", point=fp.BETWEEN_LOADS,
+                    protocol=protocol, point=fp.BETWEEN_LOADS,
                 )
                 if spec is not None:
                     # The classic hazard: accumulator loaded, rdpmc not yet
                     # executed. The forced switch folds the counter, so the
-                    # two loads span epochs; the restart check must fire.
-                    faults.note_read_hazard(thread.tid, "safe")
+                    # two loads span epochs: a safe read's restart check
+                    # must fire, while an unsafe read sums the accumulator
+                    # taken before the fold with the counter restarted after
+                    # it and silently undercounts (a miss by construction).
+                    faults.note_read_hazard(thread.tid, protocol)
                     self._fault_event(
                         core, thread, fp.PREEMPT_IN_READ, fp.BETWEEN_LOADS
                     )
@@ -849,71 +785,20 @@ class Engine(EngineBase):
                         core, thread, requeue=True, preempted=True, front=True
                     )
         elif stage == "call":
-            ex.restarts = 0
-            ex.fpc = False
-            ex.stage = "rb"
-            ex.set_phase(costs.pmc_read_begin, LIBRARY_RATES, _USER, True)
+            if ex.op.protocol == "safe":
+                ex.restarts = 0
+                ex.fpc = False
+                ex.stage = "rb"
+                ex.set_phase(costs.pmc_read_begin, LIBRARY_RATES, _USER, True)
+            else:
+                ex.stage = "va"
+                ex.set_phase(costs.pmc_load_accum, LIBRARY_RATES, _USER, True)
         elif stage == "st":
             self._complete(thread, ex.acc + ex.hw)
         else:  # pragma: no cover - stage machine is closed
-            raise SimulationError(f"bad PmcSafeRead stage {stage!r}")
-
-    def _adv_pmc_unsafe_read(
-        self, core: Core, thread: SimThread, ex: _OpExec
-    ) -> None:
-        stage = ex.stage
-        costs = self._costs
-        if stage == "rd":
-            op = ex.op
-            try:
-                value = core.pmu.rdpmc(op.index, from_user=True)
-            except CounterError as exc:
-                self._throw(thread, exc)
-                return
-            if 0 <= op.index < len(thread.vpmu.slots):
-                spec = thread.vpmu.slots[op.index]
-                if spec is not None:
-                    thread.last_rdpmc_truth = thread.slot_truth_since_open(
-                        op.index, spec
-                    )
-            ex.hw = value
-            ex.stage = "st"
-            ex.set_phase(
-                costs.pmc_store_result, LIBRARY_RATES, _USER, True
+            raise SimulationError(
+                f"bad {type(ex.op).__name__} stage {stage!r}"
             )
-        elif stage == "call":
-            ex.stage = "va"
-            ex.set_phase(costs.pmc_load_accum, LIBRARY_RATES, _USER, True)
-        elif stage == "va":
-            try:
-                acc = thread.vpmu.read_accumulator(ex.op.index)
-            except CounterError as exc:
-                self._throw(thread, exc)
-                return
-            ex.acc = acc
-            ex.stage = "rd"
-            ex.set_phase(costs.rdpmc, LIBRARY_RATES, _USER, True)
-            faults = self._faults
-            if faults is not None:
-                spec = faults.fire(
-                    fp.PREEMPT_IN_READ, core, thread,
-                    protocol="unsafe", point=fp.BETWEEN_LOADS,
-                )
-                if spec is not None:
-                    # No protection here: the switch folds the hardware value
-                    # into the accumulator *after* this read captured it, so
-                    # the sum silently undercounts — a miss by construction.
-                    faults.note_read_hazard(thread.tid, "unsafe")
-                    self._fault_event(
-                        core, thread, fp.PREEMPT_IN_READ, fp.BETWEEN_LOADS
-                    )
-                    self._switch_out(
-                        core, thread, requeue=True, preempted=True, front=True
-                    )
-        elif stage == "st":
-            self._complete(thread, ex.acc + ex.hw)
-        else:  # pragma: no cover - stage machine is closed
-            raise SimulationError(f"bad PmcUnsafeRead stage {stage!r}")
 
     def _adv_rdpmc_destructive(
         self, core: Core, thread: SimThread, ex: _OpExec
@@ -983,41 +868,6 @@ class Engine(EngineBase):
 
     # -- locks ---------------------------------------------------------------
 
-    def _spin_recipe(self, spin_plan: tuple, lib_plan: tuple) -> tuple:
-        """Accrual recipe for one contended-lock spin round: a spin phase
-        (``spin_quantum`` cycles of SPIN_RATES) followed by a CAS retry
-        (``cas`` cycles of LIBRARY_RATES), both user phases accruing from
-        their own cycle 0 — so a round's deltas are plain sums of
-        ``events_in(0, c)`` and k rounds accrue exactly k times them.
-
-        Stored on the SPIN_RATES user plan entry. The LIBRARY_RATES entry
-        of the same programming is never replaced while that entry lives
-        (both go together in :meth:`Pmu.flush_plans`), so ``lib_plan``
-        cannot change under the stored recipe."""
-        costs = self._costs
-        ev: dict[int, int] = {}
-        ctr: dict[int, list] = {}
-        for cyc, flat, plan in (
-            (costs.spin_quantum, SPIN_RATES.flat, spin_plan),
-            (costs.cas, LIBRARY_RATES.flat, lib_plan),
-        ):
-            for _event, ppm, idx in flat:
-                n = (cyc * ppm) // 1_000_000
-                if n:
-                    ev[idx] = ev.get(idx, 0) + n
-            for index, counter, ppm, _mask in plan:
-                n = (cyc * ppm) // 1_000_000
-                if n:
-                    entry = ctr.get(index)
-                    if entry is None:
-                        ctr[index] = [counter, _mask, n]
-                    else:
-                        entry[2] += n
-        return (
-            tuple(ev.items()),
-            tuple((counter, m, n) for counter, m, n in ctr.values()),
-        )
-
     def _try_spin_batch(self, core: Core, thread: SimThread, ex: _OpExec) -> bool:
         """Fast-forward k whole spin+CAS rounds of a contended lock acquire
         in one closed-form step.
@@ -1070,43 +920,16 @@ class Engine(EngineBase):
                 return self._bail("spin_horizon")
         pmu = core.pmu
         spin_entry = pmu.plan_entry(SPIN_RATES, _USER)
-        recipes = spin_entry[2]
-        rec = recipes.get(_SPIN)
-        if rec is None:
-            rec = recipes[_SPIN] = self._spin_recipe(
-                spin_entry[1], pmu.plan_entry(LIBRARY_RATES, _USER)[1]
-            )
-        deltas, entries = rec
-        for counter, mask, n in entries:
-            k_w = (mask - counter.value) // n
-            if k_w < k:
-                k = k_w
-        if k < 1:
+        frame = _frame(
+            spin_entry, self._spin_round,
+            (spin_entry, pmu.plan_entry(LIBRARY_RATES, _USER)),
+        )
+        k = self._charge_frame(core, thread, _USER, frame, k)
+        if not k:
             return self._bail("spin_wrap")
-        # ---- commit: k failed rounds, then re-decide with the same checks
+        # ---- k failed rounds are charged: re-decide with the same checks
         # the slow path's k-th CAS advance would have made at this state ----
-        window = k * round_cycles
         ex.spin_used = spin_used + k * spin_q
-        ev = thread.ev_user
-        ev[0] += window  # Event.CYCLES.index == 0
-        rev = None
-        if thread.region_stack:
-            rev = thread.region_ev[thread.region_stack[-1]]
-            rev[0] += window
-        if rev is None:
-            for idx, n in deltas:
-                ev[idx] += k * n
-        else:
-            for idx, n in deltas:
-                kn = k * n
-                ev[idx] += kn
-                rev[idx] += kn
-        for counter, _mask, n in entries:
-            counter.value += k * n  # no wrap by construction
-        core.now += window
-        core.busy_cycles += window
-        core.user_cycles += window
-        thread.user_cycles += window
         self._spin_batches += 1
         self._spin_rounds_batched += k
         if ex.spin_used < self.config.locks.spin_limit_cycles:
@@ -1244,52 +1067,10 @@ class Engine(EngineBase):
     # commits all three phases inside the begin handler; otherwise the
     # stage machine in _adv_syscall runs them piece by piece.
 
-    def _kernel_frame(self, core: Core, phases: tuple[int, ...]) -> tuple:
-        """The :func:`_frame_recipe` of ``phases`` on this core's
-        KERNEL_RATES kernel plan entry, built on first use."""
+    def _kernel_frame(self, core: Core, cycles: tuple[int, ...]) -> tuple:
+        """The :func:`_frame` of kernel sub-phases ``cycles`` on this core."""
         kentry = core.pmu.plan_entry(KERNEL_RATES, _KERNEL)
-        recipes = kentry[2]
-        frame = recipes.get(phases)
-        if frame is None:
-            frame = recipes[phases] = _frame_recipe(kentry, phases)
-        return frame
-
-    def _charge_frame(
-        self, core: Core, thread: SimThread, frame: tuple, body: int
-    ) -> bool:
-        """Charge a kernel frame plus a ``body``-cycle phase as one accrual:
-        what one ``_account`` call per phase adds, when no counter passes
-        its mask over the run. If one would, charge nothing and return
-        False: a wrap arms a PMI between phases, so the stage machine must
-        run them."""
-        cycles, deltas, events, counts = frame
-        ev = thread.ev_kernel
-        if body:
-            for counter, mask, ppm, n in counts:
-                if counter.value + n + (body * ppm) // 1_000_000 > mask:
-                    return False
-            for counter, _mask, ppm, n in counts:
-                counter.value += n + (body * ppm) // 1_000_000
-            for idx, ppm, n in events:
-                ev[idx] += n + (body * ppm) // 1_000_000
-        else:
-            for counter, mask, _ppm, n in counts:
-                if counter.value + n > mask:
-                    return False
-            for counter, _mask, _ppm, n in counts:
-                counter.value += n
-            for idx, n in deltas:
-                ev[idx] += n
-        total = cycles + body
-        ev[0] += total  # Event.CYCLES.index == 0
-        core.now += total
-        core.busy_cycles += total
-        core.kernel_cycles += total
-        thread.kernel_cycles += total
-        region_stack = thread.region_stack
-        if region_stack:
-            thread.regions[region_stack[-1]].kernel_cycles += total
-        return True
+        return kentry[2].get(cycles) or _frame(kentry, cycles)
 
     def _try_whole_syscall(
         self, core: Core, thread: SimThread, body: int
@@ -1323,7 +1104,7 @@ class Engine(EngineBase):
         if exit_at > self._max_cycles:
             return False
         frame = self._kernel_frame(core, self._syscall_frame)
-        if not self._charge_frame(core, thread, frame, body):
+        if not self._charge_frame(core, thread, _KERNEL, frame, 1, body):
             return self._bail("syscall_wrap")
         self._whole_syscalls += 1
         self._complete(thread, None)
@@ -1362,9 +1143,8 @@ class Engine(EngineBase):
         horizon = self._horizon
         if horizon is not None and body_at >= horizon:
             return False
-        if not self._charge_frame(
-            core, thread, self._kernel_frame(core, self._sleep_frame), 0
-        ):
+        frame = self._kernel_frame(core, self._sleep_frame)
+        if not self._charge_frame(core, thread, _KERNEL, frame):
             return False
         ex.stage = "body"
         self._adv_sleep(core, thread, ex)
@@ -1410,7 +1190,7 @@ class Engine(EngineBase):
         if exit_at > self._max_cycles:
             return False
         frame = self._kernel_frame(core, (cost, ex.phase_cycles))
-        if not self._charge_frame(core, thread, frame, 0):
+        if not self._charge_frame(core, thread, _KERNEL, frame):
             return False
         core.slice_ends_at = exit_at + self.config.kernel.timeslice_cycles
         self._resumed_exits += 1
@@ -1590,10 +1370,8 @@ _OP_HANDLERS: dict[type, tuple[Callable, Callable]] = {
     ops.PmcReadBegin: (Engine._begin_pmc_read_begin, Engine._adv_pmc_read_begin),
     ops.PmcReadEnd: (Engine._begin_pmc_read_end, Engine._adv_pmc_read_end),
     ops.LoadVAccum: (Engine._begin_load_vaccum, Engine._adv_load_vaccum),
-    ops.PmcSafeRead: (Engine._begin_pmc_safe_read, Engine._adv_pmc_safe_read),
-    ops.PmcUnsafeRead: (
-        Engine._begin_pmc_unsafe_read, Engine._adv_pmc_unsafe_read
-    ),
+    ops.PmcSafeRead: (Engine._begin_pmc_read, Engine._adv_pmc_read),
+    ops.PmcUnsafeRead: (Engine._begin_pmc_read, Engine._adv_pmc_read),
     ops.RegionBegin: (Engine._begin_region, Engine._adv_region_begin),
     ops.RegionEnd: (Engine._begin_region, Engine._adv_region_end),
     ops.LockAcquire: (Engine._begin_lock_acquire, Engine._adv_lock_acquire),

@@ -21,7 +21,7 @@ engine (repro.sim.engine).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, TYPE_CHECKING
+from typing import Any, Callable, ClassVar, TYPE_CHECKING
 
 from repro.common.errors import ConfigError
 from repro.hw.events import ZERO_RATES, EventRates
@@ -157,6 +157,8 @@ class PmcSafeRead(Op):
     """
 
     index: int
+    #: the read protocol, as the engine and fault plans name it
+    protocol: ClassVar[str] = "safe"
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,6 +171,7 @@ class PmcUnsafeRead(Op):
     """
 
     index: int
+    protocol: ClassVar[str] = "unsafe"
 
 
 @dataclass(frozen=True, slots=True)

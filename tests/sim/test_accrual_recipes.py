@@ -1,9 +1,10 @@
-"""Whole-window accrual recipes on PMU plan entries.
+"""Accrual recipes on PMU plan entries.
 
 ``Engine._account`` replays a memoized recipe for a recurring whole-phase
-window instead of redoing the running-floor arithmetic. The replay must be
-indistinguishable from the arithmetic, including when a counter wraps, and
-the recipes must live and die with their engine.
+window instead of redoing the running-floor arithmetic, and every one-piece
+commit charges a frame (a fixed run of sub-phases) in one accrual. Both
+must be indistinguishable from the arithmetic, a wrap included, and the
+recipes must live and die with their engine.
 """
 
 import gc
@@ -12,20 +13,23 @@ import weakref
 import pytest
 
 from repro.common.config import MachineConfig, PmuConfig, SimConfig
+from repro.hw.counter import HardwareCounter
 from repro.hw.events import (
     Domain,
     Event,
     EventRates,
     KERNEL_RATES,
+    LIBRARY_RATES,
     N_EVENTS,
+    SPIN_RATES,
 )
 from repro.core.limit import LimitSession
 from repro.kernel.vpmu import SlotSpec
 from repro.sim import base as base_mod
 from repro.sim import engine as engine_mod
-from repro.sim.base import _window_recipe
+from repro.sim.base import _frame, _window_recipe
 from repro.sim.engine import Engine
-from repro.sim.ops import Compute, Rdpmc, Syscall
+from repro.sim.ops import Compute, PmcSafeRead, Rdpmc, Syscall
 from repro.sim.program import ThreadSpec
 from repro.sim.results import RegionTruth
 
@@ -140,6 +144,97 @@ def test_recipe_lifecycle_matches_arithmetic(domain):
     assert _state(cached, c_thread)["counters"][0][1] == 1
 
 
+def _engine_frames(engine):
+    """Every frame the engine builds, by name: ``(domain, sub-phases as
+    (rates, cycles), applications k, body cycles)``."""
+    costs = engine._costs
+
+    def on(rates, cycles):
+        return tuple((rates, c) for c in cycles)
+
+    frames = {
+        "syscall": (Domain.KERNEL, on(KERNEL_RATES, engine._syscall_frame), 1, 2_345),
+        "sleep": (Domain.KERNEL, on(KERNEL_RATES, engine._sleep_frame), 1, 0),
+        "switch_in_exit": (
+            Domain.KERNEL,
+            on(KERNEL_RATES, (costs.context_switch, costs.syscall_exit)), 1, 0,
+        ),
+        "spin_rounds": (
+            Domain.USER,
+            tuple(zip((SPIN_RATES, LIBRARY_RATES), engine._spin_round)), 3, 0,
+        ),
+    }
+    for protocol, (whole, tail) in engine._read_frames.items():
+        frames[protocol + "_read"] = (Domain.USER, on(LIBRARY_RATES, whole), 1, 0)
+        frames[protocol + "_read_tail"] = (Domain.USER, on(LIBRARY_RATES, tail), 1, 0)
+    return frames
+
+
+FRAME_NAMES = sorted(_engine_frames(Engine(SimConfig())))
+
+
+def _instructions(rates, cycles):
+    """INSTRUCTIONS events of one ``cycles``-long sub-phase of ``rates``."""
+    return (cycles * rates.ppm(Event.INSTRUCTIONS)) // 1_000_000
+
+
+@pytest.mark.parametrize("name", FRAME_NAMES)
+@pytest.mark.parametrize("headroom", ["none", "one_short", "exact", "spare"])
+def test_frame_charge_matches_one_account_per_sub_phase(name, headroom):
+    """Charging a frame adds what one ``_account`` call per sub-phase adds
+    (after the body, for each application charged): tallies, region
+    tallies, counters and clocks. The charge stops at the last application
+    that takes the INSTRUCTIONS counter no further than its mask; when not
+    even one fits, it charges nothing and changes nothing."""
+    domain, phases, k, body = _engine_frames(Engine(SimConfig()))[name]
+    per_application = sum(_instructions(rates, c) for rates, c in phases)
+    n_body = _instructions(phases[0][0], body)
+    n = k * per_application + n_body
+    assert per_application > 1
+    room = {"none": None, "one_short": 1, "exact": n, "spare": n + 1}[headroom]
+    # A counter at its mask takes no application. With room for exactly
+    # the whole charge, its last event would wrap the counter, so the last
+    # application stays out: the only one of a syscall, sleep, switch-in or
+    # read, the k-th of the spin rounds.
+    fits = {"one_short": 0, "exact": k - 1}.get(headroom, k)
+    charged, c_thread, c_core, _entry = _setup(domain, room)
+    oracle, o_thread, o_core, _entry = _setup(domain, room)
+    entries = tuple(c_core.pmu.plan_entry(rates, domain) for rates, _c in phases)
+    frame = _frame(entries[0], tuple(c for _rates, c in phases), entries)
+
+    assert charged._charge_frame(c_core, c_thread, domain, frame, k, body) == fits
+    if fits:
+        first = o_core.pmu.plan_entry(phases[0][0], domain)
+        if body:
+            oracle._account(o_core, o_thread, domain, first, 0, body)
+        for _ in range(fits):
+            for rates, c in phases:
+                entry = o_core.pmu.plan_entry(rates, domain)
+                oracle._account(o_core, o_thread, domain, entry, 0, c)
+    state = _state(charged, c_thread)
+    assert state == _state(oracle, o_thread)
+    assert state["counters"][0][1] == 0
+
+
+def test_spin_frame_charges_the_rounds_that_fit():
+    """Of k spin rounds, the charge takes as many whole rounds as the
+    INSTRUCTIONS counter has room for, and none when one does not fit."""
+    for rounds in range(5):
+        engine, thread, core, _entry = _setup(Domain.USER, None)
+        pmu = core.pmu
+        entries = (pmu.plan_entry(SPIN_RATES, Domain.USER),
+                   pmu.plan_entry(LIBRARY_RATES, Domain.USER))
+        frame = _frame(entries[0], engine._spin_round, entries)
+        per_round = sum(
+            _instructions(rates, c)
+            for rates, c in zip((SPIN_RATES, LIBRARY_RATES), engine._spin_round)
+        )
+        pmu.counter(0).write(MASK - rounds * per_round)
+        assert engine._charge_frame(core, thread, Domain.USER, frame, 10) == rounds
+        assert pmu.counter(0).value == MASK
+        assert thread.user_cycles == rounds * frame[0]
+
+
 def test_recipes_per_entry_are_capped():
     engine, thread, core, entry = _setup(Domain.KERNEL, None)
     for after in range(1, base_mod._RECIPES_PER_ENTRY + 50):
@@ -148,6 +243,8 @@ def test_recipes_per_entry_are_capped():
 
 
 def _counting_program(ctx):
+    """Window recipes (Compute, Rdpmc) and frames (a fast read, a whole
+    syscall) on counting plan entries."""
     idx = yield Syscall(
         "pmc_open",
         (SlotSpec(event=Event.INSTRUCTIONS, count_user=True, count_kernel=True),),
@@ -155,6 +252,8 @@ def _counting_program(ctx):
     for _ in range(50):
         yield Compute(1_000, USER_RATES)
         yield Rdpmc(idx)
+        yield PmcSafeRead(idx)
+        yield Syscall("work", (700,))
 
 
 def _module_state():
@@ -166,6 +265,15 @@ def _module_state():
     }
 
 
+def _counters_in(recipe):
+    """The hardware counters anywhere in a recipe's nested tuples."""
+    if isinstance(recipe, HardwareCounter):
+        yield recipe
+    elif isinstance(recipe, tuple):
+        for item in recipe:
+            yield from _counters_in(item)
+
+
 def test_recipes_die_with_their_engine():
     before = _module_state()
     config = SimConfig(machine=MachineConfig(n_cores=1), seed=5)
@@ -173,15 +281,16 @@ def test_recipes_die_with_their_engine():
     result = engine.run([ThreadSpec("t", _counting_program)])
     pmu = engine.machine.cores[0].pmu
     held = [
-        rec
+        counter
         for plans in pmu._plan_sets.values()
         for cache in plans
         for _rates, _plan, recipes in cache.values()
         for rec in recipes.values()
-        if rec is not None and rec[1]
+        for counter in _counters_in(rec)
     ]
     assert held, "no counter-holding recipe was built"
-    ref = weakref.ref(held[0][1][0][1])
+    assert result.metrics["fast_reads"] and result.metrics["whole_syscalls"]
+    ref = weakref.ref(held[0])
     assert _module_state() == before, "a run left state at module level"
     del engine, result, pmu, held
     gc.collect()

@@ -323,3 +323,54 @@ class TestWholePhases:
         assert engine.machine.cores[0].now == (
             costs.context_switch + 1_000 + costs.cas
         )
+
+
+#: NARROW_LOCKS with full-width counters: no spin batch can stop at a wrap.
+WIDE_LOCKS = SimConfig(
+    machine=MachineConfig(n_cores=2),
+    kernel=KernelConfig(timeslice_cycles=20_000),
+    seed=5,
+)
+
+
+def _spin_run(config, iters=40):
+    """Two threads on one hot lock, each hold outlasting several spin
+    rounds, inside a region and under a LiMiT session counting user cycles
+    and instructions; returns the result and the read records."""
+    session = LimitSession([Event.CYCLES, Event.INSTRUCTIONS])
+
+    def program(ctx):
+        yield from session.setup(ctx)
+        for i in range(iters):
+            yield RegionBegin("cs")
+            yield LockAcquire("hot")
+            yield Compute(300 + 211 * ((3 * i + ctx.tid) % 5), SIMPLE_RATES)
+            yield from session.read(ctx, 0)
+            yield LockRelease("hot")
+            yield RegionEnd()
+            yield Compute(100 + 37 * (i % 3), SIMPLE_RATES)
+
+    return run_threads(config, program, program), session.records
+
+
+class TestSpinBatching:
+    @pytest.mark.parametrize(
+        "config, wraps", [(NARROW_LOCKS, True), (WIDE_LOCKS, False)]
+    )
+    def test_batched_and_round_by_round_spins_agree(
+        self, config, wraps, monkeypatch
+    ):
+        """Spinning round by round reproduces the batched spins:
+        fingerprint, every lock statistic and every read record. With
+        10-bit counters some batches stop short of a counter wrap."""
+        fast, fast_records = _spin_run(config)
+        assert fast.metrics["spin_batches"] > 0
+        bails = fast.metrics.get("fastpath_bailout.spin_wrap", 0)
+        assert (bails > 0) is wraps
+        monkeypatch.setattr(Engine, "_try_spin_batch", lambda *args: False)
+        slow, slow_records = _spin_run(config)
+        assert slow.metrics.get("spin_batches", 0) == 0
+        assert slow.fingerprint() == fast.fingerprint()
+        assert _lock_stats(slow) == _lock_stats(fast)
+        assert slow_records == fast_records
+        assert slow.metrics["sim_events"] > fast.metrics["sim_events"]
