@@ -81,5 +81,11 @@ class PapiLikeSession(LimitSession):
         thread = ctx.thread()
         truth = thread.last_kernel_read_truth.get(idx, 0)
         self.records.add(
-            ctx.tid, ctx.now(), idx, self.specs[i].event, value, truth, "papi"
+            ctx.tid,
+            ctx.now_of(thread),
+            idx,
+            self.specs[i].event,
+            value,
+            truth,
+            "papi",
         )

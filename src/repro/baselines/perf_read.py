@@ -67,7 +67,13 @@ class PerfReadSession:
         slot = engine.perf.get(fds[i]).slot
         truth = thread.last_kernel_read_truth.get(slot, 0)
         self.records.add(
-            ctx.tid, ctx.now(), slot, self.events[i], value, truth, "perf_read"
+            ctx.tid,
+            ctx.now_of(thread),
+            slot,
+            self.events[i],
+            value,
+            truth,
+            "perf_read",
         )
         return value
 

@@ -371,10 +371,11 @@ class LimitSession:
     def _record(
         self, ctx: ThreadContext, idx: int, i: int, value: int, protocol: str
     ) -> None:
-        truth = ctx.thread().last_rdpmc_truth
+        thread = ctx.thread()
+        truth = thread.last_rdpmc_truth
         self.records.add(
             ctx.tid,
-            ctx.now(),
+            ctx.now_of(thread),
             idx,
             self.specs[i].event,
             value,
@@ -411,13 +412,8 @@ class UnbufferedLimitSession(LimitSession):
     def _record(
         self, ctx: ThreadContext, idx: int, i: int, value: int, protocol: str
     ) -> None:
-        thread = ctx.thread()
-        truth = (
-            thread.last_rdpmc_truth
-            if thread.last_rdpmc_truth is not None
-            else 0
-        )
-        error = value - truth
+        truth = ctx.thread().last_rdpmc_truth
+        error = value - (truth if truth is not None else 0)
         self.n_reads += 1
         self.error_sum += error
         if abs(error) > self.error_max_abs:

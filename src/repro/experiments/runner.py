@@ -55,6 +55,8 @@ from typing import Any
 from repro.experiments import base
 from repro.experiments.registry import all_experiments, get
 from repro.fabric import ResultCache, default_cache_dir
+from repro.fabric import jobs as fabric_jobs
+from repro.lint import gate as lint_gate
 from repro.obs import runtime as obs_runtime
 from repro.obs.export import (
     JsonlStreamWriter,
@@ -120,10 +122,7 @@ def _execute(
     experiment runs; the stream manifest is finalized with the exact
     windows summary when the experiment completes.
     """
-    from repro import fabric
-    from repro.lint import gate as lint_gate
-
-    fabric.drain_failures()  # start this experiment with a clean slate
+    fabric_jobs.drain_failures()  # start this experiment with a clean slate
     lint_gate.drain_reports()
     base.drain_reused()
     writer = None
@@ -163,7 +162,7 @@ def _execute(
         text=text,
         wall_seconds=time.perf_counter() - started,
         records=collector.records,
-        job_failures=[f.as_dict() for f in fabric.drain_failures()],
+        job_failures=[f.as_dict() for f in fabric_jobs.drain_failures()],
         lint_reports=lint_gate.drain_reports(),
         stream=stream_info,
         alert_specs=list(collector.alert_specs),
@@ -322,9 +321,6 @@ def run_entries(
     current policy); a timed-out worker is killed mid-stream, so streaming
     runs sweep orphaned (never-closed) stream directories first.
     """
-    from repro import fabric
-    from repro.lint import gate as lint_gate
-
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     capture_traces = trace_dir is not None
@@ -342,15 +338,15 @@ def run_entries(
         sweep_orphan_streams(stream_dir)
     total_started = time.perf_counter()
 
-    previous = fabric.current()
+    previous = fabric_jobs.current()
     prev_jobs, prev_cache = previous.jobs, previous.cache
     prev_fail_fast, prev_timeout = previous.fail_fast, previous.timeout
     prev_lint = lint_gate.state()
-    fabric.configure(jobs=jobs, cache=use_cache)
+    fabric_jobs.configure(jobs=jobs, cache=use_cache)
     if keep_going:
-        fabric.configure(fail_fast=False)
+        fabric_jobs.configure(fail_fast=False)
     if timeout is not None:
-        fabric.configure(timeout=timeout)
+        fabric_jobs.configure(timeout=timeout)
     lint_gate.restore(lint_mode)
     outcomes: list[EntryOutcome] = []
     try:
@@ -377,7 +373,7 @@ def run_entries(
             outcomes.append(outcome)
     finally:
         base.outcomes.clear()
-        fabric.configure(
+        fabric_jobs.configure(
             jobs=prev_jobs,
             cache=prev_cache,
             fail_fast=prev_fail_fast,

@@ -13,24 +13,45 @@ taking down the sweep, and corrupt cache entries are quarantined rather
 than fatal (see :mod:`repro.fabric.cache` and ``docs/robustness.md``).
 """
 
-from repro.fabric.cache import (
-    CacheStats,
-    ResultCache,
-    code_salt,
-    default_cache_dir,
-)
-from repro.fabric.jobs import (
-    FabricConfig,
-    JobFailure,
-    JobOutcome,
-    RunJob,
-    configure,
-    current,
-    drain_failures,
-    execute_job,
-    run_many,
-    run_one,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.fabric.cache import CacheStats, ResultCache, code_salt, default_cache_dir
+    from repro.fabric.jobs import (
+        FabricConfig,
+        JobFailure,
+        JobOutcome,
+        RunJob,
+        configure,
+        current,
+        drain_failures,
+        execute_job,
+        run_many,
+        run_one,
+    )
+
+#: Each public name and the submodule that defines it, imported on first
+#: access (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "CacheStats": "cache",
+    "ResultCache": "cache",
+    "code_salt": "cache",
+    "default_cache_dir": "cache",
+    "FabricConfig": "jobs",
+    "JobFailure": "jobs",
+    "JobOutcome": "jobs",
+    "RunJob": "jobs",
+    "configure": "jobs",
+    "current": "jobs",
+    "drain_failures": "jobs",
+    "execute_job": "jobs",
+    "run_many": "jobs",
+    "run_one": "jobs",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "CacheStats",

@@ -1,26 +1,56 @@
 """Simulated hardware: events, counters, PMUs, cores."""
 
-from repro.hw.counter import HardwareCounter
-from repro.hw.events import (
-    CYCLES_PPM,
-    Domain,
-    Event,
-    EventRates,
-    KERNEL_RATES,
-    LIBRARY_RATES,
-    SPIN_RATES,
-    cycles_until_count,
-    events_in,
-)
-from repro.hw.machine import Core, Machine
-from repro.hw.msr import (
-    EVENT_ENCODINGS,
-    EventEncoding,
-    MsrFile,
-    decode_evtsel,
-    encode_evtsel,
-)
-from repro.hw.pmu import Pmu
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.hw.counter import HardwareCounter
+    from repro.hw.events import (
+        CYCLES_PPM,
+        Domain,
+        Event,
+        EventRates,
+        KERNEL_RATES,
+        LIBRARY_RATES,
+        SPIN_RATES,
+        cycles_until_count,
+        events_in,
+    )
+    from repro.hw.machine import Core, Machine
+    from repro.hw.msr import (
+        EVENT_ENCODINGS,
+        EventEncoding,
+        MsrFile,
+        decode_evtsel,
+        encode_evtsel,
+    )
+    from repro.hw.pmu import Pmu
+
+#: Each public name and the submodule that defines it, imported on first
+#: access (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "HardwareCounter": "counter",
+    "CYCLES_PPM": "events",
+    "Domain": "events",
+    "Event": "events",
+    "EventRates": "events",
+    "KERNEL_RATES": "events",
+    "LIBRARY_RATES": "events",
+    "SPIN_RATES": "events",
+    "cycles_until_count": "events",
+    "events_in": "events",
+    "Core": "machine",
+    "Machine": "machine",
+    "EVENT_ENCODINGS": "msr",
+    "EventEncoding": "msr",
+    "MsrFile": "msr",
+    "decode_evtsel": "msr",
+    "encode_evtsel": "msr",
+    "Pmu": "pmu",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "CYCLES_PPM",

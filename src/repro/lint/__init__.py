@@ -19,25 +19,54 @@ every :class:`~repro.fabric.jobs.RunJob` batch before dispatch, fail-closed
 everything from the shell. See docs/static-analysis.md for the rule catalog.
 """
 
-from repro.lint.findings import (
-    ERROR,
-    INFO,
-    REPORT_SCHEMA,
-    SEVERITIES,
-    WARNING,
-    Finding,
-    LintReport,
-)
-from repro.lint.meta import check_registry
-from repro.lint.rules import analyze_walk, lint_program
-from repro.lint.selfcheck import selfcheck_file, selfcheck_tree
-from repro.lint.walker import (
-    DEFAULT_MAX_OPS,
-    LintContext,
-    ProgramWalk,
-    ThreadWalk,
-    walk_program,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.lint.findings import (
+        ERROR,
+        INFO,
+        REPORT_SCHEMA,
+        SEVERITIES,
+        WARNING,
+        Finding,
+        LintReport,
+    )
+    from repro.lint.meta import check_registry
+    from repro.lint.rules import analyze_walk, lint_program
+    from repro.lint.selfcheck import selfcheck_file, selfcheck_tree
+    from repro.lint.walker import (
+        DEFAULT_MAX_OPS,
+        LintContext,
+        ProgramWalk,
+        ThreadWalk,
+        walk_program,
+    )
+
+#: Each public name and the submodule that defines it, imported on first
+#: access (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "ERROR": "findings",
+    "INFO": "findings",
+    "REPORT_SCHEMA": "findings",
+    "SEVERITIES": "findings",
+    "WARNING": "findings",
+    "Finding": "findings",
+    "LintReport": "findings",
+    "check_registry": "meta",
+    "analyze_walk": "rules",
+    "lint_program": "rules",
+    "selfcheck_file": "selfcheck",
+    "selfcheck_tree": "selfcheck",
+    "DEFAULT_MAX_OPS": "walker",
+    "LintContext": "walker",
+    "ProgramWalk": "walker",
+    "ThreadWalk": "walker",
+    "walk_program": "walker",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ERROR",

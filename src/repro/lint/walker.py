@@ -102,6 +102,9 @@ class LintContext:
         self._fake_now += 1_000
         return self._fake_now
 
+    def now_of(self, thread: _StubThread) -> int:
+        return self.now()
+
     def thread(self) -> _StubThread:
         return self._stub_thread
 

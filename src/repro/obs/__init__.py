@@ -20,36 +20,81 @@ you can see; this package holds the reproduction to the same standard:
 The ``python -m repro.trace`` CLI converts/summarizes/filters trace files.
 """
 
-from repro.obs.export import (
-    MANIFEST_SCHEMA,
-    STREAM_SCHEMA,
-    JsonlStreamWriter,
-    StreamFollower,
-    events_to_jsonl,
-    is_stream_dir,
-    perfetto_document,
-    perfetto_events,
-    read_jsonl,
-    read_stream_manifest,
-    read_stream_records,
-    read_stream_windows,
-    summarize_events,
-    write_manifest,
-    write_perfetto,
-)
-from repro.obs.hist import LogHistogram
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry, Timer
-from repro.obs.runtime import (
-    RunCollector,
-    collect,
-    count_window,
-    current,
-    observe_batch,
-    observe_latency,
-)
-from repro.obs.trace import KINDS, TraceBus, TraceEvent
-from repro.obs.warnings import warn
-from repro.obs.windows import Window, WindowedStats, WindowSpec
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.export import (
+        MANIFEST_SCHEMA,
+        STREAM_SCHEMA,
+        JsonlStreamWriter,
+        StreamFollower,
+        events_to_jsonl,
+        is_stream_dir,
+        perfetto_document,
+        perfetto_events,
+        read_jsonl,
+        read_stream_manifest,
+        read_stream_records,
+        read_stream_windows,
+        summarize_events,
+        write_manifest,
+        write_perfetto,
+    )
+    from repro.obs.hist import LogHistogram
+    from repro.obs.metrics import Counter, Gauge, MetricsRegistry, Timer
+    from repro.obs.runtime import (
+        RunCollector,
+        collect,
+        count_window,
+        current,
+        observe_batch,
+        observe_latency,
+    )
+    from repro.obs.trace import KINDS, TraceBus, TraceEvent
+    from repro.obs.warnings import warn
+    from repro.obs.windows import Window, WindowedStats, WindowSpec
+
+#: Each public name and the submodule that defines it, imported on first
+#: access (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "MANIFEST_SCHEMA": "export",
+    "STREAM_SCHEMA": "export",
+    "JsonlStreamWriter": "export",
+    "StreamFollower": "export",
+    "events_to_jsonl": "export",
+    "is_stream_dir": "export",
+    "perfetto_document": "export",
+    "perfetto_events": "export",
+    "read_jsonl": "export",
+    "read_stream_manifest": "export",
+    "read_stream_records": "export",
+    "read_stream_windows": "export",
+    "summarize_events": "export",
+    "write_manifest": "export",
+    "write_perfetto": "export",
+    "LogHistogram": "hist",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "MetricsRegistry": "metrics",
+    "Timer": "metrics",
+    "RunCollector": "runtime",
+    "collect": "runtime",
+    "count_window": "runtime",
+    "current": "runtime",
+    "observe_batch": "runtime",
+    "observe_latency": "runtime",
+    "KINDS": "trace",
+    "TraceBus": "trace",
+    "TraceEvent": "trace",
+    "warn": "warnings",
+    "Window": "windows",
+    "WindowedStats": "windows",
+    "WindowSpec": "windows",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Counter",

@@ -13,16 +13,36 @@ chain; ``docs/robustness.md`` documents the policy semantics and E20
 measures them against the overload schedule.
 """
 
-from repro.resilience.policies import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    AdmissionGate,
-    CircuitBreaker,
-    RetryBudget,
-    RetryPolicy,
-    TokenBucket,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.resilience.policies import (
+        BREAKER_CLOSED,
+        BREAKER_HALF_OPEN,
+        BREAKER_OPEN,
+        AdmissionGate,
+        CircuitBreaker,
+        RetryBudget,
+        RetryPolicy,
+        TokenBucket,
+    )
+
+#: Each public name and the submodule that defines it, imported on first
+#: access (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "BREAKER_CLOSED": "policies",
+    "BREAKER_HALF_OPEN": "policies",
+    "BREAKER_OPEN": "policies",
+    "AdmissionGate": "policies",
+    "CircuitBreaker": "policies",
+    "RetryBudget": "policies",
+    "RetryPolicy": "policies",
+    "TokenBucket": "policies",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BREAKER_CLOSED",

@@ -577,9 +577,8 @@ class EngineBase:
         except KeyError:
             raise SimulationError(f"no thread with tid {tid}") from None
 
-    def thread_now(self, tid: int) -> int:
+    def thread_clock(self, thread: SimThread) -> int:
         """Best-known current time for a thread (ground-truth peek)."""
-        thread = self.thread(tid)
         if thread.core_id is not None:
             return self.machine.cores[thread.core_id].now
         return thread.available_at

@@ -58,7 +58,13 @@ class ThreadContext:
 
     def now(self) -> int:
         """Ground-truth current simulated time of this thread's core."""
-        return self._engine.thread_now(self.tid)
+        engine = self._engine
+        return engine.thread_clock(engine.thread(self.tid))
+
+    def now_of(self, thread: "SimThread") -> int:
+        """:meth:`now`, given this context's :meth:`thread` already looked
+        up (a read records both without a second lookup)."""
+        return self._engine.thread_clock(thread)
 
     def thread(self) -> "SimThread":
         """The engine-side thread object (analyses and sessions only)."""

@@ -1,10 +1,14 @@
-"""One interpreter: ``run_program``'s ``lower`` keyword is inert, and the
-simulator's import path stays free of numpy."""
+"""One interpreter: ``run_program``'s ``lower`` keyword is inert, the
+simulator's import path stays free of numpy, and each bench workload's
+imports load only the modules that workload uses."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.core.limit import LimitSession
@@ -31,15 +35,62 @@ def test_lower_keyword_is_ignored():
     assert with_lower.fingerprint() == plain.fingerprint()
 
 
-def test_simulator_imports_without_numpy():
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter on this checkout's ``src``."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+
+
+def test_simulator_imports_without_numpy():
     code = (
         "import sys\n"
         "import repro.sim.engine, repro.fabric, repro.experiments.runner\n"
         "assert 'numpy' not in sys.modules\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
+    proc = _python(code)
     assert proc.returncode == 0, proc.stderr
+
+
+#: What the engine and each bench workload import at set-up.
+ENTRY_POINTS = {
+    "engine": ("repro.sim.engine",),
+    "service_chain": ("repro.experiments.e20_resilience", "repro.workloads.service"),
+    "mysql_locks": ("repro.core.limit", "repro.workloads.mysql"),
+    "traffic_streamed": ("repro.workloads.traffic", "repro.obs.export"),
+}
+
+#: Modules (with their submodules) that none of those runs uses.
+UNUSED = (
+    "repro.baselines",
+    "repro.analysis",
+    "repro.lint",
+    "repro.core.calibration",
+    "repro.fabric.jobs",
+    "multiprocessing",
+)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_point_imports_only_what_it_uses(entry):
+    modules = ENTRY_POINTS[entry]
+    code = (
+        "import json, sys\n"
+        f"for name in {modules!r}:\n"
+        "    __import__(name)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    unused = [
+        m for m in loaded if any(m == u or m.startswith(u + ".") for u in UNUSED)
+    ]
+    own = {"repro.workloads.base", *modules}
+    siblings = [
+        m for m in loaded if m.startswith("repro.workloads.") and m not in own
+    ]
+    assert unused == [], f"{entry} imports unused modules {unused}"
+    assert siblings == [], f"{entry} imports other workloads {siblings}"
