@@ -275,7 +275,10 @@ class SimConfig:
     #: observe the simulator, not the simulated machine.
     metrics: bool = True
     #: Cap on stored per-invocation region durations across a run
-    #: (invocation *counts* stay exact beyond the cap).
+    #: (invocation *counts* stay exact beyond the cap). Each stored
+    #: invocation appends to two int64 logs (``RegionTruth.exec_cycles`` and
+    #: ``wall_cycles``), so the default bounds them at 2M x 2 x 8 B = 32 MB
+    #: (about 160 MB as lists of boxed ints).
     region_log_budget: int = 2_000_000
     #: Enable the macro-stepping fast path (closed-form multi-quantum
     #: fast-forward of solo compute phases). Results are fingerprint-identical

@@ -8,6 +8,7 @@ of machine the paper evaluated on (a ~2.4 GHz Nehalem-era Xeon).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
@@ -112,3 +113,10 @@ def per_kilo_instruction(misses_pki: float, ipc: float) -> int:
     if ipc <= 0:
         raise ConfigError(f"IPC must be positive, got {ipc}")
     return round(misses_pki / 1_000.0 * ipc * 1_000_000)
+
+
+def cycle_log() -> array[int]:
+    """An empty per-event cycle log: signed 64-bit integers, 8 bytes an
+    entry where a list of boxed ints costs about 40. Appending a value
+    outside int64 raises ``OverflowError`` instead of wrapping."""
+    return array("q")

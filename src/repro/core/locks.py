@@ -12,10 +12,12 @@ effect E6 demonstrates.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Generator, Protocol
 
 from repro.common.errors import SessionError
+from repro.common.units import cycle_log
 from repro.sim.ops import LockAcquire, LockRelease, Rdtsc
 from repro.sim.program import ThreadContext
 
@@ -47,11 +49,11 @@ class RdtscReader:
 
 @dataclass
 class LockObservation:
-    """What the tool saw for one lock (per-acquisition lists, in the
+    """What the tool saw for one lock (per-acquisition logs, in the
     reader's unit: CPU cycles for counter readers, wall for rdtsc)."""
 
-    waits: list[int] = field(default_factory=list)
-    holds: list[int] = field(default_factory=list)
+    waits: array[int] = field(default_factory=cycle_log)
+    holds: array[int] = field(default_factory=cycle_log)
 
     @property
     def n_acquires(self) -> int:

@@ -8,9 +8,11 @@ is *only* feasible with LiMiT-class read costs: at ~37 ns a read, wrapping a
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Generator
 
+from repro.common.units import cycle_log
 from repro.core.limit import LimitSession
 from repro.sim.ops import RegionBegin, RegionEnd
 from repro.sim.program import ThreadContext
@@ -22,7 +24,7 @@ class RegionObservation:
 
     name: str
     invocations: int = 0
-    deltas: list[int] = field(default_factory=list)
+    deltas: array[int] = field(default_factory=cycle_log)
 
     @property
     def total(self) -> int:

@@ -21,6 +21,7 @@ class HardwareCounter:
         "count_user",
         "count_kernel",
         "enabled",
+        "selection",
         "overflow_pending",
         "overflow_total",
         "on_reprogram",
@@ -38,6 +39,9 @@ class HardwareCounter:
         self.count_user = True
         self.count_kernel = False
         self.enabled = False
+        #: ``(event, count_user, count_kernel)`` while programmed and
+        #: enabled, else None: this counter's part of the PMU's plan key.
+        self.selection: tuple[Event, bool, bool] | None = None
         self.overflow_pending = 0   #: overflows latched since last service
         self.overflow_total = 0     #: lifetime overflow count (statistics)
         #: invalidation hook: called whenever the event selection changes so
@@ -68,6 +72,7 @@ class HardwareCounter:
         self.count_user = count_user
         self.count_kernel = count_kernel
         self.enabled = enabled
+        self.selection = (event, count_user, count_kernel) if enabled else None
         if self.on_reprogram is not None:
             self.on_reprogram()
 
@@ -75,6 +80,7 @@ class HardwareCounter:
         """Disable and forget the event selection."""
         self.event = None
         self.enabled = False
+        self.selection = None
         self.value = 0
         self.overflow_pending = 0
         if self.on_reprogram is not None:

@@ -172,6 +172,7 @@ class MsrFile:
         if address == IA32_PERF_GLOBAL_CTRL:
             for i, ctr in enumerate(self.pmu):
                 if ctr.event is not None:
-                    ctr.enabled = bool(value & (1 << i))
+                    ctr.program(ctr.event, ctr.count_user, ctr.count_kernel,
+                                enabled=bool(value & (1 << i)))
             return
         raise CounterError(f"wrmsr: unimplemented MSR {address:#x}")

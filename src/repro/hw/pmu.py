@@ -52,12 +52,12 @@ class Pmu:
         self._plans_kernel: dict[int, PlanEntry] = {}
         #: per-programming-signature plan sets. Counter virtualization
         #: reprograms the same specs on every context switch; keying the plan
-        #: dicts by the (event, domains) signature means an identical
-        #: reprogramming swaps the same dicts back in, so plan entries (and
-        #: the recipes on them) survive for the whole run. The ``()`` set
-        #: serves a PMU with nothing programmed.
+        #: dicts by the signature (each counter's ``selection``) means an
+        #: identical reprogramming swaps the same dicts back in, so plan
+        #: entries (and the recipes on them) survive for the whole run.
+        self._plans_sig = self._unprogrammed_sig()
         self._plan_sets: dict[tuple, tuple[dict, dict]] = {
-            (): (self._plans_user, self._plans_kernel)
+            self._plans_sig: (self._plans_user, self._plans_kernel)
         }
         self._plans_dirty = False
         # The counters reach this PMU through a weak reference: a bound
@@ -86,21 +86,29 @@ class Pmu:
         """
         self._plans_user = {}
         self._plans_kernel = {}
-        self._plan_sets = {(): (self._plans_user, self._plans_kernel)}
+        self._plans_sig = self._unprogrammed_sig()
+        self._plan_sets = {self._plans_sig: (self._plans_user, self._plans_kernel)}
         self._plans_dirty = True
 
+    def _unprogrammed_sig(self) -> tuple[None, ...]:
+        return (None,) * len(self.counters)
+
     def _resolve_plans(self) -> None:
-        """Swap in the plan dicts matching the current counter programming."""
-        sig = tuple(
-            (index, ctr.event, ctr.count_user, ctr.count_kernel)
-            for index, ctr in enumerate(self.counters)
-            if ctr.enabled and ctr.event is not None
-        )
+        """Swap in the plan dicts matching the current counter programming.
+
+        A switch-out/switch-in pair deprograms and reprograms the same
+        specs, so the signature usually comes back unchanged and the plan
+        set in use is kept.
+        """
+        self._plans_dirty = False
+        sig = tuple([ctr.selection for ctr in self.counters])
+        if sig == self._plans_sig:
+            return
         sets = self._plan_sets.get(sig)
         if sets is None:
             sets = self._plan_sets[sig] = ({}, {})
         self._plans_user, self._plans_kernel = sets
-        self._plans_dirty = False
+        self._plans_sig = sig
 
     def plan_entry(self, rates: EventRates, domain: Domain) -> PlanEntry:
         """The cached ``(rates, plan, recipes)`` entry of a (rates, domain)

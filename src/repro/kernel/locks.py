@@ -9,9 +9,11 @@ compare tool estimates and perturbation against this ground truth.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.common.errors import LockProtocolError
+from repro.common.units import cycle_log
 
 
 @dataclass
@@ -21,8 +23,8 @@ class LockStats:
     n_acquires: int = 0
     n_contended: int = 0          #: acquisitions that had to wait at all
     n_futex_sleeps: int = 0       #: acquisitions that fell back to futex
-    hold_cycles: list[int] = field(default_factory=list)
-    wait_cycles: list[int] = field(default_factory=list)
+    hold_cycles: array[int] = field(default_factory=cycle_log)
+    wait_cycles: array[int] = field(default_factory=cycle_log)
 
     @property
     def total_hold(self) -> int:

@@ -71,10 +71,6 @@ from repro.sim.base import (
     _frame,
 )
 
-#: Default cap on stored per-invocation region durations (see
-#: SimConfig.region_log_budget).
-REGION_LOG_BUDGET = 2_000_000
-
 
 class Engine(EngineBase):
     """Runs one simulation to completion."""

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.common.config import SimConfig
 from repro.common.errors import SimulationError
+from repro.common.units import cycle_log
 from repro.hw.events import Domain, Event
 from repro.kernel.locks import LockStats
 from repro.kernel.perf import SampleRecord
@@ -31,9 +34,9 @@ class RegionTruth:
     #: kernel cycles charged while this region was innermost
     kernel_cycles: int = 0
     #: per-invocation executed cycles (user+kernel), for length histograms
-    exec_cycles: list[int] = field(default_factory=list)
+    exec_cycles: array[int] = field(default_factory=cycle_log)
     #: per-invocation wall cycles (includes descheduled time)
-    wall_cycles: list[int] = field(default_factory=list)
+    wall_cycles: array[int] = field(default_factory=cycle_log)
 
     @property
     def user_cycles(self) -> int:
@@ -229,8 +232,8 @@ class RunResult:
                         "events": {e.name: n for e, n in sorted(
                             r.events.items(), key=lambda kv: kv[0].name)},
                         "kernel_cycles": r.kernel_cycles,
-                        "exec_cycles": r.exec_cycles,
-                        "wall_cycles": r.wall_cycles,
+                        "exec_cycles": r.exec_cycles.tolist(),
+                        "wall_cycles": r.wall_cycles.tolist(),
                     }
                     for name, r in sorted(t.regions.items())
                 },
@@ -265,8 +268,8 @@ class RunResult:
                     "n_acquires": s.n_acquires,
                     "n_contended": s.n_contended,
                     "n_futex_sleeps": s.n_futex_sleeps,
-                    "hold_cycles": s.hold_cycles,
-                    "wait_cycles": s.wait_cycles,
+                    "hold_cycles": s.hold_cycles.tolist(),
+                    "wait_cycles": s.wait_cycles.tolist(),
                 }
                 for name, s in sorted(self.locks.items())
             },
@@ -316,12 +319,5 @@ def merge_histogram(values: Iterable[int], edges: list[int]) -> list[int]:
     """
     counts = [0] * (len(edges) + 1)
     for v in values:
-        placed = False
-        for i, edge in enumerate(edges):
-            if v < edge:
-                counts[i] += 1
-                placed = True
-                break
-        if not placed:
-            counts[-1] += 1
+        counts[bisect_right(edges, v)] += 1
     return counts

@@ -126,6 +126,19 @@ class TestGlobalRegisters:
         assert not pmu.counter(0).enabled
         assert pmu.counter(1).enabled
 
+    def test_global_ctrl_reaches_the_accrual_plan(self):
+        msr, pmu = make_msr()
+        rates = EventRates({Event.INSTRUCTIONS: 1_000_000})
+        msr.wrmsr(IA32_PERFEVTSEL_BASE + 0, encode_evtsel(Event.INSTRUCTIONS))
+        msr.wrmsr(IA32_PERFEVTSEL_BASE + 1, encode_evtsel(Event.INSTRUCTIONS))
+        pmu.accrue_phase(rates, Domain.USER, 0, 100)
+        msr.wrmsr(IA32_PERF_GLOBAL_CTRL, 0b0010)  # disable counter 0
+        pmu.accrue_phase(rates, Domain.USER, 100, 300)
+        assert [pmu.counter(i).read() for i in (0, 1)] == [100, 300]
+        msr.wrmsr(IA32_PERF_GLOBAL_CTRL, 0b0011)
+        pmu.accrue_phase(rates, Domain.USER, 300, 350)
+        assert [pmu.counter(i).read() for i in (0, 1)] == [150, 350]
+
     def test_tsc(self):
         msr, _ = make_msr()
         assert msr.rdmsr(IA32_TIME_STAMP_COUNTER) == 123_456

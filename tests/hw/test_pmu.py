@@ -121,3 +121,51 @@ class TestOverflowPrediction:
                                count_kernel=True)
         assert pmu.cycles_to_next_overflow(RATES, Domain.USER, 0) is None
         assert pmu.cycles_to_next_overflow(RATES, Domain.KERNEL, 0) == 256
+
+
+class TestPlanSets:
+    def test_restored_programming_keeps_the_plan_set(self):
+        pmu = make_pmu()
+        pmu.counter(1).program(Event.INSTRUCTIONS, count_kernel=True)
+        entry = pmu.plan_entry(RATES, Domain.USER)
+        plans = pmu._plans_user
+        # a context switch: fold (deprogram), then the same spec again
+        pmu.counter(1).deprogram()
+        pmu.counter(1).program(Event.INSTRUCTIONS, count_kernel=True)
+        assert pmu.plan_entry(RATES, Domain.USER) is entry
+        assert pmu._plans_user is plans
+        assert len(pmu._plan_sets) == 2  # nothing programmed, and this
+
+    def test_changed_programming_gets_its_own_plans(self):
+        pmu = make_pmu()
+        pmu.counter(1).program(Event.INSTRUCTIONS)
+        first = pmu.plan_entry(RATES, Domain.USER)
+        for ctr_args, expected in [
+            ((Event.LLC_MISSES, True, False), ((1, 1_000),)),
+            ((Event.INSTRUCTIONS, False, True), ()),
+            ((Event.INSTRUCTIONS, True, False), ((1, 1_000_000),)),
+        ]:
+            pmu.counter(1).deprogram()
+            pmu.counter(1).program(*ctr_args)
+            plan = pmu.plan_entry(RATES, Domain.USER)[1]
+            assert [(i, ppm) for i, _ctr, ppm, _mask in plan] == list(expected)
+        assert pmu.plan_entry(RATES, Domain.USER) is first
+
+    def test_disabled_counter_leaves_the_plan(self):
+        pmu = make_pmu()
+        pmu.counter(0).program(Event.INSTRUCTIONS)
+        assert pmu.plan_entry(RATES, Domain.USER)[1]
+        pmu.counter(0).program(Event.INSTRUCTIONS, enabled=False)
+        assert pmu.plan_entry(RATES, Domain.USER)[1] == ()
+
+    def test_flush_drops_the_plans_in_use(self):
+        pmu = make_pmu()
+        pmu.counter(0).program(Event.INSTRUCTIONS)
+        entry = pmu.plan_entry(RATES, Domain.USER)
+        pmu.counter(0).width = 8
+        pmu.flush_plans()
+        fresh = pmu.plan_entry(RATES, Domain.USER)
+        assert fresh is not entry
+        assert fresh[1][0][3] == 255
+        pmu.counter(0).deprogram()
+        assert pmu.plan_entry(RATES, Domain.USER)[1] == ()

@@ -39,8 +39,8 @@ class TestLockState:
         assert st.n_acquires == 1
         assert st.n_contended == 1
         assert st.n_futex_sleeps == 1
-        assert st.wait_cycles == [25]
-        assert st.hold_cycles == [50]
+        assert st.wait_cycles.tolist() == [25]
+        assert st.hold_cycles.tolist() == [50]
 
 
 class TestLockStats:
@@ -82,4 +82,4 @@ class TestLockRegistry:
         lock = reg.get("a")
         lock.take(1, 0, 0, False, False)
         lock.release(1, 7)
-        assert reg.stats()["a"].hold_cycles == [7]
+        assert reg.stats()["a"].hold_cycles.tolist() == [7]

@@ -1,5 +1,8 @@
 """Tests for RunResult helpers and invariant checks."""
 
+import random
+from array import array
+
 import pytest
 
 from repro.common.errors import SimulationError
@@ -79,6 +82,29 @@ class TestMergeHistogram:
 
     def test_all_overflow(self):
         assert merge_histogram([50, 60], [10]) == [0, 2]
+
+    def test_matches_the_linear_scan(self):
+        def linear(values, edges):
+            counts = [0] * (len(edges) + 1)
+            for v in values:
+                for i, edge in enumerate(edges):
+                    if v < edge:
+                        counts[i] += 1
+                        break
+                else:
+                    counts[-1] += 1
+            return counts
+
+        rng = random.Random(28)
+        edges = [240, 2_400, 24_000, 240_000]
+        values = [rng.randrange(-1_000, 500_000) for _ in range(2_000)]
+        values += edges + [e - 1 for e in edges] + [e + 1 for e in edges]
+        values += [edges[0] - 10**9, edges[-1] + 10**9]
+        counts = merge_histogram(values, edges)
+        assert counts == linear(values, edges)
+        assert sum(counts) == len(values)
+        assert all(counts)
+        assert merge_histogram(array("q", values), edges) == counts
 
 
 class TestCoreResult:
