@@ -385,7 +385,7 @@ class RunCollector:
         }
 
     def bailouts_by_reason(self) -> dict[str, float]:
-        """Fast-path bailout totals keyed by reason (manifest detail)."""
+        """Fast-path bailout totals keyed by ``path.reason`` (manifest detail)."""
         out: dict[str, float] = {}
         for r in self.records:
             for key, value in r.metrics.items():

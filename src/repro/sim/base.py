@@ -165,15 +165,15 @@ def _frame_recipe(phases: tuple[tuple[PlanEntry, int], ...]) -> tuple:
     frame adds the sum of ``events_in(0, cycles)`` over its sub-phases and
     k frames add k times that.
 
-    Returns ``(cycles, deltas, events, counts)``: ``cycles`` the
+    Returns ``(cycles, deltas, events, counts, last)``: ``cycles`` the
     sub-phases' sum, ``events`` one ``(Event.index, ppm, n)`` per event a
     sub-phase's rates name, ``deltas`` the ``(Event.index, n)`` of those
-    with ``n``, and ``counts`` one ``(counter, mask, ppm, n)`` per counter a
-    sub-phase's plan names. ``n`` is the summed add; ``ppm`` is the rate in
-    the first entry (0 if it has none), which lets a caller add one more
-    first-entry sub-phase of variable length (a syscall's body). The recipe
-    depends on nothing but the sub-phases, so :func:`_frame` stores it on
-    the first entry."""
+    with ``n``, ``counts`` one ``(counter, mask, ppm, n)`` per counter a
+    sub-phase's plan names, and ``last`` the last sub-phase's cycles. ``n``
+    is the summed add; ``ppm`` is the rate in the first entry (0 if it has
+    none), which lets a caller add one more first-entry sub-phase of
+    variable length (a syscall's body). The recipe depends on nothing but
+    the sub-phases, so :func:`_frame` stores it on the first entry."""
     first = phases[0][0]
     ev = {idx: [ppm, 0] for _event, ppm, idx in first[0].flat}
     ctr = {index: [c, mask, ppm, 0] for index, c, ppm, mask in first[1]}
@@ -191,6 +191,7 @@ def _frame_recipe(phases: tuple[tuple[PlanEntry, int], ...]) -> tuple:
         tuple((idx, n) for idx, _ppm, n in events if n),
         events,
         tuple(tuple(got) for got in ctr.values()),
+        phases[-1][1],
     )
 
 
@@ -428,7 +429,7 @@ class EngineBase:
         self._whole_phases = 0
         self._spin_batches = 0
         self._spin_rounds_batched = 0
-        self._bailouts: dict[str, int] = {}
+        self._bailouts: dict[tuple[str, str], int] = {}
         self._ops_fetched = 0
         tick = self._costs.timer_tick
         # One timer tick's kernel ground-truth events: each tick is its own
@@ -549,10 +550,8 @@ class EngineBase:
         reg.counter("spin_batches").add(self._spin_batches)
         reg.counter("spin_rounds_batched").add(self._spin_rounds_batched)
         reg.counter("fastpath_bailouts").add(sum(self._bailouts.values()))
-        for reason in sorted(self._bailouts):
-            reg.counter("fastpath_bailout." + reason).add(
-                self._bailouts[reason]
-            )
+        for (path, reason), n in sorted(self._bailouts.items()):
+            reg.counter(f"fastpath_bailout.{path}.{reason}").add(n)
         reg.counter("ops_fetched").add(self._ops_fetched)
         if self._faults is not None:
             f = self._faults
@@ -1089,28 +1088,61 @@ class EngineBase:
         thread: SimThread,
         domain: Domain,
         frame: tuple,
+        path: str,
+        bound: int | None,
+        horizon: int | None = None,
         k: int = 1,
         body: int = 0,
     ) -> int:
-        """Charge up to ``k`` applications of ``frame`` (see
-        :func:`_frame_recipe`) as one accrual, and return how many.
+        """The one fold gate: charge up to ``k`` applications of ``frame``
+        (see :func:`_frame_recipe`) as one accrual and return how many, or
+        count the bail ``(path, reason)`` and return 0 with every tally,
+        counter and clock as it was.
 
-        A kernel frame may carry a ``body``-cycle sub-phase of its first
-        entry (a syscall's body). The charge adds what one :meth:`_account`
-        call per sub-phase adds, so it stops short of any application that
-        would take a counter past its mask: there a wrap arms a PMI, which
-        only the stage machine delivers. The fit check comes first and
-        changes nothing, so a return of 0 leaves every tally, counter and
-        clock as it was. Kernel time keeps no region event tallies.
+        ``bound`` is the slice end (None when the commit sets its own
+        slice); commits that touch state other cores read pass the
+        ``horizon``. The reasons, in order: ``pmi_due``; ``slice``, unless a
+        user frame ends by ``bound`` or a kernel frame's last sub-phase
+        starts before it; ``horizon``, unless that point is before
+        ``horizon``; ``max_cycles``, when a kernel frame's last sub-phase
+        starts past the cap; ``wrap``, when a counter would pass its mask
+        (the PMI a wrap arms is the stage machine's). A user frame shrinks
+        ``k`` to the applications that pass. A kernel frame may carry a
+        ``body``-cycle sub-phase of its first entry (a syscall's body). The
+        charge adds what one :meth:`_account` per sub-phase adds.
         """
-        cycles, deltas, events, counts = frame
+        if core.pmi_due_at is not None:
+            return self._bail(path, "pmi_due")
+        cycles, deltas, events, counts, last = frame
+        now = core.now
+        if domain is _USER:
+            if bound is not None:
+                room = bound - now
+                if room < k * cycles:
+                    if room < cycles:
+                        return self._bail(path, "slice")
+                    k = room // cycles
+            if horizon is not None:
+                room = horizon - now - 1
+                if room < k * cycles:
+                    if room < cycles:
+                        return self._bail(path, "horizon")
+                    k = room // cycles
+        else:
+            at = now + cycles + body - last
+            if bound is not None and at >= bound:
+                return self._bail(path, "slice")
+            if horizon is not None and at >= horizon:
+                return self._bail(path, "horizon")
+            if at > self._max_cycles:
+                return self._bail(path, "max_cycles")
         for counter, mask, ppm, n in counts:
             room = mask - counter.value
             if body:
                 room -= (body * ppm) // 1_000_000
             if room < k * n:
                 if room < n:
-                    return 0
+                    return self._bail(path, "wrap")
                 k = room // n
         total = k * cycles + body
         core.now += total
@@ -1149,9 +1181,9 @@ class EngineBase:
             counter.value += k * n
         return k
 
-    def _bail(self, reason: str) -> bool:
-        """Count a fast-path bailout; always False (for `return` chaining)."""
-        self._bailouts[reason] = self._bailouts.get(reason, 0) + 1
+    def _bail(self, path: str, reason: str) -> bool:
+        """Count a ``(path, reason)`` bailout; always False (for `return` chaining)."""
+        self._bailouts[path, reason] = self._bailouts.get((path, reason), 0) + 1
         return False
 
     def _try_macro_step(
@@ -1174,19 +1206,19 @@ class EngineBase:
             if faults.tick_armed:
                 # macro steps batch timer ticks without running _timer_tick,
                 # where tick-triggered faults (shrink_counter) fire
-                return self._bail("fault_tick_armed")
+                return self._bail("macro", "fault_tick_armed")
             if faults.fire(fp.FORCE_BAILOUT, core, thread, point="macro"):
                 self._fault_event(core, thread, fp.FORCE_BAILOUT, "macro")
-                return self._bail("fault_forced")
+                return self._bail("macro", "fault_forced")
         if core.pmi_due_at is not None:
-            return self._bail("pmi_due")
+            return self._bail("macro", "pmi_due")
         if self.scheduler.queue_length(core.core_id) > 0:
-            return self._bail("runqueue")
+            return self._bail("macro", "runqueue")
         mux = thread.mux
         if mux is not None and len(mux.specs) > 1:
-            return self._bail("mux")
+            return self._bail("macro", "mux")
         if ex.phase_domain is not _USER:  # pragma: no cover - defensive
-            return self._bail("domain")
+            return self._bail("macro", "domain")
         now = core.now
         quantum = self.config.kernel.timeslice_cycles
         tick = self._costs.timer_tick
@@ -1204,12 +1236,12 @@ class EngineBase:
         horizon = self._horizon
         if horizon is not None:
             if now + head >= horizon:
-                return self._bail("horizon")
+                return self._bail("macro", "horizon")
             k_h = (horizon - now - head - 1) // stride + 1
             if k_h < k:
                 k = k_h
         if k < 1:
-            return self._bail("horizon")
+            return self._bail("macro", "horizon")
         # Shrink k until no counter can wrap inside the window. Counter
         # fill is monotonic in k, so binary-search the largest safe k; if
         # even one slice would wrap, the slow path delivers that PMI.
@@ -1243,7 +1275,7 @@ class EngineBase:
                 return True
 
             if not fits(1):
-                return self._bail("overflow")
+                return self._bail("macro", "wrap")
             lo, hi = 1, k
             while lo < hi:
                 mid = (lo + hi + 1) // 2
@@ -1309,22 +1341,25 @@ class EngineBase:
     ) -> bool:
         """Charge a preemptible ``cycles``-long user phase of ``rates``
         inside its op's begin handler, when the stage machine would run it
-        as one chunk: no PMI due, the phase ends by the slice boundary, and
-        no counter of its plan entry can pass its mask. The caller then
-        finishes the op as its advance would.
+        as one chunk; else bail as path ``phase`` with the fold gate's
+        user-frame reasons (``pmi_due``, ``slice``, ``wrap``; see
+        :meth:`_charge_frame`) and leave the stage machine unchanged. The
+        caller then finishes the op as its advance would.
 
         The stage machine runs such a phase's fetch, accrual and advance in
         one piece with nothing in between, so neither the horizon nor
-        tracing needs a check. The checks are side-effect free; on False
-        the caller sets up the stage machine unchanged.
+        tracing needs a check. Phase lengths vary, so the phase stays on
+        :meth:`_account` (a frame per length would grow without bound).
         """
-        if core.pmi_due_at is not None or core.slice_ends_at - core.now < cycles:
-            return False
+        if core.pmi_due_at is not None:
+            return self._bail("phase", "pmi_due")
+        if core.slice_ends_at - core.now < cycles:
+            return self._bail("phase", "slice")
         if cycles:
             entry = core.pmu.plan_entry(rates, _USER)
             for _index, ctr, ppm, mask in entry[1]:
                 if ctr.value + (cycles * ppm) // 1_000_000 > mask:
-                    return False
+                    return self._bail("phase", "wrap")
             self._account(core, thread, _USER, entry, 0, cycles)
         self._whole_phases += 1
         return True

@@ -528,7 +528,7 @@ class Engine(EngineBase):
     # protocol as one op, on one of two paths chosen per attempt:
     #
     # * fast path (_try_fast_read) — when nothing can interrupt the window
-    #   (no slice boundary, no due PMI, no counter wrap, not tracing), the
+    #   (not tracing, and the fold gate passes: see _charge_frame), the
     #   whole read commits inside the op's begin handler as one frame, so
     #   fetch and read are one piece;
     # * stage machine (_adv_pmc_read) — otherwise, the op steps through
@@ -616,14 +616,13 @@ class Engine(EngineBase):
         provably uninterruptible.
 
         All prechecks are side-effect free; any possible interleaving
-        (slice boundary or due PMI inside the window, userspace-read fault,
-        bad slot, latched or imminent counter overflow, tracing) bails to
-        the stage machine, which reproduces the historical behaviour
-        exactly. On success the committed state — tallies, counters,
-        slot-truth bookkeeping, core clocks — is identical to running the
-        uninterrupted stage sequence piece by piece, and the op is complete
-        (``thread.cur`` cleared), so :meth:`_step` ends the piece at its
-        fetch.
+        (userspace-read fault, bad slot, latched counter overflow, tracing,
+        or the fold gate's reasons) bails to the stage machine, which
+        reproduces the historical behaviour exactly. On success the
+        committed state — tallies, counters, slot-truth bookkeeping, core
+        clocks — is identical to running the uninterrupted stage sequence
+        piece by piece, and the op is complete (``thread.cur`` cleared), so
+        :meth:`_step` ends the piece at its fetch.
         """
         # Fault hooks come BEFORE the tracing bail: whenever read-targeting
         # faults are armed, traced and untraced runs must take the same
@@ -632,35 +631,31 @@ class Engine(EngineBase):
         if faults is not None and faults.reads_armed:
             if faults.fire(fp.FORCE_BAILOUT, core, thread, point="fast_read"):
                 self._fault_event(core, thread, fp.FORCE_BAILOUT, "fast_read")
-            return self._bail("read_fault_armed")
+            return self._bail("read", "fault_armed")
         if self._tracing:
-            return self._bail("read_tracing")
-        if core.pmi_due_at is not None:
-            return self._bail("read_pmi_due")
+            return self._bail("read", "tracing")
         pmu = core.pmu
         if not pmu.user_rdpmc_enabled:
-            return self._bail("read_fault")
+            return self._bail("read", "rdpmc_off")
         index = ex.op.index
         vpmu = thread.vpmu
         slots = vpmu.slots
         counters = pmu.counters
         if not 0 <= index < len(slots):
-            return self._bail("read_bad_slot")
+            return self._bail("read", "bad_slot")
         spec = slots[index]
         if spec is None or not spec.user_readable:
-            return self._bail("read_bad_slot")
+            return self._bail("read", "bad_slot")
+        for counter in counters:
+            if counter.overflow_pending:
+                return self._bail("read", "overflow_pending")
         entry = pmu.plan_entry(LIBRARY_RATES, _USER)
         recipes = entry[2]
         whole, tail_cycles = self._read_frames[ex.op.protocol]
         frame = recipes.get(whole) or _frame(entry, whole)
         bound = core.slice_ends_at
-        if bound is not None and bound - core.now < frame[0]:
-            return self._bail("read_slice")
-        for counter in counters:
-            if counter.overflow_pending:
-                return self._bail("read_overflow_pending")
-        if not self._charge_frame(core, thread, _USER, frame):
-            return self._bail("read_wrap")
+        if not self._charge_frame(core, thread, _USER, frame, "read", bound):
+            return False
         # The whole read is charged as one frame; now take the rdpmc (no
         # rdpmc fault is left, so the counter is read directly). It ran
         # before the read's tail ([end +] store), so back out what the tail
@@ -877,9 +872,9 @@ class Engine(EngineBase):
         ``slice_ends_at``. Every round that both *runs* and *decides*
         strictly before those bounds is therefore a guaranteed failed CAS,
         and k of them accrue exactly k times one round's deltas (each phase
-        restarts at phase-relative cycle 0). k is additionally capped so no
-        hardware counter can wrap inside the window; the round that would
-        wrap is left to the slow path, which raises the PMI mid-phase
+        restarts at phase-relative cycle 0). The fold gate shrinks k to
+        those rounds and to the rounds no counter wraps in; the round that
+        would wrap is left to the slow path, which raises the PMI mid-phase
         exactly as before. No trace events occur inside the loop, so the
         batch is valid under tracing too.
         """
@@ -888,41 +883,25 @@ class Engine(EngineBase):
             fp.FORCE_BAILOUT, core, thread, point="spin"
         ):
             self._fault_event(core, thread, fp.FORCE_BAILOUT, "spin")
-            return self._bail("fault_forced")
+            return self._bail("spin", "fault_forced")
         costs = self._costs
         spin_q = costs.spin_quantum
-        round_cycles = spin_q + costs.cas
-        if round_cycles <= 0:  # pragma: no cover - degenerate cost model
-            return self._bail("spin_degenerate")
+        if spin_q + costs.cas <= 0:  # pragma: no cover - degenerate cost model
+            return self._bail("spin", "degenerate")
         spin_used = ex.spin_used
         budget = self.config.locks.spin_limit_cycles - spin_used
-        k = -(-budget // spin_q)  # rounds until the budget is exhausted
-        if core.pmi_due_at is not None:
-            return self._bail("spin_pmi_due")
-        now = core.now
-        bound = core.slice_ends_at
-        if bound is not None:
-            k_s = (bound - now) // round_cycles
-            if k_s < k:
-                k = k_s
-            if k < 1:
-                return self._bail("spin_slice")
-        horizon = self._horizon
-        if horizon is not None:
-            k_h = (horizon - now - 1) // round_cycles
-            if k_h < k:
-                k = k_h
-            if k < 1:
-                return self._bail("spin_horizon")
         pmu = core.pmu
         spin_entry = pmu.plan_entry(SPIN_RATES, _USER)
         frame = _frame(
             spin_entry, self._spin_round,
             (spin_entry, pmu.plan_entry(LIBRARY_RATES, _USER)),
         )
-        k = self._charge_frame(core, thread, _USER, frame, k)
+        k = self._charge_frame(
+            core, thread, _USER, frame, "spin", core.slice_ends_at,
+            self._horizon, -(-budget // spin_q),  # rounds left in the budget
+        )
         if not k:
-            return self._bail("spin_wrap")
+            return False
         # ---- k failed rounds are charged: re-decide with the same checks
         # the slow path's k-th CAS advance would have made at this state ----
         ex.spin_used = spin_used + k * spin_q
@@ -1058,8 +1037,8 @@ class Engine(EngineBase):
 
     # -- syscalls ----------------------------------------------------------
     # A Syscall runs entry, body and exit phases. One whose handler returns
-    # no action changes nothing but this core and this thread, so when no
-    # tick, PMI or counter wrap can cut the kernel path, _try_whole_syscall
+    # no action changes nothing but this core and this thread, so when the
+    # fold gate finds nothing to cut the kernel path, _try_whole_syscall
     # commits all three phases inside the begin handler; otherwise the
     # stage machine in _adv_syscall runs them piece by piece.
 
@@ -1076,32 +1055,25 @@ class Engine(EngineBase):
 
         Exact when the stage machine would run the three phases back to
         back with nothing in between: not tracing (trace events are emitted
-        per phase), no PMI due, no timer tick before the exit phase starts,
-        no counter wrap (which would arm a PMI) and no run past
-        ``max_cycles``. The other cores' horizon is not consulted: the
-        phases touch only this core's clock and counters and this thread's
-        tallies, which no other actor reads or writes before this core next
-        acts. Armed tick faults are the exception (``shrink_counter`` on
-        another core rewrites this core's counters), so they fall back too.
-        All checks are side-effect free; on False the caller runs the stage
-        machine unchanged.
+        per phase), and a pass of the fold gate. The horizon is not
+        consulted: the phases touch only this core's clock and counters and
+        this thread's tallies, which no other actor reads or writes before
+        this core next acts. Armed tick faults are the exception
+        (``shrink_counter`` on another core rewrites this core's counters),
+        so they fall back too. On False the caller runs the stage machine
+        unchanged.
         """
         if self._tracing:
-            return False
+            return self._bail("syscall", "tracing")
         faults = self._faults
         if faults is not None and faults.tick_armed:
-            return False
-        if core.pmi_due_at is not None:
-            return self._bail("syscall_pmi_due")
-        exit_at = core.now + self._costs.syscall_entry + body
-        bound = core.slice_ends_at
-        if bound is not None and exit_at >= bound:
-            return self._bail("syscall_slice")
-        if exit_at > self._max_cycles:
-            return False
+            return self._bail("syscall", "fault_tick_armed")
         frame = self._kernel_frame(core, self._syscall_frame)
-        if not self._charge_frame(core, thread, _KERNEL, frame, 1, body):
-            return self._bail("syscall_wrap")
+        bound = core.slice_ends_at
+        if not self._charge_frame(
+            core, thread, _KERNEL, frame, "syscall", bound, body=body
+        ):
+            return False
         self._whole_syscalls += 1
         self._complete(thread, None)
         return True
@@ -1114,14 +1086,13 @@ class Engine(EngineBase):
         nothing can act before it.
 
         The stage machine runs entry and body as two pieces with no other
-        actor between them exactly when the entry ends below the chain's
-        horizon (the main loop keeps the chain) and before the slice ends
-        (no tick at the body piece), with no PMI due and no counter wrap
-        over the two phases (nothing arms one between them), and not past
-        ``max_cycles``. Unlike a whole syscall, the horizon is needed: the
-        block pushes a sleeper and frees the core, shared state that other
-        cores read. The block runs through the stage machine's own body
-        advance, so traces are unchanged and tracing needs no bail.
+        actor between them exactly when the fold gate passes their frame
+        (no tick at the body piece, nothing arms a PMI between them). Unlike
+        a whole syscall, the gate gets the horizon (the main loop keeps the
+        chain below it): the block pushes a sleeper and frees the core,
+        shared state that other cores read. The block runs through the
+        stage machine's own body advance, so traces are unchanged and
+        tracing needs no bail.
 
         After the block, the stage machine re-selects. When the core's
         clock is still below the horizon and the new sleeper wakes after it
@@ -1131,16 +1102,11 @@ class Engine(EngineBase):
         the thread left the core, False (nothing done) when the stage
         machine must run.
         """
-        if core.pmi_due_at is not None:
-            return False
-        body_at = core.now + self._costs.syscall_entry
-        if body_at >= core.slice_ends_at or body_at > self._max_cycles:
-            return False
         horizon = self._horizon
-        if horizon is not None and body_at >= horizon:
-            return False
         frame = self._kernel_frame(core, self._sleep_frame)
-        if not self._charge_frame(core, thread, _KERNEL, frame):
+        if not self._charge_frame(
+            core, thread, _KERNEL, frame, "sleep", core.slice_ends_at, horizon
+        ):
             return False
         ex.stage = "body"
         self._adv_sleep(core, thread, ex)
@@ -1168,25 +1134,23 @@ class Engine(EngineBase):
         the whole-syscall reason: the exit touches only this core's clock
         and counters and this thread, which no other actor reads or writes
         before this core acts again, so the horizon is not consulted. It
-        needs no PMI due and no wrap over the two phases, tracing off (the
-        exit's trace event would move past other cores' events) and no
-        tick fault armed (``shrink_counter`` rewrites every core's
-        counters). The exit starts before the new slice ends, since a
-        timeslice is at least 1,000 cycles. On False nothing is charged.
+        needs tracing off (the exit's trace event would move past other
+        cores' events), no tick fault armed (``shrink_counter`` rewrites
+        every core's counters) and a pass of the fold gate with no slice
+        bound: the exit starts before the new slice ends, since a timeslice
+        is at least 1,000 cycles. On False nothing is charged.
         """
         stage = ex.stage
         if stage != "fexit" and (stage != "exit" or ex.adv is Engine._adv_yield):
             return False
-        if self._tracing or core.pmi_due_at is not None:
-            return False
+        if self._tracing:
+            return self._bail("resumed_exit", "tracing")
         faults = self._faults
         if faults is not None and faults.tick_armed:
-            return False
+            return self._bail("resumed_exit", "fault_tick_armed")
         exit_at = core.now + cost
-        if exit_at > self._max_cycles:
-            return False
         frame = self._kernel_frame(core, (cost, ex.phase_cycles))
-        if not self._charge_frame(core, thread, _KERNEL, frame):
+        if not self._charge_frame(core, thread, _KERNEL, frame, "resumed_exit", None):
             return False
         core.slice_ends_at = exit_at + self.config.kernel.timeslice_cycles
         self._resumed_exits += 1

@@ -136,7 +136,7 @@ class TestOverflowBoundaries:
         )
         result = _run_pair(config, lambda: [self._sampling_program(70_001)])
         assert result.kernel.n_pmis >= 5
-        assert result.metrics.get("fastpath_bailout.pmi_due", 0) > 0
+        assert result.metrics.get("fastpath_bailout.macro.pmi_due", 0) > 0
 
     @pytest.mark.parametrize("width", [12, 16])
     def test_counter_wrap_inside_batched_window(self, width):

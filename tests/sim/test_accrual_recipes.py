@@ -202,7 +202,9 @@ def test_frame_charge_matches_one_account_per_sub_phase(name, headroom):
     entries = tuple(c_core.pmu.plan_entry(rates, domain) for rates, _c in phases)
     frame = _frame(entries[0], tuple(c for _rates, c in phases), entries)
 
-    assert charged._charge_frame(c_core, c_thread, domain, frame, k, body) == fits
+    assert charged._charge_frame(
+        c_core, c_thread, domain, frame, name, None, k=k, body=body
+    ) == fits
     if fits:
         first = o_core.pmu.plan_entry(phases[0][0], domain)
         if body:
@@ -230,7 +232,9 @@ def test_spin_frame_charges_the_rounds_that_fit():
             for rates, c in zip((SPIN_RATES, LIBRARY_RATES), engine._spin_round)
         )
         pmu.counter(0).write(MASK - rounds * per_round)
-        assert engine._charge_frame(core, thread, Domain.USER, frame, 10) == rounds
+        assert engine._charge_frame(
+            core, thread, Domain.USER, frame, "spin", None, k=10
+        ) == rounds
         assert pmu.counter(0).value == MASK
         assert thread.user_cycles == rounds * frame[0]
 

@@ -110,7 +110,7 @@ class TestValues:
                     )
                     if not staged:
                         wraps[narrow] = result.metrics.get(
-                            "fastpath_bailout.read_wrap", 0
+                            "fastpath_bailout.read.wrap", 0
                         )
         assert not wraps[False] and wraps[True]
         assert len(results[False, False, True][2]) == 2 * 20

@@ -367,7 +367,7 @@ class TestSpinBatching:
         10-bit counters some batches stop short of a counter wrap."""
         fast, fast_records = _spin_run(config)
         assert fast.metrics["spin_batches"] > 0
-        bails = fast.metrics.get("fastpath_bailout.spin_wrap", 0)
+        bails = fast.metrics.get("fastpath_bailout.spin.wrap", 0)
         assert (bails > 0) is wraps
         monkeypatch.setattr(Engine, "_try_spin_batch", lambda *args: False)
         slow, slow_records = _spin_run(config)

@@ -173,7 +173,8 @@ class TestTwoPieceSleeps:
         """A lone thread's 14-bit counter, zeroed at each switch-in, wraps
         near the end of some computes, so the next sleep is fetched with
         the PMI still due; others wrap inside the sleep's own kernel path.
-        Both take the stage machine, and the run matches it."""
+        Both take the stage machine, each counted as its bail, and the run
+        matches it."""
         config = SimConfig(
             machine=MachineConfig(n_cores=1, pmu=PmuConfig(counter_width=14)),
             kernel=KernelConfig(timeslice_cycles=20_000),
@@ -199,6 +200,13 @@ class TestTwoPieceSleeps:
         assert seen["pmi_due"] > 0
         assert seen["staged"] > seen["pmi_due"]
         assert seen["whole"] > 0
+        bails = fast.metrics
+        assert bails["fastpath_bailout.sleep.pmi_due"] == seen["pmi_due"]
+        assert bails["fastpath_bailout.sleep.wrap"] > 0
+        assert sum(
+            n for key, n in bails.items()
+            if key.startswith("fastpath_bailout.sleep.")
+        ) == seen["staged"]
         _force_stage_machine(monkeypatch)
         staged, staged_records = run()
         assert staged.fingerprint() == fast.fingerprint()
@@ -228,8 +236,9 @@ class TestTwoPieceSleeps:
     def test_sleep_at_the_slice_end(self, lead, monkeypatch):
         """A lone thread computes up to ``lead`` cycles before its slice
         ends, then sleeps. The fetch piece takes the sleep whole only when
-        the entry (280 cycles) ends before the slice does; at ``lead`` 0
-        the tick runs first and the sleep starts a fresh slice."""
+        the entry (280 cycles) ends before the slice does, and bails on
+        the slice otherwise; at ``lead`` 0 the tick runs first and the
+        sleep starts a fresh slice."""
         costs = SOLO.machine.costs
         entry = costs.syscall_entry
         slice_cycles = SOLO.kernel.timeslice_cycles
@@ -241,6 +250,8 @@ class TestTwoPieceSleeps:
 
         fast = run_threads(SOLO, program)
         assert fast.metrics["whole_sleeps"] == int(lead == 0 or lead > entry)
+        slice_bails = fast.metrics.get("fastpath_bailout.sleep.slice", 0)
+        assert slice_bails == int(0 < lead <= entry)
         assert fast.metrics["resumed_exits"] == 1
         _force_stage_machine(monkeypatch)
         staged = run_threads(SOLO, program)

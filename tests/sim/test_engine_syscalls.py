@@ -189,8 +189,8 @@ class TestWholeSyscalls:
     @pytest.mark.parametrize(
         "config, iters, bails",
         [
-            (MULTI, 12, ("syscall_slice",)),
-            (NARROW, 40, ("syscall_slice", "syscall_wrap", "syscall_pmi_due")),
+            (MULTI, 12, ("syscall.slice",)),
+            (NARROW, 40, ("syscall.slice", "syscall.wrap", "syscall.pmi_due")),
         ],
     )
     def test_fast_and_staged_paths_agree(self, config, iters, bails, monkeypatch):
