@@ -7,6 +7,19 @@ user phase and result collection. The module also defines the engine-side
 thread and op state (:class:`SimThread`, :class:`_OpExec`) and the
 exact-accrual recipes. :class:`repro.sim.engine.Engine` adds the main loop,
 dispatch and the op handlers; see that module for the determinism rules.
+
+Macro-stepping
+--------------
+When a thread is alone on its core inside a long preemptible compute phase,
+the piece-by-piece loop degenerates to: run to the slice boundary, take a
+timer tick, extend the slice, repeat. The macro-stepping fast path
+(:meth:`EngineBase._try_macro_step`) recognises this and accrues many such
+timeslices in one closed-form step — k whole quanta of user cycles plus k
+batched timer ticks of kernel cycles — using the same exact integer event
+arithmetic, and stopping the jump before the earliest cross-core
+interaction or counter-overflow crossing so results are fingerprint
+identical to the slow path. See docs/architecture.md ("Macro-stepping")
+for the engage conditions and invariants.
 """
 
 from __future__ import annotations

@@ -22,19 +22,6 @@ configured skid rather than at arbitrary op boundaries.
 builds on :class:`repro.sim.base.EngineBase` (run state, virtualization,
 PMIs, accounting) and calls the syscall handlers of
 :mod:`repro.sim.syscalls`.
-
-Macro-stepping
---------------
-When a thread is alone on its core inside a long preemptible compute phase,
-the piece-by-piece loop degenerates to: run to the slice boundary, take a
-timer tick, extend the slice, repeat. The macro-stepping fast path
-(:meth:`Engine._try_macro_step`) recognises this and accrues many such
-timeslices in one closed-form step — k whole quanta of user cycles plus k
-batched timer ticks of kernel cycles — using the same exact integer event
-arithmetic, and stopping the jump before the earliest cross-core
-interaction or counter-overflow crossing so results are fingerprint
-identical to the slow path. See docs/architecture.md ("Macro-stepping")
-for the engage conditions and invariants.
 """
 
 from __future__ import annotations
@@ -58,7 +45,7 @@ from repro.hw.machine import Core
 from repro.kernel.locks import LockState
 from repro.sim import ops
 from repro.sim.program import ThreadSpec
-from repro.sim.syscalls import SYSCALLS as _SYSCALLS
+from repro.sim.syscalls import SYSCALLS as _SYSCALLS, SysAction
 from repro.sim.results import RegionTruth, RunResult
 from repro.sim.base import (
     EngineBase,
@@ -442,55 +429,77 @@ class Engine(EngineBase):
         handler = _SYSCALLS.get(name)
         if handler is None:
             raise SimulationError(f"unknown syscall {name!r}")
-        thread.n_syscalls += 1
         table = self.kernel_counters.n_syscalls
         table[name] = table.get(name, 0) + 1
         # The handler runs here rather than at the end of the entry phase.
         # Nothing else runs on this thread in between, and every handler
         # reads only its args, static config and this thread's own state,
         # so it returns (or raises) exactly what it would there.
-        exc = None
         try:
             body, action = handler(self, core, thread, op.args)
         except Exception as raised:  # delivered as the syscall's "errno"
-            body, action, exc = 0, None, raised
-        else:
-            if action is None and self._try_whole_syscall(core, thread, body):
-                return
-        self._begin_syscall(core, thread, ex, name)
-        ex.stage = "entry"
-        ex.body = body
-        ex.action = action
-        ex.exc = exc
+            self._begin_kernel_path(core, thread, ex, name, 0, None)
+            ex.exc = raised
+            return
+        if action is None and self._try_whole_syscall(core, thread, body):
+            thread.n_syscalls += 1
+            return
+        self._begin_kernel_path(core, thread, ex, name, body, action)
 
     def _begin_spawn(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        ex.stage = "entry"
-        thread.n_syscalls += 1
+        op: ops.SpawnThread = ex.op
         table = self.kernel_counters.n_syscalls
         table["clone"] = table.get("clone", 0) + 1
-        self._begin_syscall(core, thread, ex, "clone")
+
+        def action(core: Core, thread: SimThread) -> tuple[Any, Any]:
+            child = self._create_thread(op.factory, op.name, at=core.now)
+            self._make_ready(child, at=core.now)
+            return child.tid, None
+
+        self._begin_kernel_path(core, thread, ex, "clone", 2600, action)
 
     def _begin_join(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        ex.stage = "entry"
-        thread.n_syscalls += 1
-        self._begin_syscall(core, thread, ex, "join")
+        tid = ex.op.tid
+
+        def action(core: Core, thread: SimThread) -> tuple[Any, Any]:
+            target = self.threads.get(tid)
+            if target is None:
+                raise SimulationError(f"join: no thread {tid}")
+            if target.state is ThreadState.FINISHED:
+                return None, None
+            return None, ("join", tid)
+
+        self._begin_kernel_path(core, thread, ex, "join", 600, action)
 
     def _begin_sleep(self, core: Core, thread: SimThread, ex: _OpExec) -> bool:
-        ex.stage = "entry"
-        thread.n_syscalls += 1
-        self._begin_syscall(core, thread, ex, "sleep")
+        cycles = ex.op.cycles
+
+        def action(core: Core, thread: SimThread) -> tuple[Any, Any]:
+            return None, ("sleep", cycles)
+
+        self._begin_kernel_path(core, thread, ex, "sleep", _SLEEP_BODY, action)
         return self._try_whole_sleep(core, thread, ex)
 
     def _begin_yield(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        ex.stage = "entry"
-        thread.n_syscalls += 1
-        self._begin_syscall(core, thread, ex, "yield")
+        self._begin_kernel_path(core, thread, ex, "yield", 400, None)
 
-    def _begin_syscall(
-        self, core: Core, thread: SimThread, ex: _OpExec, name: str
+    def _begin_kernel_path(
+        self,
+        core: Core,
+        thread: SimThread,
+        ex: _OpExec,
+        name: str,
+        body: int,
+        action: SysAction | None,
     ) -> None:
-        """Common entry path of every syscall-class op: trace + entry phase."""
+        """Common begin of every syscall-class op: count it, trace it and
+        set up the entry phase of :meth:`_adv_syscall`'s kernel path, with
+        a ``body``-cycle body phase whose end runs ``action``."""
+        thread.n_syscalls += 1
+        ex.stage = "entry"
         ex.sys_name = name
+        ex.body = body
+        ex.action = action
         ex.exc = None
         ex.result = None
         if self._tracing:
@@ -500,17 +509,6 @@ class Engine(EngineBase):
         ex.set_phase(
             self._costs.syscall_entry, KERNEL_RATES, _KERNEL, False
         )
-
-    def _end_syscall(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        """Trace the kernel->user return of a syscall-class op."""
-        if self._tracing:
-            self.obs.emit(
-                core.now,
-                core.core_id,
-                thread.tid,
-                tr.SYSCALL_EXIT,
-                ex.sys_name,
-            )
 
     # -- op advance ----------------------------------------------------------
 
@@ -1035,12 +1033,14 @@ class Engine(EngineBase):
             return
         raise SimulationError(f"bad LockRelease stage {stage!r}")
 
-    # -- syscalls ----------------------------------------------------------
-    # A Syscall runs entry, body and exit phases. One whose handler returns
-    # no action changes nothing but this core and this thread, so when the
-    # fold gate finds nothing to cut the kernel path, _try_whole_syscall
-    # commits all three phases inside the begin handler; otherwise the
-    # stage machine in _adv_syscall runs them piece by piece.
+    # -- kernel paths --------------------------------------------------------
+    # Every syscall-class op (Syscall, SpawnThread, JoinThread, Sleep and
+    # YieldCpu) runs entry, body and exit phases through one stage machine,
+    # _adv_syscall. A Syscall whose handler returns no action changes
+    # nothing but this core and this thread, so when the fold gate finds
+    # nothing to cut the kernel path, _try_whole_syscall commits all three
+    # phases inside the begin handler; otherwise the stage machine runs them
+    # piece by piece.
 
     def _kernel_frame(self, core: Core, cycles: tuple[int, ...]) -> tuple:
         """The :func:`_frame` of kernel sub-phases ``cycles`` on this core."""
@@ -1109,7 +1109,7 @@ class Engine(EngineBase):
         ):
             return False
         ex.stage = "body"
-        self._adv_sleep(core, thread, ex)
+        self._adv_syscall(core, thread, ex)
         self._whole_sleeps += 1
         now = core.now
         if (
@@ -1127,10 +1127,11 @@ class Engine(EngineBase):
         kernel exit phase as one accrual, and advance past the exit, inside
         the switch-in piece.
 
-        That pending phase is the ``exit`` of a Sleep, a syscall (a woken
-        ``wait_key``) or a join, or the ``fexit`` of a lock's futex wait;
-        a thread preempted at such an exit resumes the same way. A yield's
-        exit reads the run queue, so it stays a piece of its own. Exact for
+        That pending phase is the ``exit`` of :meth:`_adv_syscall`'s kernel
+        path (a Sleep, a woken ``wait_key``, a join, or any syscall-class
+        op preempted there) or the ``fexit`` of a lock's futex wait. A
+        YieldCpu runs the same path, but its exit reads the run queue
+        (:meth:`_adv_yield`), so it stays a piece of its own. Exact for
         the whole-syscall reason: the exit touches only this core's clock
         and counters and this thread, which no other actor reads or writes
         before this core acts again, so the horizon is not consulted. It
@@ -1158,8 +1159,23 @@ class Engine(EngineBase):
         return True
 
     def _adv_syscall(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        """The one kernel-path stage machine: entry, a body whose end runs
+        the op's action, then exit. Every syscall-class op runs it: Syscall,
+        SpawnThread (as ``clone``), JoinThread, Sleep, and YieldCpu through
+        :meth:`_adv_yield`.
+
+        An action returns ``(value, blocker)``. A blocker parks the thread
+        after the exit phase is set up: ``("sleep", cycles)`` pushes a
+        sleeper, ``("join", tid)`` waits for a live target and ``("key",
+        key)`` waits on a keyed event. An exception raised by the handler
+        at begin skips the body; one raised by the action is delivered
+        after the exit, as the op's "errno". _try_whole_sleep runs a
+        Sleep's entry, body and block in the fetch piece, and
+        _try_resumed_exit runs a pending exit in the switch-in piece, when
+        nothing can come between the phases."""
         costs = self._costs
-        if ex.stage == "entry":
+        stage = ex.stage
+        if stage == "entry":
             # the handler ran at begin; if it raised, skip straight to exit
             if ex.exc is not None:
                 ex.stage = "exit"
@@ -1168,7 +1184,7 @@ class Engine(EngineBase):
             ex.stage = "body"
             ex.set_phase(ex.body, KERNEL_RATES, _KERNEL, False)
             return
-        if ex.stage == "body":
+        if stage == "body":
             action = ex.action
             result: Any = None
             block: tuple | None = None
@@ -1192,118 +1208,35 @@ class Engine(EngineBase):
                         self._sleep_heap, (core.now + arg, self._seq, thread.tid)
                     )
                     self._chain_break = True
-                    self._block(core, thread, ("sleep", arg))
                 elif kind == "join":
                     self._join_waiters.setdefault(arg, []).append(thread.tid)
-                    self._block(core, thread, ("join", arg))
                 elif kind == "key":
                     self.futex.wait("key:" + arg, thread.tid)
-                    self._block(core, thread, ("key", arg))
                 else:  # pragma: no cover
                     raise SimulationError(f"bad block kind {kind!r}")
+                self._block(core, thread, block)
             return
-        if ex.stage == "exit":
-            self._end_syscall(core, thread, ex)
+        if stage == "exit":
+            if self._tracing:
+                self.obs.emit(
+                    core.now, core.core_id, thread.tid, tr.SYSCALL_EXIT,
+                    ex.sys_name,
+                )
             exc = ex.exc
             if exc is not None:
                 self._throw(thread, exc)
             else:
                 self._complete(thread, ex.result)
             return
-        raise SimulationError(f"bad Syscall stage {ex.stage!r}")
-
-    def _adv_spawn(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        op: ops.SpawnThread = ex.op
-        costs = self._costs
-        if ex.stage == "entry":
-            ex.stage = "body"
-            ex.set_phase(2600, KERNEL_RATES, _KERNEL, False)
-            return
-        if ex.stage == "body":
-            child = self._create_thread(op.factory, op.name, at=core.now)
-            self._make_ready(child, at=core.now)
-            ex.result = child.tid
-            ex.stage = "exit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, _KERNEL, False)
-            return
-        if ex.stage == "exit":
-            self._end_syscall(core, thread, ex)
-            self._complete(thread, ex.result)
-            return
-        raise SimulationError(f"bad SpawnThread stage {ex.stage!r}")
-
-    def _adv_join(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        op: ops.JoinThread = ex.op
-        costs = self._costs
-        if ex.stage == "entry":
-            ex.stage = "body"
-            ex.set_phase(600, KERNEL_RATES, _KERNEL, False)
-            return
-        if ex.stage == "body":
-            target = self.threads.get(op.tid)
-            if target is None:
-                ex.exc = SimulationError(f"join: no thread {op.tid}")
-            ex.stage = "exit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, _KERNEL, False)
-            if target is not None and target.state is not ThreadState.FINISHED:
-                self._join_waiters.setdefault(op.tid, []).append(thread.tid)
-                self._block(core, thread, ("join", op.tid))
-            return
-        if ex.stage == "exit":
-            self._end_syscall(core, thread, ex)
-            exc = ex.exc
-            if exc is not None:
-                self._throw(thread, exc)
-            else:
-                self._complete(thread, None)
-            return
-        raise SimulationError(f"bad JoinThread stage {ex.stage!r}")
-
-    def _adv_sleep(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        """Stage machine of a Sleep: entry, then a body that ends in the
-        block (a sleep-heap push and a switch-out), then, once the thread is
-        switched back in, the exit. _try_whole_sleep runs entry, body and
-        block in the fetch piece, and _try_resumed_exit runs the exit in
-        the switch-in piece, when nothing can come between the phases."""
-        op: ops.Sleep = ex.op
-        costs = self._costs
-        if ex.stage == "entry":
-            ex.stage = "body"
-            ex.set_phase(_SLEEP_BODY, KERNEL_RATES, _KERNEL, False)
-            return
-        if ex.stage == "body":
-            ex.stage = "exit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, _KERNEL, False)
-            self._seq += 1
-            heapq.heappush(
-                self._sleep_heap, (core.now + op.cycles, self._seq, thread.tid)
-            )
-            self._chain_break = True
-            self._block(core, thread, ("sleep", op.cycles))
-            return
-        if ex.stage == "exit":
-            self._end_syscall(core, thread, ex)
-            self._complete(thread, None)
-            return
-        raise SimulationError(f"bad Sleep stage {ex.stage!r}")
+        raise SimulationError(f"bad {type(ex.op).__name__} stage {stage!r}")
 
     def _adv_yield(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        costs = self._costs
-        if ex.stage == "entry":
-            ex.stage = "body"
-            ex.set_phase(400, KERNEL_RATES, _KERNEL, False)
-            return
-        if ex.stage == "body":
-            ex.stage = "exit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, _KERNEL, False)
-            return
-        if ex.stage == "exit":
-            self._end_syscall(core, thread, ex)
-            self._complete(thread, None)
-            if self.scheduler.queue_length(core.core_id) > 0:
-                self._switch_out(core, thread, requeue=True)
-            return
-        raise SimulationError(f"bad YieldCpu stage {ex.stage!r}")
+        """A YieldCpu runs :meth:`_adv_syscall`'s kernel path; after its
+        exit the thread gives up the core when another thread is queued."""
+        stage = ex.stage
+        self._adv_syscall(core, thread, ex)
+        if stage == "exit" and self.scheduler.queue_length(core.core_id) > 0:
+            self._switch_out(core, thread, requeue=True)
 
 
 def _dispatch_resolve(op: Any, message: str) -> tuple[Callable, Callable]:
@@ -1337,9 +1270,9 @@ _OP_HANDLERS: dict[type, tuple[Callable, Callable]] = {
     ops.LockAcquire: (Engine._begin_lock_acquire, Engine._adv_lock_acquire),
     ops.LockRelease: (Engine._begin_lock_release, Engine._adv_lock_release),
     ops.Syscall: (Engine._begin_syscall_op, Engine._adv_syscall),
-    ops.SpawnThread: (Engine._begin_spawn, Engine._adv_spawn),
-    ops.JoinThread: (Engine._begin_join, Engine._adv_join),
-    ops.Sleep: (Engine._begin_sleep, Engine._adv_sleep),
+    ops.SpawnThread: (Engine._begin_spawn, Engine._adv_syscall),
+    ops.JoinThread: (Engine._begin_join, Engine._adv_syscall),
+    ops.Sleep: (Engine._begin_sleep, Engine._adv_syscall),
     ops.YieldCpu: (Engine._begin_yield, Engine._adv_yield),
 }
 

@@ -61,7 +61,7 @@ class ThreadResult:
     n_preemptions: int
     n_migrations: int
     n_cross_socket_migrations: int
-    n_syscalls: int
+    n_syscalls: int         #: syscall-class ops, Sleep, JoinThread and YieldCpu too
     read_restarts: int      #: LiMiT safe-read retries this thread performed
     events_user: dict[Event, int]
     events_kernel: dict[Event, int]
@@ -114,6 +114,9 @@ class KernelCounters:
     n_pmis: int = 0
     n_counter_overflows: int = 0
     n_samples: int = 0
+    #: Per-name count of ``Syscall`` ops, plus ``"clone"`` for each
+    #: ``SpawnThread``. ``Sleep``, ``JoinThread`` and ``YieldCpu`` run the
+    #: same kernel path but count only in ``ThreadResult.n_syscalls``.
     n_syscalls: dict[str, int] = field(default_factory=dict)
     n_futex_waits: int = 0
     n_futex_wakes: int = 0

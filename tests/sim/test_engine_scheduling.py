@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.config import MachineConfig, SimConfig
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigError, SimulationError
 from repro.sim.engine import ThreadState
 from repro.sim.ops import Compute, JoinThread, LockAcquire, Sleep, SpawnThread, YieldCpu
 
@@ -161,6 +161,30 @@ class TestSpawnJoin:
 
         run_threads(uniprocessor, program)
         assert "exc" in caught
+
+    def test_bad_spawn_factory_is_the_clone_errno(self, uniprocessor):
+        """A factory that returns no generator fails the clone: the error
+        is delivered to the spawning thread after the exit phase, and ends
+        the run when the program does not catch it."""
+        caught = {}
+
+        def bad(ctx):
+            return None
+
+        def catching(ctx):
+            try:
+                yield SpawnThread(bad, "kid")
+            except ConfigError as exc:
+                caught["exc"] = exc
+            yield Compute(100, SIMPLE_RATES)
+
+        def careless(ctx):
+            yield SpawnThread(bad, "kid")
+
+        run_threads(uniprocessor, catching)
+        assert "must return a generator" in str(caught["exc"])
+        with pytest.raises(ConfigError, match="must return a generator"):
+            run_threads(uniprocessor, careless)
 
 
 class TestYield:

@@ -268,17 +268,18 @@ class TestTwoPieceSleeps:
 
         thread = engine._create_thread(idle, "t0", at=0)
         ex = thread.op_exec
+        ex.op = Sleep(1_000)
+        # the shared begin sets the slots the exit stage reads
+        engine._begin_kernel_path(core, thread, ex, "sleep", 0, None)
         ex.set_phase(
             SOLO.machine.costs.syscall_exit, KERNEL_RATES, Domain.KERNEL, False
         )
-        ex.op = Sleep(1_000)
         ex.stage = "exit"
-        ex.sys_name = "sleep"
         thread.cur = ex
         ex.adv = Engine._adv_yield
         assert not engine._try_resumed_exit(core, thread, ex, 2_400)
         assert thread.cur is ex and core.now == 0
-        ex.adv = Engine._adv_sleep
+        ex.adv = Engine._adv_syscall
         assert engine._try_resumed_exit(core, thread, ex, 2_400)
         assert thread.cur is None
         assert core.now == 2_400 + SOLO.machine.costs.syscall_exit
