@@ -24,8 +24,7 @@ if TYPE_CHECKING:
         PlainLock,
         RdtscReader,
     )
-    from repro.core.process import ProcessCounters, ProcessTotals
-    from repro.core.read_protocol import destructive_read, safe_read, unsafe_read
+    from repro.core.read_protocol import destructive_read
     from repro.core.regions import PreciseRegionProfiler, RegionObservation
 
 #: Each public name and the submodule that defines it, imported on first
@@ -44,11 +43,7 @@ _EXPORTS = {
     "LockObservation": "locks",
     "PlainLock": "locks",
     "RdtscReader": "locks",
-    "ProcessCounters": "process",
-    "ProcessTotals": "process",
     "destructive_read": "read_protocol",
-    "safe_read": "read_protocol",
-    "unsafe_read": "read_protocol",
     "PreciseRegionProfiler": "regions",
     "RegionObservation": "regions",
 }
@@ -63,16 +58,12 @@ __all__ = [
     "LockObservation",
     "PlainLock",
     "PreciseRegionProfiler",
-    "ProcessCounters",
-    "ProcessTotals",
     "RdtscReader",
     "ReadRecord",
     "RegionObservation",
     "UnsafeLimitSession",
     "calibrate",
     "destructive_read",
-    "safe_read",
-    "unsafe_read",
     "with_all_enhancements",
     "with_hw_thread_virtualization",
     "with_wide_counters",

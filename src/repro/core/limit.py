@@ -305,23 +305,6 @@ class LimitSession:
             values.append((yield from self.read(ctx, i)))
         return values
 
-    def delta(
-        self,
-        ctx: ThreadContext,
-        body: Generator[Any, Any, Any],
-        i: int = 0,
-    ) -> Generator[Any, Any, tuple[int, Any]]:
-        """Measure the exact event count across ``body``.
-
-        Returns ``(delta, body_result)``. Overhead of the closing read is
-        *excluded* from the delta; the opening read's trailing cycles are
-        included — exactly the asymmetry a real instrumented region has.
-        """
-        start = yield from self.read(ctx, i)
-        result = yield from body
-        end = yield from self.read(ctx, i)
-        return end - start, result
-
     # -- post-run record access -----------------------------------------------
 
     def records_for(self, tid: int) -> list[ReadRecord]:

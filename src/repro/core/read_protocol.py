@@ -1,20 +1,23 @@
 """The LiMiT userspace read protocols.
 
-These generators are the exact software sequences the paper's Section on
-precise counter access describes, expressed as simulator ops:
+The three counter reads the paper's section on precise counter access
+describes, expressed as simulator ops:
 
-* :func:`safe_read` — the LiMiT read: load the 64-bit virtual accumulator
-  from the user-mapped page, ``rdpmc`` the live hardware counter, and sum.
-  If the kernel preempted the thread (or delivered a PMI) anywhere inside
-  the sequence, the accumulator and hardware value belong to different
-  epochs, so the kernel flags the interruption and the sequence *restarts*.
-  The result is always exact.
+* the safe read (:meth:`repro.core.limit.LimitSession.read_safe`, one
+  :class:`~repro.sim.ops.PmcSafeRead` op) — the LiMiT read: load the 64-bit
+  virtual accumulator from the user-mapped page, ``rdpmc`` the live hardware
+  counter, and sum. If the kernel preempted the thread (or delivered a PMI)
+  anywhere inside the sequence, the accumulator and hardware value belong to
+  different epochs, so the kernel flags the interruption and the sequence
+  *restarts*. The result is always exact. The engine runs the micro-op
+  sequence, restarts included, inside the one op.
 
-* :func:`unsafe_read` — the same sequence without interruption detection.
-  Fast path is a few cycles cheaper, but a context switch between the two
-  loads silently folds the hardware count into the accumulator and zeroes
-  the counter, making the sum undercount by up to a full timeslice of
-  events. Experiment E4 quantifies this.
+* the unsafe read (:meth:`~repro.core.limit.LimitSession.read_unsafe`, one
+  :class:`~repro.sim.ops.PmcUnsafeRead` op) — the same sequence without
+  interruption detection. A few cycles cheaper, but a context switch
+  between the two loads silently folds the hardware count into the
+  accumulator and zeroes the counter, making the sum undercount by up to a
+  full timeslice of events. Experiment E4 quantifies this.
 
 * :func:`destructive_read` — the paper's proposed read-and-reset hardware
   instruction (enhancement E11b): a single instruction returns the
@@ -35,13 +38,7 @@ from typing import Any, Generator
 from repro.common.config import CostModel
 from repro.faults.plan import BEFORE_CHECK, BETWEEN_LOADS, READ_POINTS
 from repro.hw.events import LIBRARY_RATES
-from repro.sim.ops import (
-    MAX_RESTARTS,
-    Compute,
-    PmcSafeRead,
-    PmcUnsafeRead,
-    RdpmcDestructive,
-)
+from repro.sim.ops import MAX_RESTARTS, Compute, RdpmcDestructive
 
 # Re-exported so protocol consumers can name the vulnerable points the fault
 # injector can preempt (repro.faults targets these by name): BETWEEN_LOADS is
@@ -52,37 +49,8 @@ __all__ = [
     "BETWEEN_LOADS",
     "MAX_RESTARTS",
     "READ_POINTS",
-    "safe_read",
-    "unsafe_read",
     "destructive_read",
 ]
-
-
-def safe_read(index: int, costs: CostModel) -> Generator[Any, Any, int]:
-    """Precise virtualized 64-bit counter read; restarts if interrupted.
-
-    Returns the exact event count for the thread's slot ``index`` at the
-    instant the ``rdpmc`` executed. Typical cost: ``costs.limit_read_total``
-    cycles (~37 ns at 2.4 GHz); each restart re-runs the four-step middle
-    sequence.
-
-    Yields the whole protocol as a single :class:`PmcSafeRead` op; the
-    engine executes the micro-op sequence (and any restarts) internally
-    with timing identical to the historical op-by-op form.
-    """
-    value = yield PmcSafeRead(index)
-    return value
-
-
-def unsafe_read(index: int, costs: CostModel) -> Generator[Any, Any, int]:
-    """The naive read: no interruption protection.
-
-    A preemption between the accumulator load and the rdpmc makes the
-    result undercount by everything folded at the switch. Kept as the
-    ablation arm of experiment E4.
-    """
-    value = yield PmcUnsafeRead(index)
-    return value
 
 
 def destructive_read(index: int, costs: CostModel) -> Generator[Any, Any, int]:

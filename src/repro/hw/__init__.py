@@ -18,13 +18,6 @@ if TYPE_CHECKING:
         events_in,
     )
     from repro.hw.machine import Core, Machine
-    from repro.hw.msr import (
-        EVENT_ENCODINGS,
-        EventEncoding,
-        MsrFile,
-        decode_evtsel,
-        encode_evtsel,
-    )
     from repro.hw.pmu import Pmu
 
 #: Each public name and the submodule that defines it, imported on first
@@ -42,11 +35,6 @@ _EXPORTS = {
     "events_in": "events",
     "Core": "machine",
     "Machine": "machine",
-    "EVENT_ENCODINGS": "msr",
-    "EventEncoding": "msr",
-    "MsrFile": "msr",
-    "decode_evtsel": "msr",
-    "encode_evtsel": "msr",
     "Pmu": "pmu",
 }
 
@@ -56,19 +44,14 @@ __all__ = [
     "CYCLES_PPM",
     "Core",
     "Domain",
-    "EVENT_ENCODINGS",
     "Event",
-    "EventEncoding",
     "EventRates",
     "HardwareCounter",
     "KERNEL_RATES",
     "LIBRARY_RATES",
     "Machine",
-    "MsrFile",
     "Pmu",
     "SPIN_RATES",
     "cycles_until_count",
-    "decode_evtsel",
-    "encode_evtsel",
     "events_in",
 ]

@@ -39,8 +39,8 @@ class HardwareCounter:
         self.count_user = True
         self.count_kernel = False
         self.enabled = False
-        #: ``(event, count_user, count_kernel)`` while programmed and
-        #: enabled, else None: this counter's part of the PMU's plan key.
+        #: ``(event, count_user, count_kernel)`` while programmed, else
+        #: None: this counter's part of the PMU's plan key.
         self.selection: tuple[Event, bool, bool] | None = None
         self.overflow_pending = 0   #: overflows latched since last service
         self.overflow_total = 0     #: lifetime overflow count (statistics)
@@ -61,7 +61,6 @@ class HardwareCounter:
         event: Event,
         count_user: bool = True,
         count_kernel: bool = False,
-        enabled: bool = True,
     ) -> None:
         """Program the event-select for this counter (wrmsr semantics)."""
         if not isinstance(event, Event):
@@ -71,8 +70,8 @@ class HardwareCounter:
         self.event = event
         self.count_user = count_user
         self.count_kernel = count_kernel
-        self.enabled = enabled
-        self.selection = (event, count_user, count_kernel) if enabled else None
+        self.enabled = True
+        self.selection = (event, count_user, count_kernel)
         if self.on_reprogram is not None:
             self.on_reprogram()
 
@@ -120,10 +119,6 @@ class HardwareCounter:
             self.overflow_pending += wraps
             self.overflow_total += wraps
         return wraps
-
-    def events_until_overflow(self) -> int:
-        """How many more events until the counter wraps."""
-        return self.threshold - self.value
 
     def clear_overflow(self) -> int:
         """Service latched overflows; returns how many were pending."""

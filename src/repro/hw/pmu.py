@@ -1,19 +1,19 @@
 """The per-core performance monitoring unit.
 
 Holds the programmable counters, the userspace-read-enable bit (the CR4.PCE
-analog that the LiMiT kernel patch sets), and the event-accrual entry point
-used by the execution engine.
+analog that the LiMiT kernel patch sets), and the cached accrual plans that
+the engine's accounting (``EngineBase._account``) charges counters through.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.common.config import PmuConfig
 from repro.common.errors import CounterError
 from repro.hw.counter import HardwareCounter
-from repro.hw.events import Domain, EventRates, cycles_until_count, events_in
+from repro.hw.events import Domain, EventRates
 
 #: Module global: cheaper to load than ``Domain.USER`` on the per-piece path.
 _USER = Domain.USER
@@ -136,12 +136,6 @@ class Pmu:
             entry = cache[id(rates)] = (rates, plan, {})
         return entry
 
-    def __len__(self) -> int:
-        return len(self.counters)
-
-    def __iter__(self) -> Iterator[HardwareCounter]:
-        return iter(self.counters)
-
     def counter(self, index: int) -> HardwareCounter:
         if not 0 <= index < len(self.counters):
             raise CounterError(
@@ -163,62 +157,6 @@ class Pmu:
             )
         return self.counter(index).read()
 
-    # -- engine-facing accounting -----------------------------------------
-
-    def accrue_phase(
-        self,
-        rates: EventRates,
-        domain: Domain,
-        phase_cycles_before: int,
-        phase_cycles_after: int,
-    ) -> list[int]:
-        """Accrue events for a slice of a phase executing on this core.
-
-        The slice runs from ``phase_cycles_before`` to ``phase_cycles_after``
-        (phase-relative), with the given event rates, in the given domain.
-        Returns the list of counter indices that overflowed during the slice.
-        """
-        overflowed: list[int] = []
-        plan = self.plan_entry(rates, domain)[1]
-        if not plan:
-            return overflowed
-        on_overflow = self.on_overflow
-        for index, ctr, ppm, _mask in plan:
-            n = events_in(phase_cycles_before, phase_cycles_after, ppm)
-            if n and ctr.accrue(n):
-                overflowed.append(index)
-                if on_overflow is not None:
-                    on_overflow(index)
-        return overflowed
-
-    def cycles_to_next_overflow(
-        self,
-        rates: EventRates,
-        domain: Domain,
-        phase_cycles_so_far: int,
-    ) -> int | None:
-        """Exact number of further cycles of the current phase after which
-        the *first* enabled counter will overflow, or None if no enabled
-        counter can overflow under these rates.
-
-        Used by the engine to split compute phases so PMIs are delivered
-        with bounded (configured) skid rather than at arbitrary phase ends.
-        """
-        best: int | None = None
-        for _index, ctr, ppm, mask in self.plan_entry(rates, domain)[1]:
-            d = cycles_until_count(
-                phase_cycles_so_far, ppm, mask + 1 - ctr.value
-            )
-            if d is not None and (best is None or d < best):
-                best = d
-        return best
-
     def pending_overflow_indices(self) -> list[int]:
         """Counters with latched, unserviced overflows."""
         return [i for i, c in enumerate(self.counters) if c.overflow_pending]
-
-    def reset(self) -> None:
-        """Power-on reset: deprogram everything."""
-        for ctr in self.counters:
-            ctr.deprogram()
-        self.user_rdpmc_enabled = False

@@ -18,9 +18,9 @@ keep the *source tree* honest about both, without executing anything:
 * SA003 ``direct-pmu-access`` — constructing raw counter-access ops
   (``Rdpmc``, ``RdpmcDestructive``, ``LoadVAccum``, ``PmcUnsafeRead``)
   outside the read-protocol layer (``repro.core``) and the op definitions
-  themselves (``repro.sim``). Everything else must go through
-  :mod:`repro.core.read_protocol` / the session classes so hazards stay
-  analyzable (and E17's injector stays able to exercise them).
+  themselves (``repro.sim``). Everything else must go through the session
+  classes of :mod:`repro.core` so hazards stay analyzable (and E17's
+  injector stays able to exercise them).
 
 Suppression: append ``# lint: allow[SA001]`` (or a comma-separated list,
 ``# lint: allow[SA001,SA003]``) to the offending line. Suppressions are
@@ -207,8 +207,8 @@ class _SourceVisitor(ast.NodeVisitor):
                 node.lineno,
                 f"direct PMU access: {ctor}(...) constructed outside "
                 "repro.core/repro.sim bypasses the audited read protocol",
-                "go through repro.core.read_protocol (safe_read / "
-                "unsafe_read) or a session class",
+                "read through a repro.core session class "
+                "(LimitSession.read_safe / read_unsafe / read_destructive)",
             )
 
         self.generic_visit(node)

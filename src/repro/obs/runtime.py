@@ -115,38 +115,6 @@ class RunCollector:
             self._pending = WindowedStats(spec, on_evict=sink)
         return self._pending
 
-    def observe(self, stream: str, value: int, at: int) -> None:
-        """Record one latency/histogram sample for ``stream`` at simulated
-        time ``at`` (cycles). Windows older than the retention are evicted
-        as they age out — memory stays bounded no matter how many samples
-        a run produces."""
-        stats = self._pending
-        if stats is None:
-            stats = self._pending_stats()
-        stats.observe(stream, value, at)
-
-    def count_window(self, name: str, n: float = 1, *, at: int) -> None:
-        """Add ``n`` to the windowed counter ``name`` at sim time ``at``."""
-        stats = self._pending
-        if stats is None:
-            stats = self._pending_stats()
-        stats.count(name, n, at=at)
-
-    def observe_batch(
-        self,
-        stream: str,
-        samples: list[tuple[int, int]],
-        *,
-        counter: str | None = None,
-    ) -> None:
-        """Record a batch of ``(value, at)`` latency samples (and optionally
-        one count of ``counter`` per sample); see
-        :meth:`repro.obs.windows.WindowedStats.observe_batch`."""
-        stats = self._pending
-        if stats is None:
-            stats = self._pending_stats()
-        stats.observe_batch(stream, samples, counter=counter)
-
     def _aggregate(self, like: WindowedStats | None = None) -> WindowedStats:
         if self.windows is None:
             # A collector without an explicit spec adopts the spec of the

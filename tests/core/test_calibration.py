@@ -63,8 +63,10 @@ class TestCalibration:
 
         def program(ctx):
             yield from session.setup(ctx)
-            delta, _ = yield from session.delta(ctx, body())
-            out["delta"] = delta
+            start = yield from session.read(ctx, 0)
+            yield from body()
+            end = yield from session.read(ctx, 0)
+            out["delta"] = end - start
 
         run_program([ThreadSpec("m", program)], SimConfig())
         # the calibration loop picks up a fraction of a cycle of timer-tick

@@ -95,8 +95,10 @@ class TestExactness:
 
         def program(ctx):
             yield from session.setup(ctx)
-            delta, _ = yield from session.delta(ctx, body())
-            deltas.append(delta)
+            start = yield from session.read(ctx, 0)
+            yield from body()
+            end = yield from session.read(ctx, 0)
+            deltas.append(end - start)
 
         run_threads(uniprocessor, program)
         # 80k cycles at IPC 1.25 = 100k instructions + the library's own few

@@ -1,26 +1,14 @@
 """Tests of the three read protocols at the op-sequence level.
 
-Since the composite-op change, safe/unsafe reads yield a single op each
-(the engine executes the micro-op sequence internally — engine-level
-semantics are covered in tests/sim/test_composite_reads.py); the
-destructive read is still a three-op sequence.
+Safe and unsafe reads are a single op each (``PmcSafeRead`` and
+``PmcUnsafeRead``, which the engine runs as a micro-op sequence; their
+engine-level semantics are covered in tests/sim/test_composite_reads.py);
+the destructive read is still a three-op sequence.
 """
 
 from repro.common.config import CostModel
-from repro.core.read_protocol import (
-    MAX_RESTARTS,
-    destructive_read,
-    safe_read,
-    unsafe_read,
-)
-from repro.sim.ops import (
-    Compute,
-    LoadVAccum,
-    PmcSafeRead,
-    PmcUnsafeRead,
-    Rdpmc,
-    RdpmcDestructive,
-)
+from repro.core.read_protocol import MAX_RESTARTS, destructive_read
+from repro.sim.ops import Compute, LoadVAccum, Rdpmc, RdpmcDestructive
 
 COSTS = CostModel()
 
@@ -39,16 +27,6 @@ def drive(gen, responses):
 
 
 class TestSafeRead:
-    def test_single_composite_op(self):
-        def responses(op):
-            assert isinstance(op, PmcSafeRead)
-            return 1_023
-
-        ops, value = drive(safe_read(7, COSTS), responses)
-        assert value == 1_023
-        assert [type(o) for o in ops] == [PmcSafeRead]
-        assert ops[0].index == 7
-
     def test_restart_valve_exported(self):
         # The engine enforces the restart limit; the protocol module still
         # exports the constant for callers and documentation.
@@ -67,16 +45,6 @@ class TestSafeRead:
 
 
 class TestUnsafeRead:
-    def test_single_composite_op(self):
-        def responses(op):
-            assert isinstance(op, PmcUnsafeRead)
-            return 10
-
-        ops, value = drive(unsafe_read(3, COSTS), responses)
-        assert value == 10
-        assert [type(o) for o in ops] == [PmcUnsafeRead]
-        assert ops[0].index == 3
-
     def test_composite_total_matches_cost_model(self):
         assert (
             COSTS.pmc_call_overhead + COSTS.pmc_load_accum + COSTS.rdpmc

@@ -62,8 +62,10 @@ class TestDomainFilter:
         assert ctr.counts_in(Domain.KERNEL)
 
     def test_disabled_counts_nowhere(self):
-        ctr = make_counter(enabled=False)
+        ctr = make_counter(count_kernel=True)
+        ctr.deprogram()
         assert not ctr.counts_in(Domain.USER)
+        assert not ctr.counts_in(Domain.KERNEL)
 
 
 class TestAccrueAndOverflow:
@@ -88,11 +90,6 @@ class TestAccrueAndOverflow:
         ctr = make_counter(width=8)
         assert ctr.accrue(256 * 3 + 1) == 3
         assert ctr.value == 1
-
-    def test_events_until_overflow(self):
-        ctr = make_counter(width=8)
-        ctr.accrue(200)
-        assert ctr.events_until_overflow() == 56
 
     def test_clear_overflow(self):
         ctr = make_counter(width=8)

@@ -87,19 +87,19 @@ class TestJsonlStreamWriter:
 class TestStreamTotalsReconcile:
     def test_sink_plus_flush_plus_late_equals_totals(self, tmp_path):
         """Everything the stats saw appears in the stream exactly once."""
-        from repro.obs.runtime import RunCollector
+        from repro.obs.runtime import collect, count_window, observe_latency
 
         writer = JsonlStreamWriter(tmp_path / "s", spec=SPEC)
-        collector = RunCollector(window_spec=SPEC, stream=writer)
         # Deliberately hostile arrival order: monotone bursts with
         # out-of-order stragglers that land behind the evict horizon.
         import random
 
         rng = random.Random(99)
-        for _ in range(2_000):
-            at = rng.randrange(0, 40_000)
-            collector.observe("lat", rng.randrange(0, 1 << 16), at)
-            collector.count_window("reqs", 1, at=at)
+        with collect(window_spec=SPEC, stream=writer) as collector:
+            for _ in range(2_000):
+                at = rng.randrange(0, 40_000)
+                observe_latency("lat", rng.randrange(0, 1 << 16), at)
+                count_window("reqs", 1, at=at)
         pending = collector._finish_pending()
         writer.close(summary=collector.windows_summary())
 

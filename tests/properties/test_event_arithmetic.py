@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hw.counter import HardwareCounter
-from repro.hw.events import Event, cycles_until_count, events_in
+from repro.hw.events import Domain, Event, cycles_until_count, events_in
+
+from tests.sim.test_accrual_recipes import _setup, _state
 
 ppm_values = st.integers(min_value=0, max_value=5_000_000)
 cycle_values = st.integers(min_value=0, max_value=10_000_000)
@@ -147,3 +149,40 @@ class TestCounterWrap:
         ctr.write(preload)
         wraps = ctr.accrue(n)
         assert wraps == (preload + n) >> width
+
+
+class TestAccountSplits:
+    """The engine's one accrual definition, ``EngineBase._account``, is
+    split-exact: charging a window in pieces (as the piece loop does at
+    slice, PMI and counter-crossing edges) leaves every thread and region
+    tally and every counter where one whole-window charge leaves them."""
+
+    @given(
+        domain=st.sampled_from([Domain.USER, Domain.KERNEL]),
+        width=st.integers(min_value=8, max_value=48),
+        window=st.integers(min_value=1, max_value=200_000),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_split_window_equals_whole(self, domain, width, window, data):
+        headroom = data.draw(st.integers(min_value=1, max_value=1 << width))
+        cycles_value = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
+        cuts = data.draw(
+            st.sets(st.integers(min_value=1, max_value=window - 1), max_size=8)
+            if window > 1
+            else st.just(set())
+        )
+        edges = [0, *sorted(cuts), window]
+        states = []
+        for pieces in ([0, window], edges):
+            engine, thread, core, entry = _setup(domain, headroom, width)
+            core.pmu.counter(1).write(cycles_value)
+            for before, after in zip(pieces, pieces[1:]):
+                engine._account(core, thread, domain, entry, before, after)
+            state = _state(engine, thread)
+            # a split arms the PMI at the end of the piece that wrapped, the
+            # whole charge at the window's end: only "armed" must agree
+            state["pmi_due_at"] = state["pmi_due_at"] is not None
+            states.append(state)
+        whole, split = states
+        assert split == whole

@@ -45,12 +45,12 @@ def _idle(ctx):
     yield
 
 
-def _setup(domain, headroom):
-    """An engine with one thread inside region ``r`` and two counters
-    programmed in both domains. ``headroom`` (if not None) is how many
-    events the INSTRUCTIONS counter takes before it wraps."""
+def _setup(domain, headroom, width=WIDTH):
+    """An engine with one thread inside region ``r`` and two ``width``-bit
+    counters programmed in both domains. ``headroom`` (if not None) is how
+    many events the INSTRUCTIONS counter takes before it wraps."""
     config = SimConfig(
-        machine=MachineConfig(n_cores=1, pmu=PmuConfig(counter_width=WIDTH)),
+        machine=MachineConfig(n_cores=1, pmu=PmuConfig(counter_width=width)),
         seed=3,
     )
     engine = Engine(config)
@@ -64,7 +64,7 @@ def _setup(domain, headroom):
     pmu.counter(0).program(Event.INSTRUCTIONS, count_user=True, count_kernel=True)
     pmu.counter(1).program(Event.CYCLES, count_user=True, count_kernel=True)
     if headroom is not None:
-        pmu.counter(0).write(MASK + 1 - headroom)
+        pmu.counter(0).write((1 << width) - headroom)
     rates = USER_RATES if domain is Domain.USER else KERNEL_RATES
     return engine, thread, core, pmu.plan_entry(rates, domain)
 

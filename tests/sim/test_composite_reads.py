@@ -1,6 +1,6 @@
 """Engine semantics of the composite PMC read ops.
 
-``safe_read``/``unsafe_read`` yield a single :class:`PmcSafeRead` /
+``LimitSession.read_safe``/``read_unsafe`` yield a single :class:`PmcSafeRead` /
 :class:`PmcUnsafeRead`; the engine either commits the whole read in one
 piece (the fast path, when provably uninterruptible) or runs a stage
 machine with the historical op-by-op piece boundaries. Both must return
