@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.units import DEFAULT_FREQUENCY, Frequency, cycle_log
+from repro.common.units import DEFAULT_FREQUENCY, Frequency, truth_log
 from repro.kernel.locks import LockStats
 from repro.sim.results import RunResult, merge_histogram
 
@@ -72,8 +72,8 @@ def sync_profile(result: RunResult, prefix: str = "") -> SyncProfile:
     """Build the synchronization profile of a run (optionally restricted to
     locks whose name starts with ``prefix``)."""
     summaries: dict[str, LockSummary] = {}
-    all_holds = cycle_log()
-    all_waits = cycle_log()
+    all_holds = truth_log()
+    all_waits = truth_log()
     for name, stats in result.locks.items():
         if not name.startswith(prefix):
             continue

@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigError
 from repro.common.units import DEFAULT_FREQUENCY, Frequency
-from repro.faults.plan import FaultPlan
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.plan import FaultPlan
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,19 @@ def per_kilo_instruction(misses_pki: float, ipc: float) -> int:
 
 
 def cycle_log() -> array[int]:
-    """An empty per-event cycle log: signed 64-bit integers, 8 bytes an
-    entry where a list of boxed ints costs about 40. Appending a value
-    outside int64 raises ``OverflowError`` instead of wrapping."""
+    """An empty per-event cycle log of measured values: signed 64-bit
+    integers, 8 bytes an entry where a list of boxed ints costs about 40.
+    A measured delta can come out negative (a broken read is allowed to
+    show), so the log is signed. Appending a value outside int64 raises
+    ``OverflowError`` instead of wrapping."""
     return array("q")
+
+
+def truth_log() -> array[int]:
+    """An empty per-event cycle log of ground truth: unsigned 64-bit
+    integers, for durations the simulator computes and that cannot be
+    negative. An unsigned append skips the signed conversion (about half
+    the cost in CPython 3.11). Appending a negative value or one of 2**64
+    or more raises ``OverflowError``. Never merge it with a
+    :func:`cycle_log`: ``array.extend`` refuses a different typecode."""
+    return array("Q")

@@ -36,9 +36,15 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.common.config import CostModel
-from repro.faults.plan import BEFORE_CHECK, BETWEEN_LOADS, READ_POINTS
 from repro.hw.events import LIBRARY_RATES
-from repro.sim.ops import MAX_RESTARTS, Compute, RdpmcDestructive
+from repro.sim.ops import (
+    BEFORE_CHECK,
+    BETWEEN_LOADS,
+    MAX_RESTARTS,
+    READ_POINTS,
+    Compute,
+    RdpmcDestructive,
+)
 
 # Re-exported so protocol consumers can name the vulnerable points the fault
 # injector can preempt (repro.faults targets these by name): BETWEEN_LOADS is

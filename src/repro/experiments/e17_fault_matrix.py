@@ -43,6 +43,9 @@ from repro.faults import (
     shrink_counter,
 )
 from repro.faults.plan import BEFORE_CHECK
+# The engine loads the injector only for a run with a plan; every run here
+# has one, so it loads with the experiment instead of inside its first run.
+import repro.faults.injector  # noqa: F401
 from repro.hw.events import Event
 from repro.sim.engine import run_program
 from repro.sim.ops import Compute

@@ -1,6 +1,7 @@
 """repro.faults — deterministic fault injection for the PMU/read stack.
 
-See :mod:`repro.faults.plan` for the plan model / DSL and
+See :mod:`repro.faults.plan` for the plan model / DSL,
+:mod:`repro.faults.kinds` for the fault kind names and
 :mod:`repro.faults.injector` for the decision engine. ``docs/robustness.md``
 documents the taxonomy and the detect-vs-miss semantics.
 """
@@ -11,27 +12,29 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
-    from repro.faults.plan import (
+    from repro.faults.kinds import (
         ALIGN_SLICE,
         AMPLIFY_SKID,
-        BAILOUT_POINTS,
-        BEFORE_CHECK,
-        BETWEEN_LOADS,
         DELAY_SWAP,
         DROP_PMI,
         DUP_SWAP,
         FORCE_BAILOUT,
-        FaultPlan,
-        FaultSpec,
         KINDS,
         PREEMPT_IN_READ,
-        READ_POINTS,
         REPEAT_PMI,
         SERVICE_KINDS,
         SHRINK_COUNTER,
         TIER_CRASH,
         TIER_ERROR,
         TIER_LATENCY,
+    )
+    from repro.faults.plan import (
+        BAILOUT_POINTS,
+        BEFORE_CHECK,
+        BETWEEN_LOADS,
+        FaultPlan,
+        FaultSpec,
+        READ_POINTS,
         amplify_skid,
         delay_swap,
         drop_pmi,
@@ -49,26 +52,26 @@ if TYPE_CHECKING:
 #: access (see :mod:`repro._lazy`).
 _EXPORTS = {
     "FaultInjector": "injector",
-    "ALIGN_SLICE": "plan",
-    "AMPLIFY_SKID": "plan",
+    "ALIGN_SLICE": "kinds",
+    "AMPLIFY_SKID": "kinds",
     "BAILOUT_POINTS": "plan",
     "BEFORE_CHECK": "plan",
     "BETWEEN_LOADS": "plan",
-    "DELAY_SWAP": "plan",
-    "DROP_PMI": "plan",
-    "DUP_SWAP": "plan",
-    "FORCE_BAILOUT": "plan",
+    "DELAY_SWAP": "kinds",
+    "DROP_PMI": "kinds",
+    "DUP_SWAP": "kinds",
+    "FORCE_BAILOUT": "kinds",
     "FaultPlan": "plan",
     "FaultSpec": "plan",
-    "KINDS": "plan",
-    "PREEMPT_IN_READ": "plan",
+    "KINDS": "kinds",
+    "PREEMPT_IN_READ": "kinds",
     "READ_POINTS": "plan",
-    "REPEAT_PMI": "plan",
-    "SERVICE_KINDS": "plan",
-    "SHRINK_COUNTER": "plan",
-    "TIER_CRASH": "plan",
-    "TIER_ERROR": "plan",
-    "TIER_LATENCY": "plan",
+    "REPEAT_PMI": "kinds",
+    "SERVICE_KINDS": "kinds",
+    "SHRINK_COUNTER": "kinds",
+    "TIER_CRASH": "kinds",
+    "TIER_ERROR": "kinds",
+    "TIER_LATENCY": "kinds",
     "amplify_skid": "plan",
     "delay_swap": "plan",
     "drop_pmi": "plan",

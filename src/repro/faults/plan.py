@@ -22,94 +22,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
-
-# -- fault kinds ------------------------------------------------------------
-#: Forced preemption inside the read critical section (storms targeting the
-#: safe/unsafe read protocols at a chosen vulnerable point).
-PREEMPT_IN_READ = "preempt_in_read"
-#: An overflow PMI delivery is lost. The hardware latch survives, so the
-#: overflow is recovered at redelivery (``arg`` cycles later) or at the next
-#: virtualization fold — the safe-read restart check sees it either way.
-DROP_PMI = "drop_pmi"
-#: A spurious second PMI right after a real one: extra handler cycles and,
-#: mid-read, a spurious interruption flag (forcing a harmless restart).
-REPEAT_PMI = "repeat_pmi"
-#: PMI skid amplification: multiply the overflow-to-interrupt delay by
-#: ``arg`` (>= 2), or with ``arg == ALIGN_SLICE`` stretch the skid so the
-#: PMI lands on exactly the same cycle as the end of the current timeslice
-#: (the PMI-meets-virtualization-swap collision).
-AMPLIFY_SKID = "amplify_skid"
-#: Delayed virtualization swap: the switch-out save path stalls ``arg``
-#: extra kernel cycles while the outgoing thread's counters are still live.
-DELAY_SWAP = "delay_swap"
-#: Duplicated virtualization swap: the per-counter save path runs twice on
-#: switch-out (the second fold must be idempotent — deprogrammed counters
-#: read zero — or counts would be double-folded).
-DUP_SWAP = "dup_swap"
-#: Counter-width reduction mid-run: every hardware counter narrows to
-#: ``arg`` bits at the next timer tick inside the trigger window, latching
-#: the truncated high bits as overflows (so virtualization recovers them).
-SHRINK_COUNTER = "shrink_counter"
-#: Force the engine's fast paths (macro stepping / composite reads / spin
-#: batching) to bail to their slow paths — fingerprint-invariant by the
-#: fast paths' equivalence contract, used to diff fast vs slow under faults.
-FORCE_BAILOUT = "force_bailout"
-
-# -- service-level fault kinds (the resilience tier, PR 9) -------------------
-#: Latency spike: every request served by the targeted tier while the spec
-#: fires costs ``arg`` extra service cycles (slow dependency, GC pause, cold
-#: cache). The tier's ``point`` selector names the tier ("" = any tier).
-TIER_LATENCY = "tier_latency"
-#: Error burst: calls *into* the targeted tier fail while the spec fires.
-#: The caller sees the failure and must absorb it (retry / shed / breaker);
-#: the detect ledger tracks whether it did.
-TIER_ERROR = "tier_error"
-#: Tier crash + restart: a worker of the targeted tier stops serving for
-#: ``arg`` cycles (the outage window), then resumes — upstream queues back
-#: up and admission/shedding must absorb the backlog.
-TIER_CRASH = "tier_crash"
-
-#: The workload-level (service chain) fault kinds. Unlike the PMU/kernel
-#: kinds above they fire at *workload* hook points — the service chain in
-#: :mod:`repro.workloads.service` consults the injector via
-#: ``ThreadContext.service_fault`` — and their ``point`` field carries the
-#: targeted *tier name* instead of a read/bailout point.
-SERVICE_KINDS: frozenset[str] = frozenset({TIER_LATENCY, TIER_ERROR, TIER_CRASH})
-
-KINDS: frozenset[str] = (
-    frozenset(
-        {
-            PREEMPT_IN_READ,
-            DROP_PMI,
-            REPEAT_PMI,
-            AMPLIFY_SKID,
-            DELAY_SWAP,
-            DUP_SWAP,
-            SHRINK_COUNTER,
-            FORCE_BAILOUT,
-        }
-    )
-    | SERVICE_KINDS
+from repro.faults.kinds import (  # noqa: F401 - re-exported
+    ALIGN_SLICE,
+    AMPLIFY_SKID,
+    DELAY_SWAP,
+    DROP_PMI,
+    DUP_SWAP,
+    FORCE_BAILOUT,
+    KINDS,
+    PREEMPT_IN_READ,
+    REPEAT_PMI,
+    SERVICE_KINDS,
+    SHRINK_COUNTER,
+    TIER_CRASH,
+    TIER_ERROR,
+    TIER_LATENCY,
 )
-
-# -- read-protocol vulnerable points ----------------------------------------
-#: Between the accumulator load and the rdpmc — the classic LiMiT hazard: an
-#: unsafe read preempted here silently undercounts by the pre-switch
-#: hardware value; a safe read restarts.
-BETWEEN_LOADS = "between_loads"
-#: Between the read-end marker and the evaluation of the interruption flag —
-#: the two halves of the safe read's restart check. Only reachable for the
-#: safe protocol; the check must still catch the preemption.
-BEFORE_CHECK = "before_check"
-
-READ_POINTS: tuple[str, ...] = (BETWEEN_LOADS, BEFORE_CHECK)
+from repro.sim.ops import BEFORE_CHECK, BETWEEN_LOADS, READ_POINTS  # noqa: F401
 
 #: Fast paths a FORCE_BAILOUT spec may target via its ``point`` field
 #: ("" targets all three).
 BAILOUT_POINTS: tuple[str, ...] = ("macro", "fast_read", "spin")
-
-#: AMPLIFY_SKID arg sentinel: land the PMI on the current slice boundary.
-ALIGN_SLICE = -1
 
 
 @dataclass(frozen=True)

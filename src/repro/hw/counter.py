@@ -20,7 +20,6 @@ class HardwareCounter:
         "event",
         "count_user",
         "count_kernel",
-        "enabled",
         "selection",
         "overflow_pending",
         "overflow_total",
@@ -38,7 +37,6 @@ class HardwareCounter:
         self.event: Event | None = None
         self.count_user = True
         self.count_kernel = False
-        self.enabled = False
         #: ``(event, count_user, count_kernel)`` while programmed, else
         #: None: this counter's part of the PMU's plan key.
         self.selection: tuple[Event, bool, bool] | None = None
@@ -47,6 +45,11 @@ class HardwareCounter:
         #: invalidation hook: called whenever the event selection changes so
         #: the owning PMU can drop cached accrual plans.
         self.on_reprogram: "object | None" = None
+
+    @property
+    def enabled(self) -> bool:
+        """Whether an event is programmed (a programmed counter counts)."""
+        return self.event is not None
 
     @property
     def mask(self) -> int:
@@ -70,7 +73,6 @@ class HardwareCounter:
         self.event = event
         self.count_user = count_user
         self.count_kernel = count_kernel
-        self.enabled = True
         self.selection = (event, count_user, count_kernel)
         if self.on_reprogram is not None:
             self.on_reprogram()
@@ -78,7 +80,6 @@ class HardwareCounter:
     def deprogram(self) -> None:
         """Disable and forget the event selection."""
         self.event = None
-        self.enabled = False
         self.selection = None
         self.value = 0
         self.overflow_pending = 0
@@ -87,7 +88,7 @@ class HardwareCounter:
 
     def counts_in(self, domain: Domain) -> bool:
         """Whether this counter accrues events from the given domain."""
-        if not self.enabled or self.event is None:
+        if self.event is None:
             return False
         if domain is Domain.USER:
             return self.count_user

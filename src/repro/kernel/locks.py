@@ -13,7 +13,7 @@ from array import array
 from dataclasses import dataclass, field
 
 from repro.common.errors import LockProtocolError
-from repro.common.units import cycle_log
+from repro.common.units import truth_log
 
 
 @dataclass
@@ -23,8 +23,8 @@ class LockStats:
     n_acquires: int = 0
     n_contended: int = 0          #: acquisitions that had to wait at all
     n_futex_sleeps: int = 0       #: acquisitions that fell back to futex
-    hold_cycles: array[int] = field(default_factory=cycle_log)
-    wait_cycles: array[int] = field(default_factory=cycle_log)
+    hold_cycles: array[int] = field(default_factory=truth_log)
+    wait_cycles: array[int] = field(default_factory=truth_log)
 
     @property
     def total_hold(self) -> int:

@@ -30,11 +30,13 @@ import hashlib
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.common.units import Frequency
 from repro.obs.trace import TraceEvent
-from repro.obs.windows import WindowedStats, WindowSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.windows import WindowedStats, WindowSpec
 
 
 @dataclass
@@ -106,6 +108,10 @@ class RunCollector:
 
     def _pending_stats(self) -> WindowedStats:
         if self._pending is None:
+            # repro.obs.windows (and its histograms) loads on the first
+            # windowed observation, not with every collector.
+            from repro.obs.windows import WindowedStats, WindowSpec
+
             spec = self.window_spec or WindowSpec()
             sink = (
                 self.stream.sink(len(self.records))
@@ -117,6 +123,8 @@ class RunCollector:
 
     def _aggregate(self, like: WindowedStats | None = None) -> WindowedStats:
         if self.windows is None:
+            from repro.obs.windows import WindowedStats, WindowSpec
+
             # A collector without an explicit spec adopts the spec of the
             # first stats it aggregates, so adopting records windowed
             # elsewhere (a fabric worker, a pooled experiment) merges

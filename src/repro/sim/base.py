@@ -28,13 +28,12 @@ import dataclasses
 import enum
 import heapq
 import os
-from typing import Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.common.config import SimConfig
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import RandomStream
-from repro.faults import plan as fp
-from repro.faults.injector import FaultInjector
+from repro.faults import kinds as fk
 from repro.obs import runtime as obs_runtime
 from repro.obs import trace as tr
 from repro.obs.metrics import MetricsRegistry
@@ -64,6 +63,9 @@ from repro.sim.results import (
     RunResult,
     ThreadResult,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.injector import FaultInjector
 
 
 class ThreadState(enum.Enum):
@@ -423,9 +425,14 @@ class EngineBase:
         self._finished = False
         # -- fault injection (repro.faults) -----------------------------
         # None when no plan is configured, so every hook below reduces to a
-        # single is-None branch on unfaulted runs.
+        # single is-None branch on unfaulted runs, which never load the
+        # injector module.
         fault_plan = self.config.fault_plan
-        self._faults = FaultInjector(fault_plan) if fault_plan else None
+        self._faults: FaultInjector | None = None
+        if fault_plan:
+            from repro.faults.injector import FaultInjector
+
+            self._faults = FaultInjector(fault_plan)
         # -- macro-stepping fast path state -----------------------------
         # config switch first, then the environment kill switch used by the
         # bench harness / property tests for A/B runs across process modes.
@@ -711,14 +718,14 @@ class EngineBase:
     ) -> None:
         faults = self._faults
         if faults is not None:
-            spec = faults.fire(fp.DELAY_SWAP, core, thread)
+            spec = faults.fire(fk.DELAY_SWAP, core, thread)
             if spec is not None:
                 # The save path stalls while the outgoing thread's counters
                 # are still live: the extra kernel cycles land in both the
                 # counters and the ground truth, so exactness must survive.
                 delay = spec.arg if spec.arg else 600
                 self._account_kernel(core, thread, delay)
-                self._fault_event(core, thread, fp.DELAY_SWAP, delay)
+                self._fault_event(core, thread, fk.DELAY_SWAP, delay)
         active = thread.vpmu.active_indices()
         n_active = len(active)
         if n_active and not self.config.kernel.hw_thread_virtualization:
@@ -727,7 +734,7 @@ class EngineBase:
             )
         self._fold_counters(core, thread, active)
         if faults is not None:
-            spec = faults.fire(fp.DUP_SWAP, core, thread)
+            spec = faults.fire(fk.DUP_SWAP, core, thread)
             if spec is not None:
                 # The whole save path runs a second time: duplicate the
                 # per-counter cost and re-fold. Count-mode folds of the now
@@ -739,7 +746,7 @@ class EngineBase:
                         self._costs.ctx_save_per_counter * n_active,
                     )
                 self._fold_counters(core, thread, active)
-                self._fault_event(core, thread, fp.DUP_SWAP, n_active)
+                self._fault_event(core, thread, fk.DUP_SWAP, n_active)
         if thread.in_pmc_read:
             thread.pmc_read_interrupted = True
         thread.n_context_switches += 1
@@ -771,7 +778,7 @@ class EngineBase:
         self.kernel_counters.n_timer_ticks += 1
         self._account_kernel(core, thread, self._costs.timer_tick)
         if self._faults is not None:
-            spec = self._faults.fire(fp.SHRINK_COUNTER, core, thread)
+            spec = self._faults.fire(fk.SHRINK_COUNTER, core, thread)
             if spec is not None:
                 self._shrink_counters(core, thread, spec.arg)
         if thread.mux is not None and len(thread.mux.specs) > 1:
@@ -840,7 +847,7 @@ class EngineBase:
             if n and self._tracing:
                 self.obs.emit(
                     core.now, core.core_id, thread.tid,
-                    tr.FAULT_DETECT, fp.DROP_PMI,
+                    tr.FAULT_DETECT, fk.DROP_PMI,
                 )
         spec = thread.vpmu.slots[idx]
         if spec is None:  # orphaned counter; nothing to attribute
@@ -870,7 +877,7 @@ class EngineBase:
             return
         faults = self._faults
         if faults is not None:
-            spec = faults.fire(fp.DROP_PMI, core, thread)
+            spec = faults.fire(fk.DROP_PMI, core, thread)
             if spec is not None:
                 # The interrupt is lost before the handler runs: no cost, no
                 # overflow application, no interruption flag. The hardware
@@ -880,7 +887,7 @@ class EngineBase:
                 if spec.arg > 0:
                     core.pmi_due_at = core.now + spec.arg
                 faults.note_dropped_pmi(core.core_id)
-                self._fault_event(core, thread, fp.DROP_PMI, spec.arg)
+                self._fault_event(core, thread, fk.DROP_PMI, spec.arg)
                 return
         n_samples = sum(
             1
@@ -900,7 +907,7 @@ class EngineBase:
         if self._tracing:
             self.obs.emit(core.now, core.core_id, thread.tid, tr.PMI, tuple(pending))
         if faults is not None:
-            spec = faults.fire(fp.REPEAT_PMI, core, thread)
+            spec = faults.fire(fk.REPEAT_PMI, core, thread)
             if spec is not None:
                 # A spurious second interrupt right behind the real one: the
                 # handler runs again (full dispatch cost, nothing pending to
@@ -910,7 +917,7 @@ class EngineBase:
                 self._account_kernel(core, thread, self._costs.pmi_handler)
                 if thread.in_pmc_read:
                     thread.pmc_read_interrupted = True
-                self._fault_event(core, thread, fp.REPEAT_PMI, tuple(pending))
+                self._fault_event(core, thread, fk.REPEAT_PMI, tuple(pending))
 
     # ------------------------------------------------------------------
     # fault injection hooks (repro.faults)
@@ -965,7 +972,7 @@ class EngineBase:
             t.slot_saved = [
                 (s & mask if s is not None else None) for s in t.slot_saved
             ]
-        self._fault_event(core, thread, fp.SHRINK_COUNTER, width)
+        self._fault_event(core, thread, fk.SHRINK_COUNTER, width)
 
     def _arm_pmi(self, core: Core, thread: SimThread) -> None:
         """Schedule the PMI for a just-latched overflow after the configured
@@ -974,9 +981,9 @@ class EngineBase:
         skid = self._costs.pmi_skid
         faults = self._faults
         if faults is not None:
-            spec = faults.fire(fp.AMPLIFY_SKID, core, thread)
+            spec = faults.fire(fk.AMPLIFY_SKID, core, thread)
             if spec is not None:
-                if spec.arg == fp.ALIGN_SLICE:
+                if spec.arg == fk.ALIGN_SLICE:
                     if (
                         core.slice_ends_at is not None
                         and core.slice_ends_at > core.now
@@ -984,7 +991,7 @@ class EngineBase:
                         skid = core.slice_ends_at - core.now
                 else:
                     skid *= spec.arg
-                self._fault_event(core, thread, fp.AMPLIFY_SKID, skid)
+                self._fault_event(core, thread, fk.AMPLIFY_SKID, skid)
         due = core.now + skid
         if core.pmi_due_at is None or due < core.pmi_due_at:
             core.pmi_due_at = due
@@ -1220,8 +1227,8 @@ class EngineBase:
                 # macro steps batch timer ticks without running _timer_tick,
                 # where tick-triggered faults (shrink_counter) fire
                 return self._bail("macro", "fault_tick_armed")
-            if faults.fire(fp.FORCE_BAILOUT, core, thread, point="macro"):
-                self._fault_event(core, thread, fp.FORCE_BAILOUT, "macro")
+            if faults.fire(fk.FORCE_BAILOUT, core, thread, point="macro"):
+                self._fault_event(core, thread, fk.FORCE_BAILOUT, "macro")
                 return self._bail("macro", "fault_forced")
         if core.pmi_due_at is not None:
             return self._bail("macro", "pmi_due")

@@ -32,7 +32,7 @@ from typing import Any, Callable
 
 from repro.common.config import SimConfig
 from repro.common.errors import ConfigError, CounterError, SimulationError
-from repro.faults import plan as fp
+from repro.faults import kinds as fk
 from repro.obs import trace as tr
 from repro.hw.events import (
     KERNEL_RATES,
@@ -627,8 +627,8 @@ class Engine(EngineBase):
         # stage-machine path, or injection decisions would diverge.
         faults = self._faults
         if faults is not None and faults.reads_armed:
-            if faults.fire(fp.FORCE_BAILOUT, core, thread, point="fast_read"):
-                self._fault_event(core, thread, fp.FORCE_BAILOUT, "fast_read")
+            if faults.fire(fk.FORCE_BAILOUT, core, thread, point="fast_read"):
+                self._fault_event(core, thread, fk.FORCE_BAILOUT, "fast_read")
             return self._bail("read", "fault_armed")
         if self._tracing:
             return self._bail("read", "tracing")
@@ -702,8 +702,8 @@ class Engine(EngineBase):
             faults = self._faults
             if faults is not None and not ex.fpc:
                 spec = faults.fire(
-                    fp.PREEMPT_IN_READ, core, thread,
-                    protocol="safe", point=fp.BEFORE_CHECK,
+                    fk.PREEMPT_IN_READ, core, thread,
+                    protocol="safe", point=ops.BEFORE_CHECK,
                 )
                 if spec is not None:
                     # Preempt exactly between the two halves of the restart
@@ -714,7 +714,7 @@ class Engine(EngineBase):
                     ex.fpc = True
                     faults.note_read_hazard(thread.tid, "safe")
                     self._fault_event(
-                        core, thread, fp.PREEMPT_IN_READ, fp.BEFORE_CHECK
+                        core, thread, fk.PREEMPT_IN_READ, ops.BEFORE_CHECK
                     )
                     self._switch_out(
                         core, thread, requeue=True, preempted=True, front=True
@@ -756,8 +756,8 @@ class Engine(EngineBase):
             if faults is not None:
                 protocol = ex.op.protocol
                 spec = faults.fire(
-                    fp.PREEMPT_IN_READ, core, thread,
-                    protocol=protocol, point=fp.BETWEEN_LOADS,
+                    fk.PREEMPT_IN_READ, core, thread,
+                    protocol=protocol, point=ops.BETWEEN_LOADS,
                 )
                 if spec is not None:
                     # The classic hazard: accumulator loaded, rdpmc not yet
@@ -768,7 +768,7 @@ class Engine(EngineBase):
                     # it and silently undercounts (a miss by construction).
                     faults.note_read_hazard(thread.tid, protocol)
                     self._fault_event(
-                        core, thread, fp.PREEMPT_IN_READ, fp.BETWEEN_LOADS
+                        core, thread, fk.PREEMPT_IN_READ, ops.BETWEEN_LOADS
                     )
                     self._switch_out(
                         core, thread, requeue=True, preempted=True, front=True
@@ -878,9 +878,9 @@ class Engine(EngineBase):
         """
         faults = self._faults
         if faults is not None and faults.fire(
-            fp.FORCE_BAILOUT, core, thread, point="spin"
+            fk.FORCE_BAILOUT, core, thread, point="spin"
         ):
-            self._fault_event(core, thread, fp.FORCE_BAILOUT, "spin")
+            self._fault_event(core, thread, fk.FORCE_BAILOUT, "spin")
             return self._bail("spin", "fault_forced")
         costs = self._costs
         spin_q = costs.spin_quantum

@@ -15,13 +15,16 @@ helper generators used with ``yield from``; their return value is the read
 counter value.
 
 Ops are deliberately tiny immutable records; all behaviour lives in the
-engine (repro.sim.engine).
+engine (repro.sim.engine). Each op class names its fields in
+``__slots__`` and sets them in a hand-written ``__init__``; :class:`Op`
+derives equality, hashing, ``repr``, pickling and immutability from those
+slots, as a frozen dataclass would, without generating code at import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, TYPE_CHECKING
+from dataclasses import FrozenInstanceError
+from typing import Any, Callable, TYPE_CHECKING
 
 from repro.common.errors import ConfigError
 from repro.hw.events import ZERO_RATES, EventRates
@@ -29,29 +32,60 @@ from repro.hw.events import ZERO_RATES, EventRates
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.program import ThreadContext
 
+#: Sets a field past :meth:`Op.__setattr__`'s guard; only ``__init__`` uses it.
+_set = object.__setattr__
+
 
 class Op:
-    """Base class of all yieldable operations."""
+    """Base class of all yieldable operations.
+
+    A subclass lists its fields, in constructor order, in ``__slots__``.
+    """
 
     __slots__ = ()
 
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
 
-@dataclass(frozen=True, slots=True)
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
 class Compute(Op):
     """Execute ``cycles`` of user-mode work with the given event rates.
 
     Preemptible: may be split across timeslices and interrupted by PMIs.
     """
 
-    cycles: int
-    rates: EventRates = ZERO_RATES
+    __slots__ = ("cycles", "rates")
 
-    def __post_init__(self) -> None:
-        if self.cycles < 0:
-            raise ConfigError(f"compute cycles must be >= 0, got {self.cycles}")
+    def __init__(self, cycles: int, rates: EventRates = ZERO_RATES) -> None:
+        if cycles < 0:
+            raise ConfigError(f"compute cycles must be >= 0, got {cycles}")
+        _set(self, "cycles", cycles)
+        _set(self, "rates", rates)
 
 
-@dataclass(frozen=True, slots=True)
 class Syscall(Op):
     """Invoke a kernel service. Result: handler-specific value.
 
@@ -60,25 +94,31 @@ class Syscall(Op):
     ``"work"`` with ``args=(kernel_cycles,)``.
     """
 
-    name: str
-    args: tuple = ()
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple = ()) -> None:
+        _set(self, "name", name)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True, slots=True)
 class LockAcquire(Op):
     """Acquire a userspace mutex (spin-then-futex). Result: None."""
 
-    lock: str
+    __slots__ = ("lock",)
+
+    def __init__(self, lock: str) -> None:
+        _set(self, "lock", lock)
 
 
-@dataclass(frozen=True, slots=True)
 class LockRelease(Op):
     """Release a userspace mutex. Result: None."""
 
-    lock: str
+    __slots__ = ("lock",)
+
+    def __init__(self, lock: str) -> None:
+        _set(self, "lock", lock)
 
 
-@dataclass(frozen=True, slots=True)
 class Rdpmc(Op):
     """Execute the rdpmc instruction on one virtualized counter slot.
 
@@ -86,10 +126,12 @@ class Rdpmc(Op):
     if the kernel has not enabled userspace counter reads.
     """
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True, slots=True)
 class RdpmcDestructive(Op):
     """The paper's proposed read-and-reset counter instruction (hardware
     enhancement): atomically returns the full 64-bit virtualized value since
@@ -100,15 +142,18 @@ class RdpmcDestructive(Op):
     Only valid on a machine configured with ``destructive_reads`` support.
     """
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True, slots=True)
 class Rdtsc(Op):
     """Read the timestamp counter. Result: cycle count (int)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
+
 class PmcReadBegin(Op):
     """Mark entry into the LiMiT read critical region. Result: None.
 
@@ -118,19 +163,24 @@ class PmcReadBegin(Op):
     sequence (with restart semantics handled by the library loop).
     """
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
+
 class PmcReadEnd(Op):
     """Leave the read critical region. Result: True if the read was NOT
     interrupted (value is trustworthy), False if it must be retried."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
+
 class LoadVAccum(Op):
     """Load the 64-bit virtual accumulator of counter slot ``index`` from
     the user-mapped page. Result: the accumulator value (int)."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        _set(self, "index", index)
 
 
 #: Safety valve for :class:`PmcSafeRead`: a safe read that restarts this many
@@ -139,8 +189,22 @@ class LoadVAccum(Op):
 #: because the engine executes the restart loop and cannot import repro.core.
 MAX_RESTARTS = 1_000
 
+# -- read-protocol vulnerable points ----------------------------------------
+# Named here, next to MAX_RESTARTS and for the same reason: the engine's read
+# stage machine reports them to the fault injector. repro.faults.plan and
+# repro.core.read_protocol re-export them.
+#: Between the accumulator load and the rdpmc — the classic LiMiT hazard: an
+#: unsafe read preempted here silently undercounts by the pre-switch
+#: hardware value; a safe read restarts.
+BETWEEN_LOADS = "between_loads"
+#: Between the read-end marker and the evaluation of the interruption flag —
+#: the two halves of the safe read's restart check. Only reachable for the
+#: safe protocol; the check must still catch the preemption.
+BEFORE_CHECK = "before_check"
 
-@dataclass(frozen=True, slots=True)
+READ_POINTS: tuple[str, ...] = (BETWEEN_LOADS, BEFORE_CHECK)
+
+
 class PmcSafeRead(Op):
     """The complete LiMiT safe read of counter slot ``index`` as one op.
 
@@ -156,12 +220,14 @@ class PmcSafeRead(Op):
     Result: the exact virtualized value (accumulator + hardware).
     """
 
-    index: int
+    __slots__ = ("index",)
     #: the read protocol, as the engine and fault plans name it
-    protocol: ClassVar[str] = "safe"
+    protocol = "safe"
+
+    def __init__(self, index: int) -> None:
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True, slots=True)
 class PmcUnsafeRead(Op):
     """The unprotected read of counter slot ``index`` as one op: the
     :class:`PmcSafeRead` sequence without the begin/end interruption check.
@@ -170,11 +236,13 @@ class PmcUnsafeRead(Op):
     be interrupted. Result: accumulator + hardware (possibly stale).
     """
 
-    index: int
-    protocol: ClassVar[str] = "unsafe"
+    __slots__ = ("index",)
+    protocol = "unsafe"
+
+    def __init__(self, index: int) -> None:
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True, slots=True)
 class RegionBegin(Op):
     """Enter a named code region (function, request phase, ...).
 
@@ -182,41 +250,50 @@ class RegionBegin(Op):
     thread, in which case the profiler's hook cost is charged. Result: None.
     """
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
 class RegionEnd(Op):
     """Leave the innermost region. Result: None."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
+
 class SpawnThread(Op):
     """clone(2): start a new thread. Result: the new thread id (int)."""
 
-    factory: Callable[["ThreadContext"], Any]
-    name: str
+    __slots__ = ("factory", "name")
+
+    def __init__(self, factory: Callable[["ThreadContext"], Any], name: str) -> None:
+        _set(self, "factory", factory)
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
 class JoinThread(Op):
     """Block until thread ``tid`` finishes. Result: None."""
 
-    tid: int
+    __slots__ = ("tid",)
+
+    def __init__(self, tid: int) -> None:
+        _set(self, "tid", tid)
 
 
-@dataclass(frozen=True, slots=True)
 class Sleep(Op):
     """Block without consuming CPU for ``cycles`` (modelled blocking I/O /
     nanosleep). Result: None."""
 
-    cycles: int
+    __slots__ = ("cycles",)
 
-    def __post_init__(self) -> None:
-        if self.cycles <= 0:
-            raise ConfigError(f"sleep cycles must be positive, got {self.cycles}")
+    def __init__(self, cycles: int) -> None:
+        if cycles <= 0:
+            raise ConfigError(f"sleep cycles must be positive, got {cycles}")
+        _set(self, "cycles", cycles)
 
 
-@dataclass(frozen=True, slots=True)
 class YieldCpu(Op):
     """sched_yield(2). Result: None."""
+
+    __slots__ = ()

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from repro.common.config import SimConfig
 from repro.common.errors import SimulationError
-from repro.common.units import cycle_log
+from repro.common.units import truth_log
 from repro.hw.events import Domain, Event
 from repro.kernel.locks import LockStats
 from repro.kernel.perf import SampleRecord
@@ -34,9 +34,9 @@ class RegionTruth:
     #: kernel cycles charged while this region was innermost
     kernel_cycles: int = 0
     #: per-invocation executed cycles (user+kernel), for length histograms
-    exec_cycles: array[int] = field(default_factory=cycle_log)
+    exec_cycles: array[int] = field(default_factory=truth_log)
     #: per-invocation wall cycles (includes descheduled time)
-    wall_cycles: array[int] = field(default_factory=cycle_log)
+    wall_cycles: array[int] = field(default_factory=truth_log)
 
     @property
     def user_cycles(self) -> int:

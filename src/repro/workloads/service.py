@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ConfigError
 from repro.core.limit import UnbufferedLimitSession
-from repro.faults import plan as fp
+from repro.faults import kinds as fk
 from repro.hw.events import Event, EventRates
 from repro.obs import runtime as obs_runtime
 from repro.resilience import (
@@ -581,21 +581,21 @@ class ServiceChainWorkload(Workload):
                             yield from call_tier(ctx, clock, 0, resubmit)
                         yield from instr.checkpoint(ctx)
                         continue
-                    spec = ctx.service_fault(fp.TIER_CRASH, tier.name)
+                    spec = ctx.service_fault(fk.TIER_CRASH, tier.name)
                     if spec is not None:
                         # Crash + restart: this worker is gone for the
                         # outage; upstream sees the backlog, not an error.
                         t_tot["crash_outages"] += 1
                         yield from clock.sleep(ctx, int(spec.arg))
-                        ctx.service_fault_resolved(fp.TIER_CRASH)
+                        ctx.service_fault_resolved(fk.TIER_CRASH)
                         now = yield from clock.read(ctx)
-                    spec = ctx.service_fault(fp.TIER_ERROR, tier.name)
+                    spec = ctx.service_fault(fk.TIER_ERROR, tier.name)
                     if spec is not None:
                         t_tot["errors"] += 1
                         breaker = breakers.get(tier.name)
                         if breaker is not None:
                             breaker.record_failure(now)
-                        ctx.service_fault_resolved(fp.TIER_ERROR)
+                        ctx.service_fault_resolved(fk.TIER_ERROR)
                         obs_runtime.count_window(shed_counter, at=max(0, now))
                         yield from instr.checkpoint(ctx)
                         continue
@@ -610,11 +610,11 @@ class ServiceChainWorkload(Workload):
                         ),
                         SERVICE_RATES,
                     )
-                    spec = ctx.service_fault(fp.TIER_LATENCY, tier.name)
+                    spec = ctx.service_fault(fk.TIER_LATENCY, tier.name)
                     if spec is not None:
                         t_tot["latency_spikes"] += 1
                         yield Compute(int(spec.arg), SERVICE_RATES)
-                        ctx.service_fault_resolved(fp.TIER_LATENCY)
+                        ctx.service_fault_resolved(fk.TIER_LATENCY)
                     if last:
                         now = yield from clock.read(ctx)
                         latency = max(0, now - arrival)

@@ -1,9 +1,10 @@
-"""Per-event cycle logs are int64 arrays, on both sides of the measurement.
+"""Per-event cycle logs are 64-bit arrays, on both sides of the measurement.
 
 Ground truth (``RegionTruth.exec_cycles``/``wall_cycles``,
-``LockStats.hold_cycles``/``wait_cycles``) and the tool's view
-(``LockObservation.waits``/``holds``, ``RegionObservation.deltas``) store
-one 8-byte entry per event instead of one boxed int.
+``LockStats.hold_cycles``/``wait_cycles``) is unsigned, since a simulated
+duration cannot be negative; the tool's view (``LockObservation.waits``/
+``holds``, ``RegionObservation.deltas``) is signed. Both store one 8-byte
+entry per event instead of one boxed int.
 """
 
 import pickle
@@ -11,7 +12,7 @@ from array import array
 
 import pytest
 
-from repro.common.units import cycle_log
+from repro.common.units import cycle_log, truth_log
 from repro.core.limit import LimitSession
 from repro.core.locks import InstrumentedLock
 from repro.core.regions import PreciseRegionProfiler
@@ -51,29 +52,32 @@ def measured_run(quad_core):
 
 
 def _logs(result, lock, prof):
+    """Each log with the typecode it must have: "Q" for truth, "q" for
+    what the tool measured."""
     merged = result.merged_region("cs")
     stats = result.locks["L"]
     return {
-        "RegionTruth.exec_cycles": merged.exec_cycles,
-        "RegionTruth.wall_cycles": merged.wall_cycles,
-        "LockStats.hold_cycles": stats.hold_cycles,
-        "LockStats.wait_cycles": stats.wait_cycles,
-        "LockObservation.waits": lock.observation.waits,
-        "LockObservation.holds": lock.observation.holds,
-        "RegionObservation.deltas": prof.observation("cs").deltas,
+        "RegionTruth.exec_cycles": (merged.exec_cycles, "Q"),
+        "RegionTruth.wall_cycles": (merged.wall_cycles, "Q"),
+        "LockStats.hold_cycles": (stats.hold_cycles, "Q"),
+        "LockStats.wait_cycles": (stats.wait_cycles, "Q"),
+        "LockObservation.waits": (lock.observation.waits, "q"),
+        "LockObservation.holds": (lock.observation.holds, "q"),
+        "RegionObservation.deltas": (prof.observation("cs").deltas, "q"),
     }
 
 
 def test_every_log_is_an_int64_array(measured_run):
     result, lock, prof = measured_run
     assert result.locks["L"].n_contended > 0
-    for name, log in _logs(result, lock, prof).items():
+    for name, (log, typecode) in _logs(result, lock, prof).items():
         assert isinstance(log, array), name
-        assert log.typecode == "q", name
+        assert log.typecode == typecode, name
+        assert log.itemsize == 8, name
         assert len(log) == 36, name
     for truth in result.region_truths("cs"):
         assert isinstance(truth.exec_cycles, array)
-        assert truth.exec_cycles.typecode == "q"
+        assert truth.exec_cycles.typecode == "Q"
 
 
 def test_pickle_round_trip_keeps_the_fingerprint(measured_run):
@@ -81,7 +85,7 @@ def test_pickle_round_trip_keeps_the_fingerprint(measured_run):
     copy = pickle.loads(pickle.dumps(result))
     assert copy.fingerprint() == result.fingerprint()
     assert copy.locks["L"].hold_cycles == result.locks["L"].hold_cycles
-    assert copy.locks["L"].hold_cycles.typecode == "q"
+    assert copy.locks["L"].hold_cycles.typecode == "Q"
 
 
 def test_a_value_outside_int64_raises():
@@ -95,8 +99,26 @@ def test_a_value_outside_int64_raises():
     assert log.tolist() == [2**63 - 1, -(2**63)]
 
 
-def test_lock_state_refuses_a_hold_outside_int64():
-    lock = LockState("l")
-    lock.take(1, -(2**63), waited=0, contended=False, slept=False)
+def test_a_negative_truth_value_raises():
+    log = truth_log()
+    log.append(0)
+    log.append(2**64 - 1)
     with pytest.raises(OverflowError):
-        lock.release(1, 2**62)
+        log.append(-1)
+    with pytest.raises(OverflowError):
+        log.append(2**64)
+    assert log.tolist() == [0, 2**64 - 1]
+
+
+def test_lock_state_refuses_a_negative_hold():
+    lock = LockState("l")
+    lock.take(1, 2**62, waited=0, contended=False, slept=False)
+    with pytest.raises(OverflowError):
+        lock.release(1, 0)
+    with pytest.raises(OverflowError):
+        lock.take(2, 0, waited=-1, contended=True, slept=False)
+
+
+def test_truth_and_measured_logs_do_not_mix():
+    with pytest.raises(TypeError):
+        truth_log().extend(cycle_log())
