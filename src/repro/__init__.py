@@ -129,49 +129,4 @@ __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Barrier",
-    "BoundedQueue",
-    "Compute",
-    "CondVar",
-    "CostModel",
-    "DestructiveReadSession",
-    "Domain",
-    "Engine",
-    "Event",
-    "EventRates",
-    "Frequency",
-    "InstrumentedLock",
-    "JoinThread",
-    "KernelConfig",
-    "LimitSession",
-    "LockAcquire",
-    "LockConfig",
-    "LockRelease",
-    "MachineConfig",
-    "PlainLock",
-    "PmuConfig",
-    "PreciseRegionProfiler",
-    "RandomStream",
-    "Rdtsc",
-    "RdtscReader",
-    "RegionBegin",
-    "RegionEnd",
-    "ReproError",
-    "RunResult",
-    "SimConfig",
-    "Semaphore",
-    "Sleep",
-    "SlotSpec",
-    "SpawnThread",
-    "Syscall",
-    "ThreadContext",
-    "ThreadSpec",
-    "UnsafeLimitSession",
-    "YieldCpu",
-    "format_cycles",
-    "run_program",
-    "with_all_enhancements",
-    "with_hw_thread_virtualization",
-    "with_wide_counters",
-]
+__all__ = sorted(_EXPORTS)

@@ -10,8 +10,8 @@ the package globals, so later lookups are plain attribute reads. Importing
 one submodule (``import repro.sim.engine``) thus runs only the package
 ``__init__``s on its path, not every sibling they re-export. The same
 imports sit under ``if TYPE_CHECKING:`` in each ``__init__``, so type
-checkers and linters see real, typed names; a test keeps the two lists and
-``__all__`` in agreement.
+checkers and linters see real, typed names; a test keeps the two lists in
+agreement. ``__all__`` is ``sorted(_EXPORTS)``.
 """
 
 from __future__ import annotations

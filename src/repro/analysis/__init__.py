@@ -162,69 +162,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "Assumption",
-    "AttributionScore",
-    "DIMENSIONLESS",
-    "Expr",
-    "ExprError",
-    "GridPoint",
-    "Interval",
-    "MetricNode",
-    "MetricTree",
-    "STANDARD_METRICS",
-    "SweepResult",
-    "Unit",
-    "Verdict",
-    "check_analysis",
-    "check_assumptions",
-    "check_metric_expr",
-    "check_metrics",
-    "check_predicate",
-    "check_tree",
-    "classify_counts",
-    "classify_named_counts",
-    "classify_result",
-    "default_tree",
-    "env_from_counts",
-    "evaluate",
-    "implications_report",
-    "judge",
-    "metric_refs",
-    "parse",
-    "referenced_events",
-    "sweep",
-    "verdict_report",
-    "CS_HISTOGRAM_EDGES",
-    "CS_HISTOGRAM_LABELS",
-    "ErrorSummary",
-    "IntervalSample",
-    "LockDelta",
-    "LockSummary",
-    "RunComparison",
-    "SchedulingStats",
-    "SyncProfile",
-    "ThreadTimeline",
-    "UserKernelBreakdown",
-    "WindowPoint",
-    "bottleneck_report",
-    "build_timelines",
-    "compare_runs",
-    "interval_samples",
-    "percentile",
-    "relative_error",
-    "render_comparison",
-    "render_gantt",
-    "result_to_dict",
-    "result_to_json",
-    "run_report",
-    "scheduling_stats",
-    "spikes",
-    "score_attribution",
-    "short_section_fraction",
-    "summarize_errors",
-    "summarize_lock",
-    "sync_profile",
-    "user_kernel_breakdown",
-    "windowed_series",
-]
+__all__ = sorted(_EXPORTS)

@@ -26,13 +26,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "FlatProfileEntry",
-    "InstrumentingProfiler",
-    "MultiplexedSession",
-    "MuxEstimate",
-    "PapiLikeSession",
-    "PerfReadSession",
-    "RegionEstimate",
-    "SamplingProfiler",
-]
+__all__ = sorted(_EXPORTS)

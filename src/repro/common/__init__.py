@@ -64,29 +64,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "ConfigError",
-    "CostModel",
-    "CounterError",
-    "DEFAULT_FREQUENCY",
-    "ExperimentError",
-    "Frequency",
-    "KernelConfig",
-    "LockConfig",
-    "LockProtocolError",
-    "MachineConfig",
-    "PmuConfig",
-    "RandomStream",
-    "ReproError",
-    "SchedulerError",
-    "SessionError",
-    "SimConfig",
-    "SimulationError",
-    "derive_seed",
-    "events_per_million",
-    "format_cycles",
-    "per_kilo_instruction",
-    "render_histogram",
-    "render_series",
-    "render_table",
-]
+__all__ = sorted(_EXPORTS)

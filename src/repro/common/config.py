@@ -283,10 +283,6 @@ class SimConfig:
     #: ``wall_cycles``), so the default bounds them at 2M x 2 x 8 B = 32 MB
     #: (about 160 MB as lists of boxed ints).
     region_log_budget: int = 2_000_000
-    #: Enable the macro-stepping fast path (closed-form multi-quantum
-    #: fast-forward of solo compute phases). Results are fingerprint-identical
-    #: either way; the switch exists for A/B verification and benchmarking.
-    macro_stepping: bool = True
     #: Deterministic fault-injection plan (:mod:`repro.faults`); None or an
     #: empty plan disables injection entirely (zero hook overhead).
     fault_plan: FaultPlan | None = None

@@ -50,21 +50,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "Calibration",
-    "DestructiveReadSession",
-    "InstrumentedLock",
-    "LimitSession",
-    "LockObservation",
-    "PlainLock",
-    "PreciseRegionProfiler",
-    "RdtscReader",
-    "ReadRecord",
-    "RegionObservation",
-    "UnsafeLimitSession",
-    "calibrate",
-    "destructive_read",
-    "with_all_enhancements",
-    "with_hw_thread_virtualization",
-    "with_wide_counters",
-]
+__all__ = sorted(_EXPORTS)

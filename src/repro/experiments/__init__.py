@@ -19,6 +19,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "ExperimentResult",
-]
+__all__ = sorted(_EXPORTS)

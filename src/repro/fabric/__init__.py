@@ -53,19 +53,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "CacheStats",
-    "ResultCache",
-    "code_salt",
-    "default_cache_dir",
-    "FabricConfig",
-    "JobFailure",
-    "JobOutcome",
-    "RunJob",
-    "configure",
-    "current",
-    "drain_failures",
-    "execute_job",
-    "run_many",
-    "run_one",
-]
+__all__ = sorted(_EXPORTS)

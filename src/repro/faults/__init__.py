@@ -87,37 +87,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "ALIGN_SLICE",
-    "AMPLIFY_SKID",
-    "BAILOUT_POINTS",
-    "BEFORE_CHECK",
-    "BETWEEN_LOADS",
-    "DELAY_SWAP",
-    "DROP_PMI",
-    "DUP_SWAP",
-    "FORCE_BAILOUT",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "KINDS",
-    "PREEMPT_IN_READ",
-    "READ_POINTS",
-    "REPEAT_PMI",
-    "SERVICE_KINDS",
-    "SHRINK_COUNTER",
-    "TIER_CRASH",
-    "TIER_ERROR",
-    "TIER_LATENCY",
-    "amplify_skid",
-    "delay_swap",
-    "drop_pmi",
-    "dup_swap",
-    "force_bailout",
-    "preempt_in_read",
-    "repeat_pmi",
-    "shrink_counter",
-    "tier_crash",
-    "tier_error",
-    "tier_latency",
-]
+__all__ = sorted(_EXPORTS)

@@ -40,18 +40,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "CYCLES_PPM",
-    "Core",
-    "Domain",
-    "Event",
-    "EventRates",
-    "HardwareCounter",
-    "KERNEL_RATES",
-    "LIBRARY_RATES",
-    "Machine",
-    "Pmu",
-    "SPIN_RATES",
-    "cycles_until_count",
-    "events_in",
-]
+__all__ = sorted(_EXPORTS)

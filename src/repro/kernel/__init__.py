@@ -28,15 +28,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "FutexTable",
-    "LockRegistry",
-    "LockState",
-    "LockStats",
-    "PerfFd",
-    "PerfSubsystem",
-    "SampleRecord",
-    "Scheduler",
-    "SlotSpec",
-    "VirtualPmu",
-]
+__all__ = sorted(_EXPORTS)

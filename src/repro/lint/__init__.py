@@ -68,22 +68,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "ERROR",
-    "WARNING",
-    "INFO",
-    "SEVERITIES",
-    "REPORT_SCHEMA",
-    "Finding",
-    "LintReport",
-    "DEFAULT_MAX_OPS",
-    "LintContext",
-    "ProgramWalk",
-    "ThreadWalk",
-    "walk_program",
-    "analyze_walk",
-    "lint_program",
-    "selfcheck_file",
-    "selfcheck_tree",
-    "check_registry",
-]
+__all__ = sorted(_EXPORTS)

@@ -96,38 +96,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "JsonlStreamWriter",
-    "KINDS",
-    "LogHistogram",
-    "MANIFEST_SCHEMA",
-    "MetricsRegistry",
-    "RunCollector",
-    "STREAM_SCHEMA",
-    "StreamFollower",
-    "Timer",
-    "TraceBus",
-    "TraceEvent",
-    "Window",
-    "WindowSpec",
-    "WindowedStats",
-    "collect",
-    "count_window",
-    "current",
-    "events_to_jsonl",
-    "is_stream_dir",
-    "observe_batch",
-    "observe_latency",
-    "perfetto_document",
-    "perfetto_events",
-    "read_jsonl",
-    "read_stream_manifest",
-    "read_stream_records",
-    "read_stream_windows",
-    "summarize_events",
-    "warn",
-    "write_manifest",
-    "write_perfetto",
-]
+__all__ = sorted(_EXPORTS)

@@ -44,13 +44,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "BREAKER_CLOSED",
-    "BREAKER_HALF_OPEN",
-    "BREAKER_OPEN",
-    "AdmissionGate",
-    "CircuitBreaker",
-    "RetryBudget",
-    "RetryPolicy",
-    "TokenBucket",
-]
+__all__ = sorted(_EXPORTS)

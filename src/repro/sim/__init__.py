@@ -78,39 +78,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "Compute",
-    "CoreResult",
-    "Engine",
-    "JoinThread",
-    "KernelCounters",
-    "LoadVAccum",
-    "LockAcquire",
-    "LockRelease",
-    "Op",
-    "PmcReadBegin",
-    "PmcReadEnd",
-    "ProgramFactory",
-    "Rdpmc",
-    "RdpmcDestructive",
-    "Rdtsc",
-    "RegionBegin",
-    "RegionEnd",
-    "RegionTruth",
-    "Barrier",
-    "BoundedQueue",
-    "CondVar",
-    "RunResult",
-    "SimThread",
-    "Semaphore",
-    "Sleep",
-    "SpawnThread",
-    "Syscall",
-    "ThreadContext",
-    "ThreadResult",
-    "ThreadSpec",
-    "ThreadState",
-    "YieldCpu",
-    "merge_histogram",
-    "run_program",
-]
+__all__ = sorted(_EXPORTS)

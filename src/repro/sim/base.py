@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import heapq
-import os
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.common.config import SimConfig
@@ -433,13 +432,7 @@ class EngineBase:
             from repro.faults.injector import FaultInjector
 
             self._faults = FaultInjector(fault_plan)
-        # -- macro-stepping fast path state -----------------------------
-        # config switch first, then the environment kill switch used by the
-        # bench harness / property tests for A/B runs across process modes.
-        self._macro = (
-            self.config.macro_stepping
-            and os.environ.get("REPRO_MACRO_STEPPING", "1") != "0"
-        )
+        # -- fast path telemetry -----------------------------------------
         self._macro_steps = 0
         self._quanta_batched = 0
         self._fast_reads = 0

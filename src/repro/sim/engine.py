@@ -202,8 +202,7 @@ class Engine(EngineBase):
                 # the current timeslice (i.e. the slow path would hit at
                 # least one timer tick before the phase ends).
                 if (
-                    self._macro
-                    and remaining > core.slice_ends_at - now
+                    remaining > core.slice_ends_at - now
                     and self._try_macro_step(core, thread, ex, entry)
                 ):
                     return
@@ -963,7 +962,7 @@ class Engine(EngineBase):
                 return
             ex.contended = True
             if ex.spin_used < self.config.locks.spin_limit_cycles:
-                if self._macro and self._try_spin_batch(core, thread, ex):
+                if self._try_spin_batch(core, thread, ex):
                     return
                 ex.stage = "spin"
                 ex.spin_used += costs.spin_quantum

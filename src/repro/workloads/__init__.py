@@ -100,46 +100,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "ACCEPT_LOCK",
-    "APACHE_LOG_LOCK",
-    "ApacheConfig",
-    "ApacheWorkload",
-    "BusyWorkload",
-    "COMPUTE_RATES",
-    "ContentionConfig",
-    "ContentionWorkload",
-    "DensitySweepWorkload",
-    "FirefoxConfig",
-    "FirefoxWorkload",
-    "GC_RATES",
-    "HTTP_PARSE_RATES",
-    "Instrumentation",
-    "JS_INTERP_RATES",
-    "JsFunction",
-    "KernelSpec",
-    "LRU_LOCK",
-    "MYSQL_LOG_LOCK",
-    "MemcachedConfig",
-    "MemcachedWorkload",
-    "MysqlConfig",
-    "MysqlWorkload",
-    "PARSE_RATES",
-    "ROW_ACCESS_RATES",
-    "PipelineConfig",
-    "PipelineWorkload",
-    "ReadCostMicrobench",
-    "ReadCostResult",
-    "SpecKernelWorkload",
-    "SpecSuiteWorkload",
-    "StreamclusterConfig",
-    "StreamclusterWorkload",
-    "TrafficConfig",
-    "TrafficWorkload",
-    "Workload",
-    "default_function_catalog",
-    "kernel_catalog",
-    "plain",
-    "shard_lock",
-    "table_lock",
-]
+__all__ = sorted(_EXPORTS)

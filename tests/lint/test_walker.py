@@ -6,19 +6,44 @@ tids and protocol results consistent enough that real measurement-library
 code (sessions, baselines) walks to completion unmodified.
 """
 
+import inspect
+
 from repro.common.config import MachineConfig, PmuConfig, SimConfig
+from repro.common.rng import RandomStream
 from repro.core.limit import LimitSession
 from repro.hw.events import Event
 from repro.kernel.vpmu import SlotSpec
-from repro.lint.walker import walk_program
+from repro.lint.walker import LintContext, walk_program
 from repro.sim import ops as op
-from repro.sim.program import ThreadSpec
+from repro.sim.program import ThreadContext, ThreadSpec
 
 from tests.conftest import SIMPLE_RATES
 
 
 def _specs(*factories):
     return [ThreadSpec(f"t{i}", f) for i, f in enumerate(factories)]
+
+
+def _parameters(cls, name):
+    return [
+        (p.name, p.kind, p.default)
+        for p in inspect.signature(getattr(cls, name)).parameters.values()
+    ]
+
+
+def test_lint_context_mirrors_thread_context():
+    """A factory walks with the stub context in place of the real one, so
+    the stub defines every public name the real one has, and each method
+    takes the same parameters."""
+    real = ThreadContext("t", 1, RandomStream(0, "t"), engine=None)
+    stub = LintContext("t", 1, SimConfig())
+    public = {name for name in dir(real) if not name.startswith("_")}
+    assert public <= set(dir(stub))
+    for name in public:
+        if inspect.isfunction(inspect.getattr_static(ThreadContext, name, None)):
+            assert _parameters(LintContext, name) == _parameters(
+                ThreadContext, name
+            ), name
 
 
 class TestWalking:

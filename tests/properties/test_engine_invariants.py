@@ -1,82 +1,28 @@
 """Property tests of whole-simulation invariants under randomized workloads.
 
-Each generated scenario runs a full simulation; the invariants checked are
-the ones DESIGN.md commits to:
+Each generated scenario (drawn from the equivalence harness's generator,
+``tests/equivalence.py``) runs a full simulation; the invariants checked
+are the ones DESIGN.md commits to:
 
 * conservation (thread cpu == core busy; user+kernel == busy),
 * LiMiT safe reads exact under arbitrary preemption,
 * lock mutual exclusion and complete accounting,
 * determinism (same seed => same fingerprint),
-* one-piece syscalls, whole user phases and two-piece sleeps equal to
-  the stage machine they shortcut,
 * the main loop's core heap holding exactly the other unparked cores.
 
-Every iteration makes a ``work`` syscall whose kernel path is empty, short,
-or longer than the smallest timeslice.
+That every fast path matches the stage machine it shortcuts is the
+harness's property (``tests/test_equivalence.py``).
 """
 
 from unittest import mock
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.common.config import KernelConfig, MachineConfig, SimConfig
 from repro.core.limit import LimitSession
-from repro.hw.events import Event, EventRates
+from repro.hw.events import Event
 from repro.sim.engine import Engine, run_program
-from repro.sim.ops import Compute, LockAcquire, LockRelease, Sleep, Syscall
-from repro.sim.program import ThreadSpec
 
-RATES = EventRates.profile(ipc=1.3, llc_mpki=2.0, branch_frac=0.2,
-                           branch_miss_rate=0.03)
-
-scenario = st.fixed_dictionaries(
-    {
-        "n_cores": st.integers(min_value=1, max_value=4),
-        "n_threads": st.integers(min_value=1, max_value=5),
-        "timeslice": st.sampled_from([5_000, 20_000, 100_000, 1_000_000]),
-        "iters": st.integers(min_value=1, max_value=12),
-        "hold": st.integers(min_value=50, max_value=20_000),
-        "think": st.integers(min_value=50, max_value=20_000),
-        "n_locks": st.integers(min_value=1, max_value=3),
-        "with_sleep": st.booleans(),
-        "kernel_work": st.one_of(
-            st.just(0),
-            st.integers(min_value=1, max_value=2_000),
-            st.integers(min_value=5_001, max_value=12_000),
-        ),
-        "seed": st.integers(min_value=0, max_value=2**32),
-    }
-)
-
-
-def build(params, session=None):
-    def worker(ctx):
-        if session is not None:
-            yield from session.setup(ctx)
-        for i in range(params["iters"]):
-            yield Compute(params["think"], RATES)
-            lock = f"L{i % params['n_locks']}"
-            yield LockAcquire(lock)
-            yield Compute(params["hold"], RATES)
-            yield LockRelease(lock)
-            yield Syscall("work", (params["kernel_work"],))
-            if session is not None:
-                yield from session.read(ctx, 0)
-            if params["with_sleep"] and i % 5 == 4:
-                yield Sleep(1_000)
-
-    return [
-        ThreadSpec(f"w{i}", worker) for i in range(params["n_threads"])
-    ]
-
-
-def config(params):
-    return SimConfig(
-        machine=MachineConfig(n_cores=params["n_cores"]),
-        kernel=KernelConfig(timeslice_cycles=params["timeslice"]),
-        seed=params["seed"],
-    )
+from tests.equivalence import build, config, scenario
 
 
 class TestSimulationInvariants:
@@ -141,71 +87,6 @@ class TestSimulationInvariants:
         t1 = r1.thread_by_name("w0")
         t2 = r2.thread_by_name("w0")
         assert t1.user_cycles == t2.user_cycles
-
-    @given(params=scenario)
-    @settings(max_examples=20, deadline=None)
-    def test_whole_syscalls_match_the_stage_machine(self, params):
-        """Committing action-free syscalls in one piece changes nothing
-        simulated: forcing the stage machine gives the same fingerprint
-        and the same LiMiT read records."""
-
-        def run():
-            session = LimitSession([Event.CYCLES], count_kernel=True)
-            result = run_program(build(params, session), config(params))
-            return result.fingerprint(), session.records
-
-        fast = run()
-        with mock.patch.object(
-            Engine, "_try_whole_syscall", lambda *args: False
-        ):
-            staged = run()
-        assert staged == fast
-
-    @given(params=scenario)
-    @settings(max_examples=20, deadline=None)
-    def test_two_piece_sleeps_match_the_stage_machine(self, params):
-        """Whole sleeps and exits resumed in the switch-in piece change
-        nothing simulated: forcing the stage machine gives the same
-        fingerprint and the same LiMiT read records."""
-        params = dict(params, with_sleep=True)
-
-        def run():
-            session = LimitSession([Event.CYCLES], count_kernel=True)
-            result = run_program(build(params, session), config(params))
-            return result.fingerprint(), session.records
-
-        fast = run()
-        with mock.patch.object(
-            Engine, "_try_whole_sleep", lambda *args: False
-        ), mock.patch.object(
-            Engine, "_try_resumed_exit", lambda *args: False
-        ):
-            staged = run()
-        assert staged == fast
-
-    @given(params=scenario)
-    @settings(max_examples=20, deadline=None)
-    def test_whole_phases_match_stage_machine(self, params):
-        """Committing whole user phases (free locks, lone releases,
-        Compute) in their begin handlers changes nothing simulated:
-        forcing the stage machine gives the same fingerprint and the same
-        lock statistics."""
-
-        def run():
-            result = run_program(build(params), config(params))
-            locks = {
-                name: (s.n_acquires, s.n_contended, s.n_futex_sleeps,
-                       s.wait_cycles, s.hold_cycles)
-                for name, s in result.locks.items()
-            }
-            return result.fingerprint(), locks
-
-        fast = run()
-        with mock.patch.object(
-            Engine, "_try_whole_phase", lambda *args: False
-        ):
-            staged = run()
-        assert staged == fast
 
     @given(params=scenario)
     @settings(max_examples=20, deadline=None)

@@ -3,31 +3,19 @@ the in-begin commit of whole user phases (free locks, lone releases,
 Compute, Rdtsc)."""
 
 from collections import Counter
+from contextlib import nullcontext
 
 import pytest
 
-from repro.common.config import (
-    KernelConfig,
-    LockConfig,
-    MachineConfig,
-    PmuConfig,
-    SimConfig,
-)
+from repro.common.config import KernelConfig, LockConfig, MachineConfig, SimConfig
 from repro.common.errors import LockProtocolError, SimulationError
-from repro.core.limit import LimitSession
-from repro.hw.events import Domain, Event, events_in
-from repro.sim.engine import Engine
-from repro.sim.ops import (
-    Compute,
-    LockAcquire,
-    LockRelease,
-    Rdtsc,
-    RegionBegin,
-    RegionEnd,
-)
+from repro.hw.events import Domain, events_in
+from repro.sim.engine import Engine, run_program
+from repro.sim.ops import Compute, LockAcquire, LockRelease
 from repro.sim.program import ThreadSpec
 
 from tests.conftest import SIMPLE_RATES, run_threads
+from tests.equivalence import NARROW_LOCKS, SLICED_LOCKS, fastpaths_off, lock_phases
 
 
 def locked_worker(lock="L", hold=1_000, iters=20, think=500):
@@ -157,10 +145,6 @@ class TestFairnessish:
         assert len(done) == 4
 
 
-def _force_stage_machine(monkeypatch):
-    monkeypatch.setattr(Engine, "_try_whole_phase", lambda *args: False)
-
-
 def _spy_fallbacks(monkeypatch):
     """Wrap ``Engine._try_whole_phase``: check each verdict against the
     three fallback conditions, read off the state before the call, and
@@ -191,55 +175,6 @@ def _spy_fallbacks(monkeypatch):
     return falls
 
 
-#: 10-bit counters counting user cycles wrap every ~1k cycles, so some wrap
-#: inside a CAS and some PMIs are still due when the next op begins.
-NARROW_LOCKS = SimConfig(
-    machine=MachineConfig(n_cores=2, pmu=PmuConfig(counter_width=10)),
-    kernel=KernelConfig(timeslice_cycles=20_000),
-    seed=5,
-)
-#: Four threads on three cores with a short slice: contended locks, futex
-#: sleeps, preemption, and CASes that straddle a slice boundary.
-SLICED_LOCKS = SimConfig(
-    machine=MachineConfig(n_cores=3),
-    kernel=KernelConfig(timeslice_cycles=2_500),
-    locks=LockConfig(spin_limit_cycles=120),
-    seed=5,
-)
-
-
-def _lock_run(config, n_threads, iters=30):
-    """Threads mixing a shared (contended) lock and a private
-    (uncontended) one, Compute, Rdtsc and LiMiT reads inside a region;
-    returns the result and the read records."""
-    session = LimitSession([Event.CYCLES])
-
-    def program(ctx):
-        yield from session.setup(ctx)
-        for i in range(iters):
-            yield Compute(200 + 157 * ((5 * i + ctx.tid) % 7), SIMPLE_RATES)
-            lock = "shared" if i % 2 else f"own{ctx.tid}"
-            yield RegionBegin("cs")
-            yield LockAcquire(lock)
-            yield Rdtsc()
-            yield Compute(100 + 97 * (i % 4), SIMPLE_RATES)
-            yield from session.read(ctx, 0)
-            yield LockRelease(lock)
-            yield RegionEnd()
-
-    return run_threads(config, *([program] * n_threads)), session.records
-
-
-def _lock_stats(result):
-    return {
-        name: (
-            s.n_acquires, s.n_contended, s.n_futex_sleeps,
-            s.wait_cycles, s.hold_cycles,
-        )
-        for name, s in result.locks.items()
-    }
-
-
 class TestWholePhases:
     @pytest.mark.parametrize(
         "config, n_threads, causes, futex",
@@ -249,29 +184,22 @@ class TestWholePhases:
             (SLICED_LOCKS, 4, (("LockAcquire", "slice"), ("Rdtsc", "slice"),
                                ("Compute", "slice")), True),
         ],
+        ids=["narrow", "sliced"],
     )
-    def test_fast_and_staged_paths_agree(
+    def test_phases_fall_back_on_each_cause(
         self, config, n_threads, causes, futex, monkeypatch
     ):
-        """Forcing every user phase through the stage machine reproduces
-        the in-begin commits: fingerprint, every lock statistic and every
-        read record. The fast run includes phases that must fall back and,
-        in the sliced run, releases that must wake a futex sleeper."""
+        """Every verdict matches its fallback conditions. With 10-bit
+        counters, CASes wrap a counter or find a PMI due; with a short
+        slice, CASes, Rdtsc and Compute straddle the slice end, and
+        releases wake futex sleepers."""
         falls = _spy_fallbacks(monkeypatch)
-        fast, fast_records = _lock_run(config, n_threads)
+        fast = run_program(lock_phases(n_threads).specs, config)
         for cause in causes:
             assert falls[cause] > 0, cause
         assert fast.metrics["whole_phases"] > 0
         assert fast.locks["shared"].n_contended > 0
         assert (fast.kernel.n_futex_wakes > 0) is futex
-        _force_stage_machine(monkeypatch)
-        staged, staged_records = _lock_run(config, n_threads)
-        assert staged.metrics["whole_phases"] == 0
-        assert staged.fingerprint() == fast.fingerprint()
-        assert _lock_stats(staged) == _lock_stats(fast)
-        assert staged_records == fast_records
-        assert len(fast_records) == 30 * n_threads
-        assert staged.metrics["sim_events"] == fast.metrics["sim_events"]
 
     def test_cas_straddling_the_slice_falls_back(self, monkeypatch):
         """A CAS that starts 5 cycles before the slice ends takes the stage
@@ -305,11 +233,9 @@ class TestWholePhases:
         assert result.metrics["whole_phases"] == 4 * 10
 
     @pytest.mark.parametrize("staged", [False, True])
-    def test_unowned_release_raises_after_the_cas(self, staged, monkeypatch):
+    def test_unowned_release_raises_after_the_cas(self, staged):
         """Releasing a lock the thread does not own raises only after the
         CAS is charged, on either path."""
-        if staged:
-            _force_stage_machine(monkeypatch)
         config = SimConfig(machine=MachineConfig(n_cores=1))
         costs = config.machine.costs
 
@@ -318,61 +244,11 @@ class TestWholePhases:
             yield LockRelease("L")
 
         engine = Engine(config)
-        with pytest.raises(LockProtocolError):
-            engine.run([ThreadSpec("t0", program)])
+        with fastpaths_off("phase") if staged else nullcontext():
+            with pytest.raises(LockProtocolError):
+                engine.run([ThreadSpec("t0", program)])
         (thread,) = engine.threads.values()
         assert thread.user_cycles == 1_000 + costs.cas
         assert engine.machine.cores[0].now == (
             costs.context_switch + 1_000 + costs.cas
         )
-
-
-#: NARROW_LOCKS with full-width counters: no spin batch can stop at a wrap.
-WIDE_LOCKS = SimConfig(
-    machine=MachineConfig(n_cores=2),
-    kernel=KernelConfig(timeslice_cycles=20_000),
-    seed=5,
-)
-
-
-def _spin_run(config, iters=40):
-    """Two threads on one hot lock, each hold outlasting several spin
-    rounds, inside a region and under a LiMiT session counting user cycles
-    and instructions; returns the result and the read records."""
-    session = LimitSession([Event.CYCLES, Event.INSTRUCTIONS])
-
-    def program(ctx):
-        yield from session.setup(ctx)
-        for i in range(iters):
-            yield RegionBegin("cs")
-            yield LockAcquire("hot")
-            yield Compute(300 + 211 * ((3 * i + ctx.tid) % 5), SIMPLE_RATES)
-            yield from session.read(ctx, 0)
-            yield LockRelease("hot")
-            yield RegionEnd()
-            yield Compute(100 + 37 * (i % 3), SIMPLE_RATES)
-
-    return run_threads(config, program, program), session.records
-
-
-class TestSpinBatching:
-    @pytest.mark.parametrize(
-        "config, wraps", [(NARROW_LOCKS, True), (WIDE_LOCKS, False)]
-    )
-    def test_batched_and_round_by_round_spins_agree(
-        self, config, wraps, monkeypatch
-    ):
-        """Spinning round by round reproduces the batched spins:
-        fingerprint, every lock statistic and every read record. With
-        10-bit counters some batches stop short of a counter wrap."""
-        fast, fast_records = _spin_run(config)
-        assert fast.metrics["spin_batches"] > 0
-        bails = fast.metrics.get("fastpath_bailout.spin.wrap", 0)
-        assert (bails > 0) is wraps
-        monkeypatch.setattr(Engine, "_try_spin_batch", lambda *args: False)
-        slow, slow_records = _spin_run(config)
-        assert slow.metrics.get("spin_batches", 0) == 0
-        assert slow.fingerprint() == fast.fingerprint()
-        assert _lock_stats(slow) == _lock_stats(fast)
-        assert slow_records == fast_records
-        assert slow.metrics["sim_events"] > fast.metrics["sim_events"]

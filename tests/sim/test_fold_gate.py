@@ -31,6 +31,7 @@ from repro.sim.ops import (
 )
 from repro.sim.results import RegionTruth
 from tests.conftest import SIMPLE_RATES, run_threads
+from tests.equivalence import FASTPATHS
 
 #: The gate's reasons, in the order it checks them.
 GATE_REASONS = ("pmi_due", "slice", "horizon", "max_cycles", "wrap")
@@ -41,7 +42,6 @@ CALLER_REASONS = (
     "rdpmc_off", "bad_slot", "overflow_pending", "degenerate",
     "runqueue", "mux", "domain",
 )
-PATHS = ("read", "spin", "syscall", "sleep", "resumed_exit", "phase", "macro")
 
 WIDTH = 16
 MASK = (1 << WIDTH) - 1
@@ -248,6 +248,6 @@ def test_every_bail_key_is_path_and_reason(plan, trace):
     assert bails
     for key in bails:
         path, reason = key.split(".")
-        assert path in PATHS, key
+        assert path in FASTPATHS, key
         assert reason in GATE_REASONS + CALLER_REASONS, key
     assert sum(bails.values()) == result.metrics["fastpath_bailouts"]

@@ -2,30 +2,19 @@
 (of a live target, a finished one and an unknown tid), Sleep (inside and
 past the timeslice), YieldCpu (alone and with a queued competitor) and
 Syscall (with an action, without one, and a ``wait_key`` blocked until a
-``wake_key``).
+``wake_key``); the program is the equivalence corpus's ``kernel-ops``
+entry.
 
 The pins below were recorded before the five kernel-path stage machines
 became one; the run must keep its RunResult fingerprint, its traced event
 list, its fold counts and the per-name ``kernel.n_syscalls`` table on one
 and two cores, traced or not."""
 
-import hashlib
-
 import pytest
 
 from repro.common.config import KernelConfig, MachineConfig, SimConfig
-from repro.common.errors import SimulationError
 from repro.sim.engine import Engine, run_program
-from repro.sim.ops import (
-    Compute,
-    JoinThread,
-    Sleep,
-    SpawnThread,
-    Syscall,
-    YieldCpu,
-)
-from repro.sim.program import ThreadSpec
-from tests.conftest import SIMPLE_RATES
+from tests.equivalence import kernel_ops, trace_digest
 
 #: Per core count: the RunResult fingerprint (equal traced or not) and a
 #: digest of the traced event list.
@@ -62,38 +51,6 @@ def _config(n_cores: int, trace: bool) -> SimConfig:
     )
 
 
-def _program(log: list):
-    def quick(ctx):
-        yield Compute(1_500, SIMPLE_RATES)
-
-    def waker(ctx):
-        yield Compute(90_000, SIMPLE_RATES)
-        log.append(("wake_key", (yield Syscall("wake_key", ("k", 1)))))
-        yield Sleep(4_000)
-        yield Compute(80_000, SIMPLE_RATES)
-
-    def main(ctx):
-        log.append(("yield", (yield YieldCpu())))
-        log.append(("getpid", (yield Syscall("getpid"))))
-        log.append(("work", (yield Syscall("work", (700,)))))
-        waker_tid = yield SpawnThread(waker, "waker")
-        quick_tid = yield SpawnThread(quick, "quick")
-        log.append(("spawned", waker_tid, quick_tid))
-        log.append(("yield", (yield YieldCpu())))
-        log.append(("wait_key", (yield Syscall("wait_key", ("k",)))))
-        yield Sleep(3_000)
-        yield Sleep(45_000)
-        log.append(("join_finished", (yield JoinThread(quick_tid))))
-        log.append(("join_live", (yield JoinThread(waker_tid))))
-        try:
-            yield JoinThread(999)
-        except SimulationError as exc:
-            log.append(("join_unknown", str(exc)))
-        yield Compute(1_000, SIMPLE_RATES)
-
-    return [ThreadSpec("main", main)]
-
-
 def _run(n_cores: int, trace: bool, monkeypatch):
     """Run the program; return the result, its log and each thread's block
     kinds in order."""
@@ -106,26 +63,21 @@ def _run(n_cores: int, trace: bool, monkeypatch):
         block(engine, core, thread, key)
 
     monkeypatch.setattr(Engine, "_block", recorded)
-    result = run_program(_program(log), _config(n_cores, trace))
+    result = run_program(kernel_ops(log), _config(n_cores, trace))
     return result, log, blocks
-
-
-def _trace_digest(trace) -> str:
-    text = repr([tuple(event) for event in trace])
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("n_cores", [1, 2])
 def test_kernel_ops_are_pinned(n_cores, trace, monkeypatch):
     result, log, blocks = _run(n_cores, trace, monkeypatch)
-    fingerprint, trace_digest = PINS[n_cores]
+    fingerprint, trace_pin = PINS[n_cores]
     assert result.fingerprint() == fingerprint
     assert result.kernel.n_syscalls == N_SYSCALLS
     by_name = {t.name: t.n_syscalls for t in result.threads.values()}
     assert by_name == THREAD_SYSCALLS
     if trace:
-        assert _trace_digest(result.trace) == trace_digest
+        assert trace_digest(result.trace) == trace_pin
     else:
         assert result.trace == []
     metrics = result.metrics
