@@ -164,18 +164,6 @@ class SweepResult:
     cached_points: int
     failed_points: tuple[str, ...] = ()
 
-    @property
-    def refuted(self) -> tuple[Verdict, ...]:
-        return tuple(v for v in self.verdicts if v.verdict == REFUTED)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "points": self.points,
-            "cached_points": self.cached_points,
-            "failed_points": list(self.failed_points),
-            "verdicts": [v.as_dict() for v in self.verdicts],
-        }
-
 
 # -- judging -----------------------------------------------------------------
 

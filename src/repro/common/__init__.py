@@ -28,7 +28,6 @@ if TYPE_CHECKING:
     from repro.common.units import (
         DEFAULT_FREQUENCY,
         Frequency,
-        events_per_million,
         format_cycles,
         per_kilo_instruction,
     )
@@ -57,7 +56,6 @@ _EXPORTS = {
     "render_table": "tables",
     "DEFAULT_FREQUENCY": "units",
     "Frequency": "units",
-    "events_per_million": "units",
     "format_cycles": "units",
     "per_kilo_instruction": "units",
 }

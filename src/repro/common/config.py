@@ -40,7 +40,6 @@ class CostModel:
     rdpmc_destructive: int = 38   #: proposed read-and-reset instruction (E11b)
     cas: int = 12                 #: lock cmpxchg
     wrmsr: int = 110              #: programming a counter control MSR
-    rdmsr: int = 90               #: reading a counter MSR from the kernel
 
     # -- LiMiT userspace read sequence (micro-steps) -------------------------
     pmc_call_overhead: int = 14   #: function prologue before the sequence
@@ -83,7 +82,6 @@ class CostModel:
 
     # -- profiling baselines -----------------------------------------------
     instrument_hook: int = 44     #: gprof-style entry/exit hook (mcount)
-    vdso_gettime: int = 30        #: vDSO clock_gettime
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
@@ -116,13 +114,6 @@ class CostModel:
             + self.rdpmc
             + self.pmc_store_result
         )
-
-    @property
-    def destructive_read_total(self) -> int:
-        """Total cycles of a read using the proposed read-and-reset
-        instruction (hardware enhancement, E11b): no accumulator load and no
-        read-region protection are needed."""
-        return self.pmc_call_overhead + self.rdpmc_destructive + self.pmc_store_result
 
     @property
     def limit_delta_overhead(self) -> int:
@@ -273,10 +264,6 @@ class SimConfig:
     max_cycles: int = 2_000_000_000_000
     #: Record a per-thread trace of scheduling and lock events (costly).
     trace: bool = False
-    #: Record simulator self-telemetry metrics (host-side counters/timers in
-    #: :mod:`repro.obs.metrics`). Never perturbs simulated results — metrics
-    #: observe the simulator, not the simulated machine.
-    metrics: bool = True
     #: Cap on stored per-invocation region durations across a run
     #: (invocation *counts* stay exact beyond the cap). Each stored
     #: invocation appends to two int64 logs (``RegionTruth.exec_cycles`` and
@@ -286,12 +273,6 @@ class SimConfig:
     #: Deterministic fault-injection plan (:mod:`repro.faults`); None or an
     #: empty plan disables injection entirely (zero hook overhead).
     fault_plan: FaultPlan | None = None
-
-    def with_machine(self, **kwargs) -> "SimConfig":
-        """Return a copy with machine fields replaced."""
-        return dataclasses.replace(
-            self, machine=dataclasses.replace(self.machine, **kwargs)
-        )
 
     def with_kernel(self, **kwargs) -> "SimConfig":
         """Return a copy with kernel fields replaced."""

@@ -26,8 +26,6 @@ class Frequency:
     >>> f = Frequency(2_400_000_000)
     >>> f.cycles_to_ns(2400)
     1000.0
-    >>> f.ns_to_cycles(1000.0)
-    2400
     """
 
     hz: int = DEFAULT_FREQUENCY_HZ
@@ -36,32 +34,13 @@ class Frequency:
         if self.hz <= 0:
             raise ConfigError(f"frequency must be positive, got {self.hz}")
 
-    @property
-    def ghz(self) -> float:
-        return self.hz / 1e9
-
     def cycles_to_ns(self, cycles: int | float) -> float:
         """Convert a cycle count to nanoseconds."""
         return cycles * 1e9 / self.hz
 
-    def cycles_to_us(self, cycles: int | float) -> float:
-        return cycles * 1e6 / self.hz
-
     def cycles_to_ms(self, cycles: int | float) -> float:
         return cycles * 1e3 / self.hz
 
-    def cycles_to_seconds(self, cycles: int | float) -> float:
-        return cycles / self.hz
-
-    def ns_to_cycles(self, ns: float) -> int:
-        """Convert nanoseconds to cycles, rounding to the nearest cycle."""
-        return round(ns * self.hz / 1e9)
-
-    def us_to_cycles(self, us: float) -> int:
-        return round(us * self.hz / 1e6)
-
-    def ms_to_cycles(self, ms: float) -> int:
-        return round(ms * self.hz / 1e3)
 
 
 DEFAULT_FREQUENCY = Frequency()
@@ -87,18 +66,6 @@ def format_cycles(cycles: int | float, frequency: Frequency = DEFAULT_FREQUENCY)
     if isinstance(cycles, float):
         return f"{cycles:.0f} cy ({human})"
     return f"{cycles} cy ({human})"
-
-
-def events_per_million(rate_per_cycle: float) -> int:
-    """Convert an events-per-cycle rate into the integer ppm (parts-per-
-    million-cycles) representation used by the event accounting engine.
-
-    >>> events_per_million(1.5)   # IPC of 1.5
-    1500000
-    """
-    if rate_per_cycle < 0:
-        raise ConfigError(f"event rate must be non-negative, got {rate_per_cycle}")
-    return round(rate_per_cycle * 1_000_000)
 
 
 def per_kilo_instruction(misses_pki: float, ipc: float) -> int:

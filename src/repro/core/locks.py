@@ -68,10 +68,6 @@ class LockObservation:
         return sum(self.holds)
 
     @property
-    def mean_wait(self) -> float:
-        return self.total_wait / len(self.waits) if self.waits else 0.0
-
-    @property
     def mean_hold(self) -> float:
         return self.total_hold / len(self.holds) if self.holds else 0.0
 

@@ -15,7 +15,7 @@ against ground truth:
 from __future__ import annotations
 
 from repro import fabric
-from repro.analysis.accuracy import relative_error
+from repro.analysis.accuracy import relative_error, score_attribution
 from repro.baselines.sampling import SamplingProfiler
 from repro.common.tables import render_table
 from repro.core.limit import LimitSession
@@ -152,16 +152,16 @@ def run(quick: bool = False) -> ExperimentResult:
     for period, sample_out in zip(periods, sample_outs):
         result = sample_out.result
         result.check_conservation()
-        errors = {}
-        resolved = 0
-        for length in REGION_LENGTHS:
-            truth = result.merged_region(_region_name(length)).user_cycles
-            estimate = sample_out.extra[length]
-            if estimate > 0:
-                resolved += 1
-            errors[length] = relative_error(estimate, truth)
-        sampler_errors[period] = errors
-        sampler_resolution[period] = resolved / len(REGION_LENGTHS)
+        truths = {
+            length: result.merged_region(_region_name(length)).user_cycles
+            for length in REGION_LENGTHS
+        }
+        estimates = {length: sample_out.extra[length] for length in REGION_LENGTHS}
+        sampler_errors[period] = {
+            length: relative_error(estimates[length], truth)
+            for length, truth in truths.items()
+        }
+        sampler_resolution[period] = score_attribution(estimates, truths).resolution
         sampler_slowdown[period] = result.wall_cycles / baseline.wall_cycles
 
     # -- render ---------------------------------------------------------------

@@ -14,7 +14,7 @@ PAPI-class per-function measurement, PMI sampling.
 
 from __future__ import annotations
 
-from repro.analysis.accuracy import relative_error
+from repro.analysis.accuracy import relative_error, score_attribution
 from repro.baselines.papi import PapiLikeSession
 from repro.baselines.sampling import SamplingProfiler
 from repro.common.tables import render_table
@@ -99,7 +99,7 @@ def run(quick: bool = False) -> ExperimentResult:
         for region, est in sampler.estimates(sampler_result).items()
         if region and region.startswith("js::")
     }
-    resolved = sum(1 for name in truths if sampler_estimates.get(name, 0) > 0)
+    sampler_score = score_attribution(sampler_estimates, truths)
 
     def mean(xs):
         return sum(xs) / len(xs) if xs else float("inf")
@@ -121,7 +121,7 @@ def run(quick: bool = False) -> ExperimentResult:
         [
             "sampling (p=100k)",
             round(sampler_result.wall_cycles / plain_wall, 3),
-            resolved,
+            sampler_score.n_resolved,
             "-",
         ],
     ]
@@ -134,7 +134,7 @@ def run(quick: bool = False) -> ExperimentResult:
     metrics = {
         "limit_slowdown": limit_result.wall_cycles / plain_wall,
         "papi_slowdown": papi_result.wall_cycles / plain_wall,
-        "sampler_resolution": resolved / len(truths) if truths else 0.0,
+        "sampler_resolution": sampler_score.resolution,
         "limit_mean_rel_err": mean(limit_errs),
         "n_functions": float(len(truths)),
     }

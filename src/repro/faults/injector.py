@@ -238,10 +238,3 @@ class FaultInjector:
     def total_injected(self) -> int:
         return sum(self.injected.values())
 
-    def summary(self) -> dict:
-        return {
-            "injected": self.total_injected,
-            "detected": self.detected,
-            "missed": self.missed,
-            "by_kind": dict(sorted(self.injected.items())),
-        }

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.common.config import MachineConfig
-from repro.common.errors import ConfigError
 from repro.hw.pmu import Pmu
 
 
@@ -42,16 +41,6 @@ class Core:
         self.pmi_due_at: int | None = None
         self.slice_ends_at: int | None = None
 
-    @property
-    def idle_cycles(self) -> int:
-        """Cycles this core spent with nothing to run (so far)."""
-        return self.now - self.busy_cycles
-
-    def rdtsc(self) -> int:
-        """The timestamp counter: invariant TSC == core-local cycle clock
-        (all cores are synchronized at reset, as on modern x86)."""
-        return self.now
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "parked" if self.parked else "running"
         return f"<Core {self.core_id} now={self.now} {state}>"
@@ -67,15 +56,6 @@ class Machine:
             for i in range(config.n_cores)
         ]
 
-    @property
-    def n_cores(self) -> int:
-        return len(self.cores)
-
-    def core(self, core_id: int) -> Core:
-        if not 0 <= core_id < len(self.cores):
-            raise ConfigError(f"no such core: {core_id}")
-        return self.cores[core_id]
-
     def enable_user_rdpmc(self) -> None:
         """Apply the LiMiT kernel patch's CR4.PCE change on every core."""
         for core in self.cores:
@@ -85,8 +65,5 @@ class Machine:
         """The largest core-local clock — the machine-wide horizon."""
         return max(core.now for core in self.cores)
 
-    def total_busy_cycles(self) -> int:
-        return sum(core.busy_cycles for core in self.cores)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Machine cores={self.n_cores} t={self.max_time()}>"
+        return f"<Machine cores={len(self.cores)} t={self.max_time()}>"

@@ -43,16 +43,6 @@ class FutexTable:
             self.on_wake(key, woken)
         return woken
 
-    def remove(self, key: str, tid: int) -> bool:
-        """Remove a specific waiter (used if a thread is torn down)."""
-        queue = self._queues.get(key)
-        if not queue or tid not in queue:
-            return False
-        queue.remove(tid)
-        if not queue:
-            del self._queues[key]
-        return True
-
     def n_waiters(self, key: str) -> int:
         return len(self._queues.get(key, ()))
 

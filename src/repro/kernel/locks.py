@@ -103,8 +103,5 @@ class LockRegistry:
             self._locks[name] = lock
         return lock
 
-    def all_locks(self) -> dict[str, LockState]:
-        return dict(self._locks)
-
     def stats(self) -> dict[str, LockStats]:
         return {name: lock.stats for name, lock in self._locks.items()}

@@ -36,9 +36,6 @@ class Scheduler:
     def queue_length(self, core_id: int) -> int:
         return len(self.runqueues[core_id])
 
-    def total_queued(self) -> int:
-        return sum(len(q) for q in self.runqueues)
-
     def place(self, preferred_core: int | None, idle_cores: list[int]) -> int:
         """Choose the core for a new/woken thread.
 
@@ -107,10 +104,3 @@ class Scheduler:
                 best, best_key = core_id, key
         return best
 
-    def remove(self, tid: int) -> bool:
-        """Remove a thread from whatever queue holds it (teardown paths)."""
-        for queue in self.runqueues:
-            if tid in queue:
-                queue.remove(tid)
-                return True
-        return False

@@ -137,10 +137,3 @@ class VirtualPmu:
         counter is a no-op, which is what makes a duplicated swap benign."""
         self.vaccum[index] += hw_value
 
-    def snapshot(self) -> dict[int, int]:
-        """Accumulator values of the allocated slots (tests/diagnostics)."""
-        return {
-            i: self.vaccum[i]
-            for i, s in enumerate(self.slots)
-            if s is not None
-        }

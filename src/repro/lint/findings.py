@@ -105,9 +105,6 @@ class LintReport:
     def add(self, finding: Finding) -> None:
         self.findings.append(finding)
 
-    def extend(self, findings: Iterable[Finding]) -> None:
-        self.findings.extend(findings)
-
     def merge(self, other: "LintReport") -> None:
         self.findings.extend(other.findings)
         for unit, n in other.checked.items():

@@ -6,10 +6,10 @@ you can see; this package holds the reproduction to the same standard:
 * :mod:`repro.obs.trace` — a structured trace bus with typed events
   (scheduling, syscalls, futexes, locks, PMIs, counter-read protocol
   steps, regions/phases) emitted by the engine and kernel subsystems;
-* :mod:`repro.obs.metrics` — counters/gauges/wall-time timers recording
-  simulator self-telemetry (sim events processed, events/sec, context
-  switches, …), cheap enough to stay on by default and strictly
-  zero-perturbation of simulated results;
+* self-telemetry: every run's ``RunResult.metrics``, a flat dict of
+  counters (sim events processed, context switches, fast-path commits,
+  …), events/sec and wall-time timers that the engine fills once per run
+  from totals it keeps anyway, so it never perturbs simulated results;
 * :mod:`repro.obs.export` — JSONL and Chrome/Perfetto ``trace_event``
   exporters plus run-manifest helpers, so any run can be opened in
   https://ui.perfetto.dev;
@@ -43,7 +43,6 @@ if TYPE_CHECKING:
         write_perfetto,
     )
     from repro.obs.hist import LogHistogram
-    from repro.obs.metrics import Counter, Gauge, MetricsRegistry, Timer
     from repro.obs.runtime import (
         RunCollector,
         collect,
@@ -75,10 +74,6 @@ _EXPORTS = {
     "write_manifest": "export",
     "write_perfetto": "export",
     "LogHistogram": "hist",
-    "Counter": "metrics",
-    "Gauge": "metrics",
-    "MetricsRegistry": "metrics",
-    "Timer": "metrics",
     "RunCollector": "runtime",
     "collect": "runtime",
     "count_window": "runtime",

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.common.errors import ConfigError
-from repro.obs.trace import SLO_ALERT, TraceEvent
 from repro.obs.windows import SPILLED_INDEX, Window, WindowedStats
 
 
@@ -108,21 +107,6 @@ class AlertEvent:
             "total": self.total,
         }
 
-    def to_trace_event(self) -> TraceEvent:
-        """The typed trace-bus form (kind :data:`~repro.obs.trace.SLO_ALERT`).
-
-        Alert events are synthesized host-side after collection, so they
-        carry no core/thread attribution (0/0) — the timestamp is the
-        start of the firing window.
-        """
-        return TraceEvent(
-            self.window_start,
-            0,
-            0,
-            SLO_ALERT,
-            (self.spec_name, round(self.fast_burn, 4), round(self.slow_burn, 4)),
-        )
-
 
 @dataclass
 class AlertReport:
@@ -142,9 +126,6 @@ class AlertReport:
 
     def firing_windows(self) -> list[int]:
         return [e.window_index for e in self.events]
-
-    def trace_events(self) -> list[TraceEvent]:
-        return [e.to_trace_event() for e in self.events]
 
     def summary(self) -> dict[str, Any]:
         """The manifest ``alerts`` block entry for this SLO."""

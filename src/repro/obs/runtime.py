@@ -297,8 +297,8 @@ class RunCollector:
         return sum(r.wall_seconds for r in self.records)
 
     def _metric_total(self, key: str) -> float:
-        """Sum one engine self-telemetry counter across every run (runs with
-        metrics disabled contribute 0)."""
+        """Sum one engine self-telemetry counter across every run (a run
+        without it, such as an unfaulted run for ``faults.*``, adds 0)."""
         return sum(r.metrics.get(key, 0) for r in self.records)
 
     def metrics_snapshot(self) -> dict[str, float]:

@@ -44,8 +44,6 @@ SAMPLE = "sample"                  #: sampling fd recorded a sample (arg = fd)
 # Fault injection (repro.faults)
 FAULT_INJECT = "fault_inject"    #: injected fault fired (arg = (kind, detail))
 FAULT_DETECT = "fault_detect"    #: protocol caught an injected hazard
-# SLO alerting (repro.obs.alerts; synthesized host-side from windows)
-SLO_ALERT = "slo_alert"          #: burn-rate alert fired (arg = (slo, fast, slow))
 # Regions / phases
 REGION_BEGIN = "region_begin"    #: instrumented code region entered
 REGION_END = "region_end"        #: instrumented code region left
@@ -74,7 +72,6 @@ KIND_DESCRIPTIONS: dict[str, str] = {
     SAMPLE: "sampling fd recorded a sample (arg: fd number)",
     FAULT_INJECT: "injected fault fired (arg: (fault kind, detail))",
     FAULT_DETECT: "protocol caught an injected hazard (arg: fault kind)",
-    SLO_ALERT: "SLO burn-rate alert fired (arg: (slo name, fast, slow))",
     REGION_BEGIN: "instrumented region entered (arg: region name)",
     REGION_END: "instrumented region left (arg: region name)",
     PHASE_BEGIN: "experiment phase began (arg: phase name)",
@@ -123,12 +120,6 @@ class TraceBus:
 
     def __iter__(self):
         return iter(self.events)
-
-    def counts_by_kind(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
 
 
 def as_events(records: Iterable[tuple]) -> list[TraceEvent]:

@@ -173,9 +173,6 @@ class WindowedStats:
 
     # -- feeding ------------------------------------------------------------
 
-    def window_of(self, at: int) -> int:
-        return max(0, int(at)) // self.spec.window_cycles
-
     def _target(self, at: int) -> Window:
         at = int(at)
         index = (at if at > 0 else 0) // self.spec.window_cycles
@@ -390,10 +387,6 @@ class WindowedStats:
 
     # -- queries ------------------------------------------------------------
 
-    @property
-    def n_observations(self) -> int:
-        return sum(h.n for h in self.totals.hists.values())
-
     def is_empty(self) -> bool:
         return self.totals.is_empty()
 
@@ -455,41 +448,6 @@ class WindowedStats:
 
     # -- interchange --------------------------------------------------------
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "spec": {
-                "window_cycles": self.spec.window_cycles,
-                "retention": self.spec.retention,
-                "hist_bits": self.spec.hist_bits,
-            },
-            "windows": [
-                self.windows[i].as_dict(self.spec) for i in sorted(self.windows)
-            ],
-            "spilled": self.spilled.as_dict(),
-            "late": self.late.as_dict(),
-            "totals": self.totals.as_dict(),
-            "evict_horizon": self.evict_horizon,
-            "evicted_windows": self.evicted_windows,
-            "late_observations": self.late_observations,
-            "max_retained": self.max_retained,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "WindowedStats":
-        spec = WindowSpec(**data["spec"])
-        stats = cls(spec)
-        for wd in data["windows"]:
-            window = Window.from_dict(wd)
-            stats.windows[window.index] = window
-        stats.spilled = Window.from_dict(data["spilled"])
-        stats.late = Window.from_dict(data["late"])
-        stats.totals = Window.from_dict(data["totals"])
-        stats.evict_horizon = data["evict_horizon"]
-        stats.evicted_windows = data["evicted_windows"]
-        stats.late_observations = data["late_observations"]
-        stats.max_retained = data["max_retained"]
-        return stats
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WindowedStats):
             return NotImplemented
@@ -519,5 +477,6 @@ class WindowedStats:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<WindowedStats windows={len(self.windows)} "
-            f"evicted={self.evicted_windows} n={self.n_observations}>"
+            f"evicted={self.evicted_windows} "
+            f"n={sum(h.n for h in self.totals.hists.values())}>"
         )

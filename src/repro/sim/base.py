@@ -35,7 +35,6 @@ from repro.common.rng import RandomStream
 from repro.faults import kinds as fk
 from repro.obs import runtime as obs_runtime
 from repro.obs import trace as tr
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceBus
 from repro.hw.events import (
     Domain,
@@ -407,8 +406,6 @@ class EngineBase:
             self.config = dataclasses.replace(self.config, trace=True)
         self._tracing = self.config.trace
         self.obs = TraceBus(enabled=self._tracing)
-        self.trace = self.obs.events  # same list; legacy alias
-        self.metrics = MetricsRegistry(enabled=self.config.metrics)
         self._n_steps = 0
         self._acting_core: Core | None = None
         if self._tracing:
@@ -530,58 +527,60 @@ class EngineBase:
             core.pmu.on_overflow = on_overflow
 
     def _record_metrics(self, run_wall: float, collect_wall: float,
-                        result: RunResult) -> None:
-        """Fill the self-telemetry registry from totals the run kept anyway
-        (one pass per run, nothing per simulated event)."""
-        reg = self.metrics
+                        result: RunResult) -> dict[str, float]:
+        """The run's self-telemetry, sorted by name: counters taken from
+        totals the run kept anyway (one pass per run, nothing per simulated
+        event), the gauges, and the engine-run and collect wall timers."""
         k = self.kernel_counters
-        reg.counter("sim_events").add(self._n_steps)
-        reg.counter("context_switches").add(k.n_context_switches)
-        reg.counter("preemptions").add(
-            sum(t.n_preemptions for t in self.threads.values())
-        )
-        reg.counter("pmis").add(k.n_pmis)
-        reg.counter("counter_overflows").add(k.n_counter_overflows)
-        reg.counter("timer_ticks").add(k.n_timer_ticks)
-        reg.counter("syscalls").add(k.syscall_total())
-        reg.counter("futex_waits").add(k.n_futex_waits)
-        reg.counter("futex_wakes").add(k.n_futex_wakes)
-        reg.counter("samples").add(k.n_samples)
-        reg.counter("steals").add(k.n_steals)
-        reg.counter("read_restarts").add(
-            sum(t.read_restarts for t in self.threads.values())
-        )
-        reg.counter("threads").add(len(self.threads))
-        reg.counter("trace_events").add(len(self.obs.events))
-        reg.counter("macro_steps").add(self._macro_steps)
-        reg.counter("quanta_batched").add(self._quanta_batched)
-        reg.counter("fast_reads").add(self._fast_reads)
-        reg.counter("whole_syscalls").add(self._whole_syscalls)
-        reg.counter("whole_sleeps").add(self._whole_sleeps)
-        reg.counter("resumed_exits").add(self._resumed_exits)
-        reg.counter("whole_phases").add(self._whole_phases)
-        reg.counter("spin_batches").add(self._spin_batches)
-        reg.counter("spin_rounds_batched").add(self._spin_rounds_batched)
-        reg.counter("fastpath_bailouts").add(sum(self._bailouts.values()))
-        for (path, reason), n in sorted(self._bailouts.items()):
-            reg.counter(f"fastpath_bailout.{path}.{reason}").add(n)
-        reg.counter("ops_fetched").add(self._ops_fetched)
+        threads = self.threads.values()
+        out: dict[str, float] = {
+            "sim_events": self._n_steps,
+            "context_switches": k.n_context_switches,
+            "preemptions": sum(t.n_preemptions for t in threads),
+            "pmis": k.n_pmis,
+            "counter_overflows": k.n_counter_overflows,
+            "timer_ticks": k.n_timer_ticks,
+            "syscalls": k.syscall_total(),
+            "futex_waits": k.n_futex_waits,
+            "futex_wakes": k.n_futex_wakes,
+            "samples": k.n_samples,
+            "steals": k.n_steals,
+            "read_restarts": sum(t.read_restarts for t in threads),
+            "threads": len(self.threads),
+            "trace_events": len(self.obs.events),
+            "macro_steps": self._macro_steps,
+            "quanta_batched": self._quanta_batched,
+            "fast_reads": self._fast_reads,
+            "whole_syscalls": self._whole_syscalls,
+            "whole_sleeps": self._whole_sleeps,
+            "resumed_exits": self._resumed_exits,
+            "whole_phases": self._whole_phases,
+            "spin_batches": self._spin_batches,
+            "spin_rounds_batched": self._spin_rounds_batched,
+            "fastpath_bailouts": sum(self._bailouts.values()),
+            "ops_fetched": self._ops_fetched,
+        }
+        for (path, reason), n in self._bailouts.items():
+            out[f"fastpath_bailout.{path}.{reason}"] = n
         if self._faults is not None:
             f = self._faults
             # Service faults the workload never resolved become misses now,
             # before the ledger counters freeze into the run's metrics.
             f.flush_service_pending()
-            reg.counter("faults.injected").add(f.total_injected)
-            for kind in sorted(f.injected):
-                reg.counter("faults.injected." + kind).add(f.injected[kind])
-            reg.counter("faults.detected").add(f.detected)
-            reg.counter("faults.missed").add(f.missed)
-        reg.gauge("sim_cycles").set(result.wall_cycles)
+            out["faults.injected"] = f.total_injected
+            for kind, n in f.injected.items():
+                out["faults.injected." + kind] = n
+            out["faults.detected"] = f.detected
+            out["faults.missed"] = f.missed
+        out["sim_cycles"] = result.wall_cycles
         if run_wall > 0:
-            reg.gauge("sim_events_per_sec").set(self._n_steps / run_wall)
-            reg.gauge("sim_cycles_per_sec").set(result.wall_cycles / run_wall)
-        reg.timer("wall.engine_run").add(run_wall)
-        reg.timer("wall.collect").add(collect_wall)
+            out["sim_events_per_sec"] = self._n_steps / run_wall
+            out["sim_cycles_per_sec"] = result.wall_cycles / run_wall
+        out["wall.engine_run_seconds"] = run_wall
+        out["wall.engine_run_calls"] = 1
+        out["wall.collect_seconds"] = collect_wall
+        out["wall.collect_calls"] = 1
+        return dict(sorted(out.items()))
 
     def thread(self, tid: int) -> SimThread:
         try:
@@ -1434,5 +1433,5 @@ class EngineBase:
             kernel=self.kernel_counters,
             locks=self.locks.stats(),
             samples=self.perf.all_samples(),
-            trace=self.trace,
+            trace=self.obs.events,
         )

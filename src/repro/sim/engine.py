@@ -85,9 +85,7 @@ class Engine(EngineBase):
         t1 = time.perf_counter()
         result = self._collect()
         collect_wall = time.perf_counter() - t1
-        if self.metrics.enabled:
-            self._record_metrics(run_wall, collect_wall, result)
-            result.metrics = self.metrics.snapshot()
+        result.metrics = self._record_metrics(run_wall, collect_wall, result)
         if self._collector is not None:
             self._collector.record_run(
                 result,
@@ -614,7 +612,9 @@ class Engine(EngineBase):
 
         All prechecks are side-effect free; any possible interleaving
         (userspace-read fault, bad slot, latched counter overflow, tracing,
-        or the fold gate's reasons) bails to the stage machine, which
+        the fold gate's reasons, or, with tick faults armed, another actor
+        before the read ends: see :meth:`_tick_horizon`) bails to the
+        stage machine, which
         reproduces the historical behaviour exactly. On success the
         committed state — tallies, counters, slot-truth bookkeeping, core
         clocks — is identical to running the uninterrupted stage sequence
@@ -650,8 +650,10 @@ class Engine(EngineBase):
         recipes = entry[2]
         whole, tail_cycles = self._read_frames[ex.op.protocol]
         frame = recipes.get(whole) or _frame(entry, whole)
-        bound = core.slice_ends_at
-        if not self._charge_frame(core, thread, _USER, frame, "read", bound):
+        horizon = self._tick_horizon() if faults is not None else None
+        if not self._charge_frame(
+            core, thread, _USER, frame, "read", core.slice_ends_at, horizon
+        ):
             return False
         # The whole read is charged as one frame; now take the rdpmc (no
         # rdpmc fault is left, so the counter is read directly). It ran
@@ -1046,6 +1048,24 @@ class Engine(EngineBase):
         kentry = core.pmu.plan_entry(KERNEL_RATES, _KERNEL)
         return kentry[2].get(cycles) or _frame(kentry, cycles)
 
+    def _tick_horizon(self) -> int | None:
+        """On a faulted run, the horizon a fold of several pieces must stay
+        below when tick faults are armed (a kernel frame's last sub-phase
+        starts before it, a user frame ends before it), else None.
+
+        ``shrink_counter`` fires only at a timer tick, and on any core it
+        rewrites every core's counters. A frame that stays below every
+        other actor's time, the chain's horizon or a sleeper pushed since
+        (a whole Sleep dispatches in its own piece), has no other core's
+        tick between its pieces, so its fold stays exact."""
+        if not self._faults.tick_armed:
+            return None
+        horizon = self._horizon
+        heap = self._sleep_heap
+        if heap and (horizon is None or heap[0][0] < horizon):
+            horizon = heap[0][0]
+        return horizon
+
     def _try_whole_syscall(
         self, core: Core, thread: SimThread, body: int
     ) -> bool:
@@ -1058,19 +1078,17 @@ class Engine(EngineBase):
         consulted: the phases touch only this core's clock and counters and
         this thread's tallies, which no other actor reads or writes before
         this core next acts. Armed tick faults are the exception
-        (``shrink_counter`` on another core rewrites this core's counters),
-        so they fall back too. On False the caller runs the stage machine
-        unchanged.
+        (``shrink_counter`` at another core's tick rewrites this core's
+        counters), so then the exit must start before :meth:`_tick_horizon`.
+        On False the caller runs the stage machine unchanged.
         """
         if self._tracing:
             return self._bail("syscall", "tracing")
-        faults = self._faults
-        if faults is not None and faults.tick_armed:
-            return self._bail("syscall", "fault_tick_armed")
         frame = self._kernel_frame(core, self._syscall_frame)
-        bound = core.slice_ends_at
+        horizon = self._tick_horizon() if self._faults is not None else None
         if not self._charge_frame(
-            core, thread, _KERNEL, frame, "syscall", bound, body=body
+            core, thread, _KERNEL, frame, "syscall", core.slice_ends_at,
+            horizon, body=body,
         ):
             return False
         self._whole_syscalls += 1
@@ -1133,24 +1151,24 @@ class Engine(EngineBase):
         (:meth:`_adv_yield`), so it stays a piece of its own. Exact for
         the whole-syscall reason: the exit touches only this core's clock
         and counters and this thread, which no other actor reads or writes
-        before this core acts again, so the horizon is not consulted. It
-        needs tracing off (the exit's trace event would move past other
-        cores' events), no tick fault armed (``shrink_counter`` rewrites
-        every core's counters) and a pass of the fold gate with no slice
-        bound: the exit starts before the new slice ends, since a timeslice
-        is at least 1,000 cycles. On False nothing is charged.
+        before this core acts again, so the horizon is not consulted unless
+        a tick fault is armed (see :meth:`_tick_horizon`). It needs tracing
+        off (the exit's trace event would move past other cores' events)
+        and a pass of the fold gate with no slice bound: the exit starts
+        before the new slice ends, since a timeslice is at least 1,000
+        cycles. On False nothing is charged.
         """
         stage = ex.stage
         if stage != "fexit" and (stage != "exit" or ex.adv is Engine._adv_yield):
             return False
         if self._tracing:
             return self._bail("resumed_exit", "tracing")
-        faults = self._faults
-        if faults is not None and faults.tick_armed:
-            return self._bail("resumed_exit", "fault_tick_armed")
         exit_at = core.now + cost
         frame = self._kernel_frame(core, (cost, ex.phase_cycles))
-        if not self._charge_frame(core, thread, _KERNEL, frame, "resumed_exit", None):
+        horizon = self._tick_horizon() if self._faults is not None else None
+        if not self._charge_frame(
+            core, thread, _KERNEL, frame, "resumed_exit", None, horizon
+        ):
             return False
         core.slice_ends_at = exit_at + self.config.kernel.timeslice_cycles
         self._resumed_exits += 1

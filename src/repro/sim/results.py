@@ -42,10 +42,6 @@ class RegionTruth:
     def user_cycles(self) -> int:
         return self.events.get(Event.CYCLES, 0)
 
-    @property
-    def total_cycles(self) -> int:
-        return self.user_cycles + self.kernel_cycles
-
 
 @dataclass
 class ThreadResult:
@@ -75,10 +71,6 @@ class ThreadResult:
     def wall_cycles(self) -> int:
         return self.finished_at - self.started_at
 
-    @property
-    def kernel_fraction(self) -> float:
-        return self.kernel_cycles / self.cpu_cycles if self.cpu_cycles else 0.0
-
     def truth(self, event: Event, domain: Domain | None = None) -> int:
         """Exact count of ``event`` in the given domain (both if None)."""
         if domain is Domain.USER:
@@ -95,10 +87,6 @@ class CoreResult:
     busy_cycles: int
     user_cycles: int
     kernel_cycles: int
-
-    @property
-    def idle_cycles(self) -> int:
-        return self.final_time - self.busy_cycles
 
     @property
     def utilization(self) -> float:
@@ -154,10 +142,6 @@ class RunResult:
 
     # -- aggregates ----------------------------------------------------------
 
-    @property
-    def wall_ns(self) -> float:
-        return self.config.machine.frequency.cycles_to_ns(self.wall_cycles)
-
     def total(self, event: Event, domain: Domain | None = None) -> int:
         return sum(t.truth(event, domain) for t in self.threads.values())
 
@@ -169,10 +153,6 @@ class RunResult:
 
     def total_kernel_cycles(self) -> int:
         return sum(t.kernel_cycles for t in self.threads.values())
-
-    def kernel_fraction(self) -> float:
-        cpu = self.total_cpu_cycles()
-        return self.total_kernel_cycles() / cpu if cpu else 0.0
 
     def region_truths(self, name: str) -> list[RegionTruth]:
         """The RegionTruth of ``name`` in every thread that has it."""
@@ -199,9 +179,6 @@ class RunResult:
         for t in self.threads.values():
             names.update(t.regions)
         return sorted(names)
-
-    def samples_in_region(self, region: str) -> list[SampleRecord]:
-        return [s for s in self.samples if s.region == region]
 
     def fingerprint(self) -> str:
         """Digest of every *simulated* quantity in this result.

@@ -391,12 +391,52 @@ def mixed_syscalls(n_threads: int = 3, iters: int = 12) -> Program:
     return Program(_specs(*[program] * n_threads), (session,))
 
 
-#: Shrink faults fired at timer ticks, which keep every syscall staged.
+#: Shrink faults fired at timer ticks, which bound every kernel fold by the
+#: horizon. With 12k-cycle slices another core's tick falls inside a
+#: syscall often enough that a fold past the horizon shows in the reads.
 TICK_FAULTS = _config(
-    n_cores=2, timeslice=50_000, seed=0, width=20,
+    n_cores=2, timeslice=12_000, seed=0, width=20,
     fault_plan=F.FaultPlan(tuple(
         F.shrink_counter(width, nth=k)
         for k, width in enumerate((18, 16, 15, 14, 13, 12), 1)
+    )),
+)
+
+
+def crowded_reads(n_readers: int = 3, iters: int = 30) -> Program:
+    """Two compute hogs and ``n_readers`` threads that read after short
+    computes, sleeps and syscalls, so reads are often in flight when
+    another core takes its tick."""
+    session = LimitSession([Event.CYCLES, Event.INSTRUCTIONS], count_kernel=True)
+
+    def hog(ctx):
+        yield from session.setup(ctx)
+        for i in range(6):
+            yield Compute(60_000, SIMPLE_RATES)
+            yield from session.read(ctx, i % 2)
+        yield from session.teardown(ctx)
+
+    def reader(ctx):
+        yield from session.setup(ctx)
+        for i in range(iters):
+            yield Compute(300 + 97 * (i % 7), SIMPLE_RATES)
+            if i % 3 == 0:
+                yield Sleep(200 + 300 * (i % 4))
+            elif i % 3 == 1:
+                yield Syscall("work", (500 + 250 * (i % 5),))
+            yield from session.read(ctx, i % 2)
+        yield from session.teardown(ctx)
+
+    return Program(_specs(hog, hog, *[reader] * n_readers), (session,))
+
+
+#: Deeper shrinks at 6k-cycle slices on four cores: a read folded past the
+#: horizon shows in what it returns.
+CROWD_TICK_FAULTS = _config(
+    n_cores=4, timeslice=6_000, seed=0, width=20,
+    fault_plan=F.FaultPlan(tuple(
+        F.shrink_counter(width, nth=k)
+        for k, width in enumerate((17, 15, 13, 12, 11, 10), 1)
     )),
 )
 
@@ -518,12 +558,12 @@ CORPUS: tuple[Entry, ...] = (
         _config(n_cores=2, width=20, fault_plan=F.FaultPlan(SWAPS)),
         sleepy, SLEEP_PATHS, seen={"faults.injected": 1}, records=48,
     ),
-    # a tick fault rewrites every core's counters: exits stay staged
+    # a tick fault rewrites every core's counters: exits fold before the horizon
     Entry(
         "sleepy-shrink-faults",
         _config(n_cores=2, width=20, fault_plan=F.FaultPlan(SWAPS + SHRINKS)),
-        sleepy, ("sleep",), unseen=("resumed_exits",), records=48,
-        seen={"faults.injected": 1, **bails("resumed_exit", "fault_tick_armed")},
+        sleepy, SLEEP_PATHS, records=48,
+        seen={"faults.injected": 1, **bails("resumed_exit", "horizon")},
     ),
     Entry(
         "sleep-pmi-due", SOLO_14, sleeps_at_pmis, ("sleep",), records=40,
@@ -588,8 +628,8 @@ CORPUS: tuple[Entry, ...] = (
     ),
     Entry(
         "syscalls-tick-faults", TICK_FAULTS, lambda: mixed_syscalls(iters=20),
-        ("phase",), seen=bails("syscall", "fault_tick_armed"),
-        unseen=("whole_syscalls",), records=60,
+        ("phase", "syscall", "resumed_exit"), records=60,
+        seen={"faults.injected.shrink_counter": 1, **bails("syscall", "horizon")},
     ),
     # full-width counters never stop a read at a wrap; 10-bit ones do
     *(
@@ -599,6 +639,12 @@ CORPUS: tuple[Entry, ...] = (
         )
         for kind, cls in (("safe", LimitSession), ("unsafe", UnsafeLimitSession))
         for suffix, config in (("", SOLO_READS), ("-narrow", NARROW_READS))
+    ),
+    # another core's tick fault lands while reads are in flight
+    Entry(
+        "reads-tick-faults", CROWD_TICK_FAULTS, crowded_reads, ("read", "phase"),
+        seen={"faults.injected.shrink_counter": 1, **bails("read", "horizon")},
+        records=102,
     ),
     Entry(
         "reads-solo", SOLO_READS,

@@ -28,19 +28,6 @@ class TestFutex:
         assert f.wake("a") == [1]
         assert f.n_waiters("b") == 1
 
-    def test_remove_specific_waiter(self):
-        f = FutexTable()
-        f.wait("k", 1)
-        f.wait("k", 2)
-        assert f.remove("k", 1)
-        assert f.wake("k") == [2]
-
-    def test_remove_missing(self):
-        f = FutexTable()
-        assert not f.remove("k", 1)
-        f.wait("k", 2)
-        assert not f.remove("k", 1)
-
     def test_counters(self):
         f = FutexTable()
         f.wait("k", 1)

@@ -75,7 +75,7 @@ class TestLockRegistry:
         reg = LockRegistry()
         reg.get("a")
         reg.get("b")
-        assert set(reg.all_locks()) == {"a", "b"}
+        assert set(reg.stats()) == {"a", "b"}
 
     def test_stats_view(self):
         reg = LockRegistry()

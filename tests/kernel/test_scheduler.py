@@ -47,14 +47,6 @@ class TestQueues:
         s.enqueue(3, 1)
         assert s.queue_length(0) == 1
         assert s.queue_length(1) == 2
-        assert s.total_queued() == 3
-
-    def test_remove(self):
-        s = Scheduler(2)
-        s.enqueue(1, 0)
-        assert s.remove(1)
-        assert not s.remove(1)
-        assert s.pick_next(0) is None
 
 
 class TestStealing:

@@ -10,9 +10,8 @@ spilled into retention aggregates where per-window placement is lost.
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.obs.alerts import AlertEvent, SloSpec, evaluate, evaluate_all
+from repro.obs.alerts import SloSpec, evaluate, evaluate_all
 from repro.obs.hist import LogHistogram
-from repro.obs.trace import SLO_ALERT
 from repro.obs.windows import SPILLED_INDEX, Window, WindowSpec, WindowedStats
 
 STREAM = "svc.latency.test"
@@ -200,16 +199,6 @@ class TestSpilledAndLateSamples:
 
 
 class TestReportsAndTraceEvents:
-    def test_trace_event_kind_and_payload(self):
-        event = AlertEvent(
-            spec_name="s", window_index=3, window_start=3_000,
-            fast_burn=12.5, slow_burn=6.25, bad=10, total=20,
-        )
-        te = event.to_trace_event()
-        assert te.kind == SLO_ALERT
-        assert te.time == 3_000
-        assert te.arg[0] == "s"
-
     def test_evaluate_all_builds_manifest_block(self):
         windows = [make_window(0, good=10, bad=30)]
         block = evaluate_all(

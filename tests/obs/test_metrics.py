@@ -1,72 +1,60 @@
-"""Tests of the self-telemetry metrics registry."""
+"""Self-telemetry: the run's ``RunResult.metrics`` dict.
 
-import pytest
+``EngineBase._record_metrics`` fills it once per run from totals the run
+kept anyway: counters under their own names, the ``sim_cycles`` gauge and
+the two speed gauges, and the engine-run and collect wall timers as
+``<name>_seconds`` and ``<name>_calls``, in sorted key order.
+"""
 
-from repro.obs.metrics import MetricsRegistry
+from repro.common.config import MachineConfig, SimConfig
+from repro.hw.events import EventRates
+from repro.sim.engine import Engine
+from repro.sim.ops import Compute, Syscall
+from repro.sim.program import ThreadSpec
 
-
-class TestCounters:
-    def test_inc_and_add(self):
-        reg = MetricsRegistry()
-        c = reg.counter("steps")
-        c.inc()
-        c.add(4)
-        assert reg.snapshot()["steps"] == 5
-
-    def test_create_or_get(self):
-        reg = MetricsRegistry()
-        assert reg.counter("x") is reg.counter("x")
+RATES = EventRates.profile(ipc=1.0)
 
 
-class TestGauges:
-    def test_set(self):
-        reg = MetricsRegistry()
-        reg.gauge("cycles").set(123)
-        reg.gauge("cycles").set(456)
-        assert reg.snapshot()["cycles"] == 456
+def _run():
+    def worker(ctx):
+        for _ in range(3):
+            yield Compute(20_000, RATES)
+            yield Syscall("work", (500,))
 
-
-class TestTimers:
-    def test_add_seconds(self):
-        reg = MetricsRegistry()
-        t = reg.timer("run")
-        t.add(0.25)
-        t.add(0.5)
-        snap = reg.snapshot()
-        assert snap["run_seconds"] == pytest.approx(0.75)
-        assert snap["run_calls"] == 2
-
-    def test_context_manager(self):
-        reg = MetricsRegistry()
-        with reg.timer("block").time():
-            pass
-        snap = reg.snapshot()
-        assert snap["block_seconds"] >= 0.0
-        assert snap["block_calls"] == 1
-
-
-class TestDisabledRegistry:
-    def test_disabled_registry_records_nothing(self):
-        reg = MetricsRegistry(enabled=False)
-        reg.counter("a").inc()
-        reg.gauge("b").set(9)
-        reg.timer("c").add(1.0)
-        with reg.timer("c").time():
-            pass
-        assert reg.snapshot() == {}
-
-    def test_disabled_objects_are_null(self):
-        reg = MetricsRegistry(enabled=False)
-        # same null object handed out every time: no per-call allocation
-        assert reg.counter("a") is reg.counter("b")
+    engine = Engine(SimConfig(machine=MachineConfig(n_cores=1)))
+    return engine, engine.run([ThreadSpec("t", worker)])
 
 
 class TestSnapshot:
     def test_flat_and_sorted(self):
-        reg = MetricsRegistry()
-        reg.counter("z").inc()
-        reg.gauge("a").set(1)
-        reg.timer("m").add(0.1)
-        snap = reg.snapshot()
-        assert list(snap) == sorted(snap)
-        assert all(isinstance(v, (int, float)) for v in snap.values())
+        _engine, result = _run()
+        metrics = result.metrics
+        assert list(metrics) == sorted(metrics)
+        assert all(isinstance(v, (int, float)) for v in metrics.values())
+        assert metrics["sim_events"] > 0
+        assert metrics["syscalls"] == 3
+        assert metrics["threads"] == 1
+
+
+class TestGauges:
+    def test_set(self):
+        engine, result = _run()
+        assert result.metrics["sim_cycles"] == result.wall_cycles
+        assert result.metrics["sim_events_per_sec"] > 0
+        assert result.metrics["sim_cycles_per_sec"] > 0
+        # a run that took no measurable wall time reports no speed
+        still = engine._record_metrics(0.0, 0.0, result)
+        assert still["sim_cycles"] == result.wall_cycles
+        assert "sim_events_per_sec" not in still
+        assert "sim_cycles_per_sec" not in still
+
+
+class TestTimers:
+    def test_add_seconds(self):
+        engine, result = _run()
+        assert result.metrics["wall.engine_run_calls"] == 1
+        assert result.metrics["wall.collect_calls"] == 1
+        metrics = engine._record_metrics(1.5, 0.25, result)
+        assert metrics["wall.engine_run_seconds"] == 1.5
+        assert metrics["wall.collect_seconds"] == 0.25
+        assert metrics["sim_events_per_sec"] == metrics["sim_events"] / 1.5

@@ -87,14 +87,6 @@ class TestResultMetrics:
         assert result.metrics["sim_cycles"] == result.wall_cycles
         assert "wall.engine_run_seconds" in result.metrics
 
-    def test_metrics_off(self):
-        def worker(ctx):
-            yield Compute(50_000, RATES)
-
-        config = SimConfig(machine=MachineConfig(n_cores=1), metrics=False)
-        result = run_program([ThreadSpec("t", worker)], config)
-        assert result.metrics == {}
-
     def test_metric_counts_match_ground_truth(self):
         result = run_once(trace=True)
         assert result.metrics["trace_events"] == len(result.trace)

@@ -33,13 +33,6 @@ class TestTraceBus:
         assert len(bus) == 2
         assert [e.kind for e in bus] == ["ready", "switch_in"]
 
-    def test_counts_by_kind(self):
-        bus = TraceBus()
-        for _ in range(3):
-            bus.emit(1, 0, 1, tr.TIMER_TICK)
-        bus.emit(2, 0, 1, tr.EXIT, "t")
-        assert bus.counts_by_kind() == {"timer_tick": 3, "exit": 1}
-
     def test_events_list_identity(self):
         # the engine aliases result.trace to bus.events; appends must be
         # visible through both names

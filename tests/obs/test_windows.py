@@ -183,12 +183,6 @@ class TestWindowedStats:
         assert clone.on_evict is None
         assert clone == stats
 
-    def test_dict_roundtrip(self):
-        stats = _feed(WindowedStats(SPEC), seed=5, n=600, span=40_000)
-        again = WindowedStats.from_dict(stats.as_dict())
-        assert again == stats
-        assert again.reconcile()
-
     def test_spilled_index_is_reserved(self):
         stats = WindowedStats(SPEC)
         assert stats.spilled.index == SPILLED_INDEX

@@ -1,8 +1,8 @@
 """The zero-perturbation contract of the observability layer.
 
-Tracing and metrics observe the *simulator*, never the simulated machine:
-a run with them on must produce byte-identical ground truth to a run with
-them off. ``RunResult.fingerprint()`` digests every simulated quantity
+Tracing and run collection observe the *simulator*, never the simulated
+machine: a run with them on must produce byte-identical ground truth to a
+run with them off. ``RunResult.fingerprint()`` digests every simulated quantity
 (threads, cores, kernel counters, locks, samples) and excludes the
 host-side extras, so the contract reduces to fingerprint equality.
 
@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 from repro.common.config import KernelConfig, MachineConfig, SimConfig
 from repro.hw.events import Event, EventRates
 from repro.kernel.vpmu import SlotSpec
+from repro.obs.runtime import collect
 from repro.obs.trace import TraceBus
+from repro.obs.windows import WindowSpec
 from repro.sim.engine import run_program
 from repro.sim.ops import (
     Compute,
@@ -48,13 +50,12 @@ def build_program(n_threads=3, iters=4):
     return [ThreadSpec(f"w{i}", worker) for i in range(n_threads)]
 
 
-def config(seed, trace=False, metrics=True, pmu_width=20):
+def config(seed, trace=False, pmu_width=20):
     return SimConfig(
         machine=MachineConfig(n_cores=2),
         kernel=KernelConfig(timeslice_cycles=8_000),
         seed=seed,
         trace=trace,
-        metrics=metrics,
     ).with_pmu(counter_width=pmu_width)
 
 
@@ -67,22 +68,16 @@ class TestZeroPerturbation:
         assert base.fingerprint() == traced.fingerprint()
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_metrics_do_not_change_results(self, seed):
-        with_metrics = run_program(
-            build_program(), config(seed, metrics=True)
-        )
-        without = run_program(build_program(), config(seed, metrics=False))
-        assert with_metrics.metrics and not without.metrics
-        assert with_metrics.fingerprint() == without.fingerprint()
-
-    @pytest.mark.parametrize("seed", SEEDS)
     def test_everything_on_vs_everything_off(self, seed):
-        on = run_program(
-            build_program(), config(seed, trace=True, metrics=True)
-        )
-        off = run_program(
-            build_program(), config(seed, trace=False, metrics=False)
-        )
+        """Inside a collector that captures traces and windows the run
+        traced and recorded; outside one it did neither."""
+        with collect(
+            capture_traces=True, window_spec=WindowSpec(window_cycles=5_000)
+        ) as collector:
+            on = run_program(build_program(), config(seed))
+        off = run_program(build_program(), config(seed))
+        assert on.trace and not off.trace
+        assert len(collector.records) == 1
         assert on.fingerprint() == off.fingerprint()
 
     @given(

@@ -75,7 +75,6 @@ class TestRegionTruth:
         result = run_threads(uniprocessor, program)
         rt = result.thread_by_name("t0").regions["sys"]
         assert rt.kernel_cycles >= 30_000
-        assert rt.total_cycles == rt.user_cycles + rt.kernel_cycles
 
 
 class TestRegionErrors:

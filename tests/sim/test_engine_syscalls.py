@@ -208,12 +208,23 @@ class TestWholeSyscalls:
                 clean.kernel_cycles + costs.syscall_entry + costs.syscall_exit
             )
 
-    def test_armed_tick_faults_keep_the_stage_machine(self):
+    def test_armed_tick_faults_fold_before_the_horizon(self):
         """A shrink_counter fault fired at another core's timer tick
-        rewrites this core's counters, which can land between the phases of
-        a syscall in flight, so with tick faults armed every syscall takes
-        the stage machine."""
-        result = run_program(mixed_syscalls(iters=40).specs, TICK_FAULTS)
-        assert result.metrics["faults.injected"] == 6
-        assert result.metrics["whole_syscalls"] == 0
-        assert result.metrics["fastpath_bailout.syscall.fault_tick_armed"] > 0
+        rewrites this core's counters, so with tick faults armed a syscall
+        folds only when its exit starts before any other actor can act.
+        Those folds commit, the rest bail at the horizon, and the run
+        observes what the stage machine alone observes."""
+        program = mixed_syscalls(iters=40)
+        result = run_program(program.specs, TICK_FAULTS)
+        assert result.metrics["faults.injected.shrink_counter"] == 6
+        assert result.metrics["whole_syscalls"] > 0
+        assert result.metrics["resumed_exits"] > 0
+        assert result.metrics["fastpath_bailout.syscall.horizon"] > 0
+        with fastpaths_off():
+            staged = mixed_syscalls(iters=40)
+            off = run_program(staged.specs, TICK_FAULTS)
+        assert off.metrics["whole_syscalls"] == off.metrics["resumed_exits"] == 0
+        assert off.fingerprint() == result.fingerprint()
+        assert [list(s.records) for s in staged.sessions] == [
+            list(s.records) for s in program.sessions
+        ]

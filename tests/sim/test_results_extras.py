@@ -1,33 +1,7 @@
 """Coverage for remaining RunResult / kernel-counter surfaces."""
 
-from repro.baselines.sampling import SamplingProfiler
 from repro.common.config import KernelConfig, MachineConfig, SimConfig
-from repro.hw.events import Event, EventRates
-from repro.sim.ops import Compute, RegionBegin, RegionEnd
 from tests.conftest import compute_program, run_threads
-
-RATES = EventRates.profile(ipc=1.0)
-
-
-class TestSamplesInRegion:
-    def test_filters_by_region(self, uniprocessor):
-        profiler = SamplingProfiler(Event.CYCLES, period=20_000)
-
-        def program(ctx):
-            yield from profiler.setup(ctx)
-            yield RegionBegin("a")
-            yield Compute(200_000, RATES)
-            yield RegionEnd()
-            yield RegionBegin("b")
-            yield Compute(200_000, RATES)
-            yield RegionEnd()
-
-        result = run_threads(uniprocessor, program)
-        in_a = result.samples_in_region("a")
-        in_b = result.samples_in_region("b")
-        assert in_a and in_b
-        assert all(s.region == "a" for s in in_a)
-        assert len(in_a) + len(in_b) <= len(result.samples)
 
 
 class TestKernelCounters:
@@ -51,12 +25,3 @@ class TestKernelCounters:
 
         result = run_threads(uniprocessor, program)
         assert result.kernel.syscall_total() == 2
-
-
-class TestWallNs:
-    def test_matches_frequency(self, uniprocessor):
-        result = run_threads(uniprocessor, compute_program(240_000))
-        expected = uniprocessor.machine.frequency.cycles_to_ns(
-            result.wall_cycles
-        )
-        assert result.wall_ns == expected

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.reports import user_kernel_breakdown
 from repro.common.config import MachineConfig, SimConfig
 from repro.common.errors import ConfigError
 from repro.sim.engine import run_program
@@ -37,7 +38,7 @@ class TestApache:
         result = run_workload(
             ApacheWorkload(ApacheConfig(n_workers=6, requests_per_worker=20))
         )
-        assert result.kernel_fraction() > 0.25
+        assert user_kernel_breakdown(result).kernel_fraction > 0.25
 
     def test_request_regions(self):
         result = run_workload(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.reports import user_kernel_breakdown
 from repro.common.config import MachineConfig, SimConfig
 from repro.common.errors import ConfigError
 from repro.sim.engine import run_program
@@ -52,7 +53,7 @@ class TestMemcached:
         """memcached is famously kernel-heavy (network path)."""
         cfg = MemcachedConfig(n_workers=4, requests_per_worker=40)
         result = run_workload(MemcachedWorkload(cfg))
-        assert result.kernel_fraction() > 0.4
+        assert user_kernel_breakdown(result).kernel_fraction > 0.4
 
     def test_shard_skew(self):
         cfg = MemcachedConfig(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.reports import user_kernel_breakdown
 from repro.common.config import MachineConfig, SimConfig
 from repro.common.errors import ConfigError
 from repro.sim.engine import run_program
@@ -75,7 +76,7 @@ class TestBehaviour:
 
     def test_kernel_time_present(self):
         result = run_mysql(small(workers=4, txns=15))
-        assert 0.02 < result.kernel_fraction() < 0.6
+        assert 0.02 < user_kernel_breakdown(result).kernel_fraction < 0.6
 
     def test_deterministic(self):
         r1 = run_mysql(small(), seed=9)
