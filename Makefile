@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test experiments experiments-quick smoke examples lint lint-smoke outputs clean
+.PHONY: install test experiments experiments-quick smoke examples bench-check lint lint-smoke outputs clean
 
 install:
 	pip install -e .
@@ -25,6 +25,12 @@ smoke:
 
 examples:
 	@for f in examples/*.py; do echo "== $$f =="; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
+
+# every benchmark workload against its golden digests at seeds 0 and 1:
+# the same two steps as CI's bench job; each prints "correct": true
+bench-check:
+	python3 bench/run.py --seconds 2
+	python3 bench/run.py --seconds 2 --seed 1
 
 # full static gate: the repo's own measurement-hazard analyzer over every
 # target (self + registry + workload corpus), then ruff/mypy when they are

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigError
 from repro.common.units import DEFAULT_FREQUENCY, Frequency
+from repro.hw.events import CYCLE_BITS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
@@ -89,6 +90,10 @@ class CostModel:
             if not isinstance(value, int) or value < 0:
                 raise ConfigError(
                     f"cost {f.name!r} must be a non-negative int, got {value!r}"
+                )
+            if value >> CYCLE_BITS:
+                raise ConfigError(
+                    f"cost {f.name!r} must be below 2**{CYCLE_BITS}, got {value!r}"
                 )
 
     # Derived figures used in several experiments -----------------------------

@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Sequence
+from bisect import bisect_left
+from itertools import accumulate
 
 
 def derive_seed(root_seed: int, *keys: str | int) -> int:
@@ -23,6 +24,19 @@ def derive_seed(root_seed: int, *keys: str | int) -> int:
     material = repr(root_seed) + "\x00" + "\x00".join(str(k) for k in keys)
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def _zipf_table(n: int, skew: float) -> tuple[list[float], float]:
+    """The running sums of the Zipf weights ``1 / (i + 1) ** skew``, each by
+    one more float addition of the next weight, and ``sum()`` of the
+    weights."""
+    weights = [1.0 / (i + 1) ** skew for i in range(n)]
+    return list(accumulate(weights)), sum(weights)
+
+
+#: ``(n, skew)`` -> :func:`_zipf_table`: a pure function of its key, so the
+#: tables are shared by every stream and every run in the process.
+_ZIPF_TABLES: dict[tuple[int, float], tuple[list[float], float]] = {}
 
 
 class RandomStream:
@@ -52,15 +66,6 @@ class RandomStream:
     def uniform(self, lo: float, hi: float) -> float:
         return self._rng.uniform(lo, hi)
 
-    def choice(self, seq: Sequence):
-        return self._rng.choice(seq)
-
-    def shuffle(self, seq: list) -> None:
-        self._rng.shuffle(seq)
-
-    def sample(self, seq: Sequence, k: int) -> list:
-        return self._rng.sample(seq, k)
-
     def expovariate(self, mean: float) -> float:
         """Exponential with the given *mean* (not rate)."""
         if mean <= 0:
@@ -71,7 +76,9 @@ class RandomStream:
 
     def exp_cycles(self, mean_cycles: float, minimum: int = 1) -> int:
         """Exponentially distributed integer cycle count with given mean."""
-        return max(minimum, round(self.expovariate(mean_cycles)))
+        if mean_cycles <= 0:
+            return max(minimum, 0)
+        return max(minimum, round(self._rng.expovariate(1.0 / mean_cycles)))
 
     def lognormal_cycles(
         self,
@@ -103,15 +110,13 @@ class RandomStream:
             raise ValueError("n must be positive")
         if n == 1:
             return 0
-        weights = [1.0 / (i + 1) ** skew for i in range(n)]
-        total = sum(weights)
-        target = self._rng.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if target <= acc:
-                return i
-        return n - 1
+        table = _ZIPF_TABLES.get((n, skew))
+        if table is None:
+            table = _ZIPF_TABLES[n, skew] = _zipf_table(n, skew)
+        cumulative, total = table
+        # the first index whose running sum reaches the target
+        i = bisect_left(cumulative, self._rng.random() * total)
+        return i if i < n else n - 1
 
     def bernoulli(self, p: float) -> bool:
         return self._rng.random() < p

@@ -9,6 +9,17 @@ whole accounting pipeline in exact integer arithmetic:
 
 so splitting a phase at an arbitrary cycle boundary never loses or invents
 events.
+
+The engine keeps its event tallies packed: one Python int per tally with a
+``LANE``-bit field per :class:`Event` (lane ``Event.index``, CYCLES in lane
+0). Each :class:`EventRates` carries a packed multiplier ``packed``, and
+:func:`events_at` turns a phase-relative cycle count into the running floor
+of every event at once, so a window's events are one multiply-and-mask per
+end. The floor by 10^6 is exact by Granlund and Montgomery's division by
+invariant integers (PLDI 1994) for every ``cycles * ppm < 2**N``, which the
+bounds ``ppm < 2**PPM_BITS`` (checked by ``EventRates``) and ``cycles <
+2**CYCLE_BITS`` (checked by ``Compute``, the ``work`` syscall and
+``CostModel``) guarantee.
 """
 
 from __future__ import annotations
@@ -49,14 +60,57 @@ class Event(enum.Enum):
     __hash__ = object.__hash__
 
 
-# Dense event indices for array-based tallies: the engine keeps per-thread
-# and per-region event counts in flat lists indexed by Event.index instead
-# of dicts, so hot accrual loops do list arithmetic only. CYCLES is index 0
-# by construction (first member) — the engine relies on that.
+# Dense event indices: Event.index is the event's lane in the engine's
+# packed tallies (see events_at). CYCLES is index 0 by construction (first
+# member), so lane 0 of a tally is its cycle count.
 for _i, _e in enumerate(Event):
     _e.index = _i
 N_EVENTS = len(Event)
 assert Event.CYCLES.index == 0
+
+#: Exactness bounds of the packed event arithmetic: every ppm rate is below
+#: ``2**PPM_BITS`` and every cycle count (a phase, a syscall body, a cost)
+#: below ``2**CYCLE_BITS``, so every product ``cycles * ppm`` is below
+#: ``2**N``. A kernel path's window is a sum of a few costs, but its
+#: ``KERNEL_RATES`` stay below ``2**20`` ppm, far inside the bound.
+PPM_BITS = 32
+CYCLE_BITS = 64
+N = PPM_BITS + CYCLE_BITS
+#: ``(x * MAGIC) >> SHIFT == x // 10**6`` for every ``0 <= x < 2**N``
+#: (Granlund & Montgomery: ``2**20 >= 10**6`` and ``MAGIC * 10**6 - 2**SHIFT
+#: <= 2**20``).
+SHIFT = N + 20
+MAGIC = -(-(1 << SHIFT) // 1_000_000)
+#: Bits per event lane: a lane's product ``cycles * ppm * MAGIC`` is below
+#: ``2**(2N + 1)``, so no lane carries into the next.
+LANE = 2 * N + 1
+LANE_MASK = (1 << LANE) - 1
+#: The quotient bits of every lane (each lane's bits from SHIFT up).
+KEEP = sum((LANE_MASK >> SHIFT << SHIFT) << (LANE * i) for i in range(N_EVENTS))
+assert (1 << 20) >= 1_000_000 and MAGIC * 1_000_000 - (1 << SHIFT) <= 1 << 20
+assert ((1 << N) - 1) * MAGIC < 1 << LANE
+# Each event's lane of a packed tally is ``(tally & e.lane_mask) >>
+# e.lane_shift``: masking first keeps the work to the lanes up to e's, where
+# shifting first would copy the whole tally.
+for _e in Event:
+    _e.lane_shift = LANE * _e.index
+    _e.lane_mask = LANE_MASK << _e.lane_shift
+
+
+def events_at(packed: int, cycles: int) -> int:
+    """The packed tally of every event's running floor after ``cycles``
+    cycles of a phase whose rates have the packed multiplier ``packed``:
+    lane ``e.index`` holds ``(cycles * ppm_e) // 1_000_000``, CYCLES lane 0
+    holds ``cycles``. A window ``(before, after]`` fires ``events_at(packed,
+    after) - events_at(packed, before)``. The engine inlines this on its
+    accrual paths.
+    """
+    return ((cycles * packed) & KEEP) >> SHIFT
+
+
+def lane(tally: int, event: Event) -> int:
+    """The count of ``event`` in a packed tally."""
+    return (tally & event.lane_mask) >> event.lane_shift
 
 
 #: Dimension names used by event units (the base dimensions of the
@@ -142,7 +196,7 @@ class EventRates(Mapping[Event, int]):
     :meth:`profile` constructor (IPC + per-kilo-instruction miss rates).
     """
 
-    __slots__ = ("_ppm", "flat")
+    __slots__ = ("_ppm", "packed")
 
     def __init__(self, ppm: Mapping[Event, int] | None = None) -> None:
         clean: dict[Event, int] = {}
@@ -155,13 +209,19 @@ class EventRates(Mapping[Event, int]):
                 raise ConfigError(
                     f"rate for {event} must be a non-negative int ppm, got {rate!r}"
                 )
+            if rate >> PPM_BITS:
+                raise ConfigError(
+                    f"rate for {event} must be below 2**{PPM_BITS} ppm, got {rate!r}"
+                )
             if rate:
                 clean[event] = rate
         self._ppm = clean
-        #: flat (event, ppm, index) triples, precomputed once at construction
-        #: (EventRates is immutable) so per-chunk accrual loops never go back
-        #: through the Mapping interface or hash an Event.
-        self.flat = tuple((e, r, e.index) for e, r in clean.items())
+        #: the packed multiplier of :func:`events_at`: every event's ppm in
+        #: its lane (CYCLES_PPM in lane 0), times MAGIC. Computed once at
+        #: construction (EventRates is immutable).
+        self.packed = MAGIC * sum(
+            [CYCLES_PPM] + [r << e.lane_shift for e, r in clean.items()]
+        )
 
     @classmethod
     def profile(
@@ -231,8 +291,7 @@ class EventRates(Mapping[Event, int]):
         """Direct view of the underlying dict.
 
         Overrides the ``Mapping`` mixin, which materialises an ItemsView
-        that re-hashes every key through ``__getitem__``; the engine
-        iterates rates once per executed piece, so this is hot.
+        that re-hashes every key through ``__getitem__``.
 
         Ordering guarantee: iteration yields ``(event, ppm)`` pairs in the
         insertion order of the mapping given at construction, with
@@ -240,8 +299,7 @@ class EventRates(Mapping[Event, int]):
         first, then miss/branch/load/store/stall entries in its fixed
         argument order). EventRates is immutable, so this order is stable
         for the lifetime of the object and identical to iteration over the
-        mapping itself and to the precomputed ``flat`` triples — accrual
-        loops, fingerprints and cache keys may all rely on it.
+        mapping itself — fingerprints and cache keys may rely on it.
         """
         return self._ppm.items()
 
@@ -250,18 +308,6 @@ class EventRates(Mapping[Event, int]):
         if event is Event.CYCLES:
             return CYCLES_PPM
         return self._ppm.get(event, 0)
-
-    def scaled(self, factor: float) -> "EventRates":
-        """Return rates scaled by ``factor`` (e.g. pressure sweeps)."""
-        if factor < 0:
-            raise ConfigError("scale factor must be non-negative")
-        return EventRates({e: round(r * factor) for e, r in self._ppm.items()})
-
-    def merged(self, other: "EventRates") -> "EventRates":
-        """Return rates where ``other``'s entries override this one's."""
-        ppm = dict(self._ppm)
-        ppm.update(other._ppm)
-        return EventRates(ppm)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{e.value}={r}" for e, r in sorted(

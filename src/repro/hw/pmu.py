@@ -18,7 +18,7 @@ from repro.hw.events import Domain, EventRates
 #: Module global: cheaper to load than ``Domain.USER`` on the per-piece path.
 _USER = Domain.USER
 
-#: One cached accrual-plan entry: ``(rates, plan, recipes)`` (see
+#: One cached accrual-plan entry: ``(rates, plan, frames)`` (see
 #: :meth:`Pmu.plan_entry`).
 PlanEntry = tuple[
     EventRates,
@@ -42,19 +42,19 @@ class Pmu:
         #: wraps during accrual. Installed by the engine only when tracing.
         self.on_overflow: Callable[[int], None] | None = None
         #: accrual-plan caches for the *current* counter programming, one per
-        #: domain, keyed id(rates). Each entry is ``(rates, plan, recipes)``:
+        #: domain, keyed id(rates). Each entry is ``(rates, plan, frames)``:
         #: the rates object (kept so an id can never be recycled while its
         #: entry is live), the flat accrual plan, and a dict the engine fills
-        #: with accrual recipes: whole-window ones keyed by window length,
-        #: and frames (fixed runs of sub-phases) keyed by their tuple of
-        #: sub-phase lengths. The recipes die with their entry.
+        #: with frame recipes (fixed runs of sub-phases of the one-piece
+        #: commits) keyed by their tuple of sub-phase lengths. The frames
+        #: die with their entry.
         self._plans_user: dict[int, PlanEntry] = {}
         self._plans_kernel: dict[int, PlanEntry] = {}
         #: per-programming-signature plan sets. Counter virtualization
         #: reprograms the same specs on every context switch; keying the plan
         #: dicts by the signature (each counter's ``selection``) means an
         #: identical reprogramming swaps the same dicts back in, so plan
-        #: entries (and the recipes on them) survive for the whole run.
+        #: entries (and the frames on them) survive for the whole run.
         self._plans_sig = self._unprogrammed_sig()
         self._plan_sets: dict[tuple, tuple[dict, dict]] = {
             self._plans_sig: (self._plans_user, self._plans_kernel)
@@ -62,7 +62,7 @@ class Pmu:
         self._plans_dirty = False
         # The counters reach this PMU through a weak reference: a bound
         # method would put the PMU in a reference cycle with its counters,
-        # so a dropped engine's PMUs (and the recipes on their plan
+        # so a dropped engine's PMUs (and the frames on their plan
         # entries) would wait for the cycle collector.
         pmu = weakref.ref(self)
 
@@ -81,7 +81,7 @@ class Pmu:
         key — the signature only covers (index, event, domains), so a
         mid-run width change (fault injection's shrink_counter) would
         otherwise swap stale-mask plans back in on the next reprogram. The
-        recipes on the dropped entries, which embed the same masks, go with
+        frames on the dropped entries, which embed the same masks, go with
         them.
         """
         self._plans_user = {}
@@ -111,7 +111,7 @@ class Pmu:
         self._plans_sig = sig
 
     def plan_entry(self, rates: EventRates, domain: Domain) -> PlanEntry:
-        """The cached ``(rates, plan, recipes)`` entry of a (rates, domain)
+        """The cached ``(rates, plan, frames)`` entry of a (rates, domain)
         phase under the current counter programming.
 
         ``plan`` is the flat accrual plan: one ``(index, counter, ppm,
@@ -119,8 +119,12 @@ class Pmu:
         non-zero rate (CYCLES counters at 1e6 ppm), ``()`` when none does.
         It is computed once per distinct rates object per programming
         signature, so the per-chunk accounting path iterates a short tuple
-        instead of re-filtering every counter against every rate.
-        ``recipes`` starts empty; the engine memoizes accrual recipes there.
+        instead of re-filtering every counter against every rate. Thread
+        and region tallies do not go through the plan: they take the rates'
+        packed multiplier (:attr:`EventRates.packed`). ``frames`` starts
+        empty; the engine memoizes the frame recipes of its one-piece
+        commits there (:func:`repro.sim.base._frame`), keyed by their
+        tuple of sub-phase cycles.
         """
         if self._plans_dirty:
             self._resolve_plans()

@@ -4,9 +4,10 @@
 shares: thread lifecycle, the switch-out half of scheduling, counter
 virtualization, PMIs, fault injection hooks, exact accounting, the whole
 user phase and result collection. The module also defines the engine-side
-thread and op state (:class:`SimThread`, :class:`_OpExec`) and the
-exact-accrual recipes. :class:`repro.sim.engine.Engine` adds the main loop,
-dispatch and the op handlers; see that module for the determinism rules.
+thread and op state (:class:`SimThread`, :class:`_OpExec`) and the frame
+recipes of the one-piece commits. :class:`repro.sim.engine.Engine` adds the
+main loop, dispatch and the op handlers; see that module for the
+determinism rules.
 
 Macro-stepping
 --------------
@@ -37,12 +38,15 @@ from repro.obs import runtime as obs_runtime
 from repro.obs import trace as tr
 from repro.obs.trace import TraceBus
 from repro.hw.events import (
+    KEEP,
+    KERNEL_RATES,
+    SHIFT,
     Domain,
     Event,
     EventRates,
-    KERNEL_RATES,
-    N_EVENTS,
+    events_at,
     events_in,
+    lane,
 )
 from repro.hw.machine import Core, Machine
 from repro.hw.pmu import PlanEntry
@@ -136,40 +140,11 @@ class _OpExec:
 _USER = Domain.USER
 _KERNEL = Domain.KERNEL
 
-#: Enum members in definition order, for folding flat tallies back to dicts.
+#: Enum members in definition order, for unpacking tallies into dicts.
 _EVENT_MEMBERS = tuple(Event)
 
-#: Whole-window accrual recipes are memoized for windows up to this length.
-_RECIPE_MAX_WINDOW = 65536
-#: Cap on the windows one plan entry tracks (recipes and first sightings);
-#: the dict is cleared when it fills.
-_RECIPES_PER_ENTRY = 1024
 #: Kernel cycles of a Sleep's body phase (the nanosleep path up to the block).
 _SLEEP_BODY = 900
-
-
-def _window_recipe(entry: PlanEntry, after: int) -> tuple[tuple, tuple]:
-    """Accrual recipe for the whole window ``(0, after]`` of a phase whose
-    PMU plan entry is ``entry``: ``(deltas, counts)`` with ``deltas`` the
-    non-zero ``(Event.index, n)`` ground-truth adds for the phase rates and
-    ``counts`` the non-zero ``(counter_index, counter, mask, n)`` adds for
-    the plan, both by the running-floor rule (``events_in(0, after)``).
-
-    Nearly every accounted window is a whole small phase with a recurring
-    cost constant (every kernel path, every library-call op), so
-    :meth:`Engine._account` stores these on the entry and replays them.
-    """
-    deltas = tuple(
-        (idx, (after * ppm) // 1_000_000)
-        for _event, ppm, idx in entry[0].flat
-        if (after * ppm) // 1_000_000
-    )
-    counts = tuple(
-        (index, ctr, mask, (after * ppm) // 1_000_000)
-        for index, ctr, ppm, mask in entry[1]
-        if (after * ppm) // 1_000_000
-    )
-    return deltas, counts
 
 
 def _frame_recipe(phases: tuple[tuple[PlanEntry, int], ...]) -> tuple:
@@ -178,31 +153,30 @@ def _frame_recipe(phases: tuple[tuple[PlanEntry, int], ...]) -> tuple:
     frame adds the sum of ``events_in(0, cycles)`` over its sub-phases and
     k frames add k times that.
 
-    Returns ``(cycles, deltas, events, counts, last)``: ``cycles`` the
-    sub-phases' sum, ``events`` one ``(Event.index, ppm, n)`` per event a
-    sub-phase's rates name, ``deltas`` the ``(Event.index, n)`` of those
-    with ``n``, ``counts`` one ``(counter, mask, ppm, n)`` per counter a
-    sub-phase's plan names, and ``last`` the last sub-phase's cycles. ``n``
-    is the summed add; ``ppm`` is the rate in the first entry (0 if it has
-    none), which lets a caller add one more first-entry sub-phase of
-    variable length (a syscall's body). The recipe depends on nothing but
-    the sub-phases, so :func:`_frame` stores it on the first entry."""
+    Returns ``(cycles, tally, packed, counts, last)``: ``cycles`` the
+    sub-phases' sum, ``tally`` the packed tally they add (see
+    :func:`repro.hw.events.events_at`; lane 0 is ``cycles``), ``packed`` the
+    first entry's packed multiplier, ``counts`` one ``(counter, mask, ppm,
+    n)`` per counter a sub-phase's plan names, and ``last`` the last
+    sub-phase's cycles. ``n`` is the summed add; ``ppm`` is the rate in the
+    first entry (0 if it has none). ``packed`` and ``ppm`` let a caller add
+    one more first-entry sub-phase of variable length (a syscall's body).
+    The recipe depends on nothing but the sub-phases, so :func:`_frame`
+    stores it on the first entry."""
     first = phases[0][0]
-    ev = {idx: [ppm, 0] for _event, ppm, idx in first[0].flat}
+    tally = 0
     ctr = {index: [c, mask, ppm, 0] for index, c, ppm, mask in first[1]}
     for entry, cycles in phases:
-        for _event, ppm, idx in entry[0].flat:
-            ev.setdefault(idx, [0, 0])[1] += (cycles * ppm) // 1_000_000
+        tally += events_at(entry[0].packed, cycles)
         for index, c, ppm, mask in entry[1]:
             got = ctr.get(index)
             if got is None:
                 got = ctr[index] = [c, mask, 0, 0]
             got[3] += (cycles * ppm) // 1_000_000
-    events = tuple((idx, ppm, n) for idx, (ppm, n) in ev.items())
     return (
         sum(cycles for _entry, cycles in phases),
-        tuple((idx, n) for idx, _ppm, n in events if n),
-        events,
+        tally,
+        first[0].packed,
         tuple(tuple(got) for got in ctr.values()),
         phases[-1][1],
     )
@@ -227,39 +201,15 @@ def _frame(
     return frame
 
 
-def accrue_rate_events(
-    flat: tuple,
-    before: int,
-    after: int,
-    ev: list[int],
-    rev: list[int] | None = None,
-) -> None:
-    """Shared exact-accrual helper: apply the running-floor event deltas of
-    one ``(before, after]`` phase-relative window to a flat tally array
-    ``ev`` (indexed by ``Event.index``; optionally also an open region's
-    tally array ``rev``).
-
-    This is the single place the ``(after*ppm)//1e6 - (before*ppm)//1e6``
-    ground-truth arithmetic lives for thread/region tallies; both the
-    per-chunk slow path (:meth:`Engine._account`) and the macro-stepping
-    fast path call it, so they cannot drift apart.
-    """
-    if rev is None:
-        for _event, ppm, idx in flat:
-            n = (after * ppm) // 1_000_000 - (before * ppm) // 1_000_000
-            if n:
-                ev[idx] += n
-    else:
-        for _event, ppm, idx in flat:
-            n = (after * ppm) // 1_000_000 - (before * ppm) // 1_000_000
-            if n:
-                ev[idx] += n
-                rev[idx] += n
-
-
-def _tally_dict(arr: list[int]) -> dict[Event, int]:
-    """Fold a flat tally array back into the result-facing Event dict."""
-    return {e: arr[e.index] for e in _EVENT_MEMBERS if arr[e.index]}
+def _tally_dict(tally: int) -> dict[Event, int]:
+    """Unpack a packed tally into the result-facing Event dict (its non-zero
+    lanes, in Event order)."""
+    out = {}
+    for e in _EVENT_MEMBERS:
+        n = lane(tally, e)
+        if n:
+            out[e] = n
+    return out
 
 
 class SimThread:
@@ -337,13 +287,14 @@ class SimThread:
         self.region_stack: list[str] = []
         self.region_entries: list[tuple[str, int, int]] = []
         self.regions: dict[str, RegionTruth] = {}
-        #: per-region flat event tallies (folded into RegionTruth.events at
-        #: collection time; arrays keep the accrual loops dict-free).
-        self.region_ev: dict[str, list[int]] = {}
+        #: per-region packed event tallies (user domain; unpacked into
+        #: RegionTruth.events at collection time)
+        self.region_ev: dict[str, int] = {}
         self.owned_locks: set[str] = set()
         self.profiler = None
-        self.ev_user: list[int] = [0] * N_EVENTS
-        self.ev_kernel: list[int] = [0] * N_EVENTS
+        #: packed event tallies per domain (see repro.hw.events.events_at)
+        self.ev_user = 0
+        self.ev_kernel = 0
         self.user_cycles = 0
         self.kernel_cycles = 0
         self.n_context_switches = 0
@@ -361,13 +312,14 @@ class SimThread:
 
     def slot_truth(self, spec: SlotSpec) -> int:
         """Ground-truth event count matching a slot's domain filter."""
-        idx = spec.event.index
+        event = spec.event
+        mask = event.lane_mask
         total = 0
         if spec.count_user:
-            total += self.ev_user[idx]
+            total += self.ev_user & mask
         if spec.count_kernel:
-            total += self.ev_kernel[idx]
-        return total
+            total += self.ev_kernel & mask
+        return total >> event.lane_shift
 
     def slot_truth_since_open(self, idx: int, spec: SlotSpec) -> int:
         """Ground truth relative to when the slot was programmed — what a
@@ -441,15 +393,10 @@ class EngineBase:
         self._spin_rounds_batched = 0
         self._bailouts: dict[tuple[str, str], int] = {}
         self._ops_fetched = 0
-        tick = self._costs.timer_tick
-        # One timer tick's kernel ground-truth events: each tick is its own
-        # phase starting at cycle 0, so k batched ticks accrue exactly
-        # k * events_in(0, tick, ppm) per event (NOT events_in(0, k*tick)).
-        self._tick_pairs = tuple(
-            (event.index, events_in(0, tick, ppm))
-            for event, ppm in KERNEL_RATES.items()
-            if events_in(0, tick, ppm)
-        )
+        # One timer tick's packed kernel tally: each tick is its own phase
+        # starting at cycle 0, so k batched ticks accrue exactly k times it
+        # (NOT events_at(packed, k*tick)).
+        self._tick_events = events_at(KERNEL_RATES.packed, self._costs.timer_tick)
         # -- one-piece commits: the cycle tuples of their frames ----------
         # (see _frame_recipe). Kernel frames: a syscall's entry and exit
         # around its body, and a Sleep's entry and body up to the block. A
@@ -934,7 +881,7 @@ class EngineBase:
         so counting slots recover them through the normal overflow path
         (``vaccum += wraps * new_threshold`` with the *new* threshold equals
         exactly the bits shifted out) and nothing is lost. Cached accrual
-        plans and the recipes on their entries embed the old mask, so every
+        plans and the frames on their entries embed the old mask, so every
         changed PMU's plan caches are flushed; sampling preloads saved under
         the old width are clamped.
         """
@@ -1004,71 +951,32 @@ class EngineBase:
         """Charge ``after - before`` cycles of a phase to the machine,
         thread, ground truth, active region and PMU counters.
 
-        ``entry`` is the phase's ``(rates, plan, recipes)`` PMU plan entry
+        ``entry`` is the phase's ``(rates, plan, frames)`` PMU plan entry
         (:meth:`Pmu.plan_entry`), resolved by the caller; its plan is ``()``
-        when no counter is programmed.
+        when no counter is programmed. The tallies take every event of the
+        window, CYCLES included, in one packed add (the inlined
+        ``events_at(packed, after) - events_at(packed, before)``).
         """
         chunk = after - before
         core.now += chunk
         core.busy_cycles += chunk
-        user = domain is _USER
-        if user:
+        packed = entry[0].packed
+        n = ((after * packed) & KEEP) >> SHIFT
+        if before:
+            n -= ((before * packed) & KEEP) >> SHIFT
+        region_stack = thread.region_stack
+        if domain is _USER:
             core.user_cycles += chunk
             thread.user_cycles += chunk
-            ev = thread.ev_user
+            thread.ev_user += n
+            if region_stack:
+                thread.region_ev[region_stack[-1]] += n
         else:
             core.kernel_cycles += chunk
             thread.kernel_cycles += chunk
-            ev = thread.ev_kernel
-        ev[0] += chunk  # Event.CYCLES.index == 0
-        region_stack = thread.region_stack
-        rev = None
-        if region_stack:
-            name = region_stack[-1]
-            if user:
-                rev = thread.region_ev[name]
-                rev[0] += chunk
-            else:
-                thread.regions[name].kernel_cycles += chunk
-        if before == 0 and after <= _RECIPE_MAX_WINDOW:
-            recipes = entry[2]
-            rec = recipes.get(after)
-            if rec is None:
-                if after in recipes:
-                    # Second sighting: the window recurs, so build its
-                    # recipe. One-shot windows (e.g. phase lengths drawn
-                    # per request) stay on the generic path below.
-                    rec = recipes[after] = _window_recipe(entry, after)
-                else:
-                    if len(recipes) >= _RECIPES_PER_ENTRY:
-                        recipes.clear()
-                    recipes[after] = None
-            if rec is not None:
-                deltas, counts = rec
-                if rev is None:
-                    for idx, n in deltas:
-                        ev[idx] += n
-                else:
-                    for idx, n in deltas:
-                        ev[idx] += n
-                        rev[idx] += n
-                if counts:
-                    overflowed = False
-                    on_overflow = core.pmu.on_overflow
-                    for index, ctr, mask, n in counts:
-                        v = ctr.value + n
-                        if v <= mask:
-                            ctr.value = v
-                        elif ctr.accrue(n):
-                            overflowed = True
-                            if on_overflow is not None:
-                                on_overflow(index)
-                    if overflowed:
-                        self._arm_pmi(core, thread)
-                return
-        flat = entry[0].flat
-        if flat:
-            accrue_rate_events(flat, before, after, ev, rev)
+            thread.ev_kernel += n
+            if region_stack:
+                thread.regions[region_stack[-1]].kernel_cycles += chunk
         plan = entry[1]
         if plan:
             overflowed = False
@@ -1125,7 +1033,7 @@ class EngineBase:
         """
         if core.pmi_due_at is not None:
             return self._bail(path, "pmi_due")
-        cycles, deltas, events, counts, last = frame
+        cycles, tally, packed, counts, last = frame
         now = core.now
         if domain is _USER:
             if bound is not None:
@@ -1159,38 +1067,28 @@ class EngineBase:
         total = k * cycles + body
         core.now += total
         core.busy_cycles += total
+        n = tally if k == 1 else k * tally
+        if body:
+            n += ((body * packed) & KEEP) >> SHIFT
         region_stack = thread.region_stack
-        rev = None
         if domain is _USER:
             core.user_cycles += total
             thread.user_cycles += total
-            ev = thread.ev_user
+            thread.ev_user += n
             if region_stack:
-                rev = thread.region_ev[region_stack[-1]]
-                rev[0] += total
+                thread.region_ev[region_stack[-1]] += n
         else:
             core.kernel_cycles += total
             thread.kernel_cycles += total
-            ev = thread.ev_kernel
+            thread.ev_kernel += n
             if region_stack:
                 thread.regions[region_stack[-1]].kernel_cycles += total
-        ev[0] += total  # Event.CYCLES.index == 0
         if body:
-            for idx, ppm, n in events:
-                ev[idx] += k * n + (body * ppm) // 1_000_000
-            for counter, _mask, ppm, n in counts:
-                counter.value += k * n + (body * ppm) // 1_000_000
-            return k
-        if rev is None:
-            for idx, n in deltas:
-                ev[idx] += k * n
+            for counter, _mask, ppm, m in counts:
+                counter.value += k * m + (body * ppm) // 1_000_000
         else:
-            for idx, n in deltas:
-                n *= k
-                ev[idx] += n
-                rev[idx] += n
-        for counter, _mask, _ppm, n in counts:
-            counter.value += k * n
+            for counter, _mask, _ppm, m in counts:
+                counter.value += k * m
         return k
 
     def _bail(self, path: str, reason: str) -> bool:
@@ -1316,22 +1214,17 @@ class EngineBase:
         core.kernel_cycles += kernel_cycles
         thread.user_cycles += user_cycles
         thread.kernel_cycles += kernel_cycles
-        ev_user = thread.ev_user
-        ev_user[0] += user_cycles  # Event.CYCLES.index == 0
-        ev_kernel = thread.ev_kernel
-        ev_kernel[0] += kernel_cycles
-        rev = None
+        u_end = consumed + user_cycles
+        packed = ex.phase_rates.packed
+        n = (((u_end * packed) & KEEP) >> SHIFT) - (
+            ((consumed * packed) & KEEP) >> SHIFT
+        )
+        thread.ev_user += n
+        thread.ev_kernel += k * self._tick_events
         if thread.region_stack:
             name = thread.region_stack[-1]
-            rev = thread.region_ev[name]
-            rev[0] += user_cycles
+            thread.region_ev[name] += n
             thread.regions[name].kernel_cycles += kernel_cycles
-        u_end = consumed + user_cycles
-        accrue_rate_events(
-            ex.phase_rates.flat, consumed, u_end, ev_user, rev
-        )
-        for idx, per_tick in self._tick_pairs:
-            ev_kernel[idx] += k * per_tick
         # PMU counters: no wrap is possible by construction, so plain adds
         for _index, ctr, ppm, _mask in user_plan:
             n = (u_end * ppm) // 1_000_000 - (consumed * ppm) // 1_000_000
@@ -1391,12 +1284,8 @@ class EngineBase:
     def _collect(self) -> RunResult:
         threads = {}
         for tid, t in self.threads.items():
-            for name, arr in t.region_ev.items():
-                events = t.regions[name].events
-                for event in _EVENT_MEMBERS:
-                    n = arr[event.index]
-                    if n:
-                        events[event] = n
+            for name, tally in t.region_ev.items():
+                t.regions[name].events.update(_tally_dict(tally))
             threads[tid] = ThreadResult(
                 tid=tid,
                 name=t.name,

@@ -37,9 +37,9 @@ from repro.obs import trace as tr
 from repro.hw.events import (
     KERNEL_RATES,
     LIBRARY_RATES,
-    N_EVENTS,
     SPIN_RATES,
     cycles_until_count,
+    lane,
 )
 from repro.hw.machine import Core
 from repro.kernel.locks import LockState
@@ -469,12 +469,9 @@ class Engine(EngineBase):
         self._begin_kernel_path(core, thread, ex, "join", 600, action)
 
     def _begin_sleep(self, core: Core, thread: SimThread, ex: _OpExec) -> bool:
-        cycles = ex.op.cycles
-
-        def action(core: Core, thread: SimThread) -> tuple[Any, Any]:
-            return None, ("sleep", cycles)
-
-        self._begin_kernel_path(core, thread, ex, "sleep", _SLEEP_BODY, action)
+        self._begin_kernel_path(
+            core, thread, ex, "sleep", _SLEEP_BODY, _sleep_action
+        )
         return self._try_whole_sleep(core, thread, ex)
 
     def _begin_yield(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
@@ -668,13 +665,7 @@ class Engine(EngineBase):
             if c is counter:
                 hw -= n
         if spec.count_user:
-            event = spec.event.index
-            if event == 0:  # Event.CYCLES: the tail's cycles
-                thread.last_rdpmc_truth -= tail[0]
-            else:
-                for idx, n in tail[1]:
-                    if idx == event:
-                        thread.last_rdpmc_truth -= n
+            thread.last_rdpmc_truth -= lane(tail[1], spec.event)
         self._fast_reads += 1
         self._complete(thread, vpmu.vaccum[index] + hw)
         return True
@@ -827,7 +818,7 @@ class Engine(EngineBase):
         thread.region_stack.append(op.name)
         if op.name not in thread.regions:
             thread.regions[op.name] = RegionTruth(name=op.name)
-            thread.region_ev[op.name] = [0] * N_EVENTS
+            thread.region_ev[op.name] = 0
         thread.region_entries.append((op.name, thread.cpu_cycles, core.now))
         if thread.profiler is not None:
             thread.profiler.on_enter(thread.tid, op.name, core.now)
@@ -1254,6 +1245,11 @@ class Engine(EngineBase):
         self._adv_syscall(core, thread, ex)
         if stage == "exit" and self.scheduler.queue_length(core.core_id) > 0:
             self._switch_out(core, thread, requeue=True)
+
+
+def _sleep_action(core: Core, thread: SimThread) -> tuple[Any, Any]:
+    """The body action of every Sleep: block for the op's cycles."""
+    return None, ("sleep", thread.op_exec.op.cycles)
 
 
 def _dispatch_resolve(op: Any, message: str) -> tuple[Callable, Callable]:

@@ -27,7 +27,7 @@ from dataclasses import FrozenInstanceError
 from typing import Any, Callable, TYPE_CHECKING
 
 from repro.common.errors import ConfigError
-from repro.hw.events import ZERO_RATES, EventRates
+from repro.hw.events import CYCLE_BITS, ZERO_RATES, EventRates
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.program import ThreadContext
@@ -82,6 +82,10 @@ class Compute(Op):
     def __init__(self, cycles: int, rates: EventRates = ZERO_RATES) -> None:
         if cycles < 0:
             raise ConfigError(f"compute cycles must be >= 0, got {cycles}")
+        if cycles >> CYCLE_BITS:
+            raise ConfigError(
+                f"compute cycles must be below 2**{CYCLE_BITS}, got {cycles}"
+            )
         _set(self, "cycles", cycles)
         _set(self, "rates", rates)
 

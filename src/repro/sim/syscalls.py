@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.common.errors import ConfigError
+from repro.hw.events import CYCLE_BITS
 from repro.kernel.vpmu import MuxState, SlotSpec
 
 if TYPE_CHECKING:
@@ -36,6 +37,8 @@ def work(
     (cycles,) = args
     if cycles < 0:
         raise ConfigError("work syscall needs non-negative cycles")
+    if cycles >> CYCLE_BITS:
+        raise ConfigError(f"work syscall cycles must be below 2**{CYCLE_BITS}")
     return cycles, None
 
 

@@ -5,6 +5,19 @@ import pytest
 from repro.common.rng import RandomStream, derive_seed
 
 
+def _zipf_loop(rng, n, skew):
+    """The reference pick: rebuild and scan the weights on every call."""
+    weights = [1.0 / (i + 1) ** skew for i in range(n)]
+    total = sum(weights)
+    target = rng.random() * total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if target <= acc:
+            return i
+    return n - 1
+
+
 class TestDeriveSeed:
     def test_deterministic(self):
         assert derive_seed(1, "a", "b") == derive_seed(1, "a", "b")
@@ -76,6 +89,27 @@ class TestRandomStream:
             counts[rng.zipf_index(8, skew=1.0)] += 1
         assert counts[0] > counts[7] * 2
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize(
+        "n, skew", [(2, 1.0), (8, 0.9), (16, 1.1), (37, 0.0), (64, 2.5)]
+    )
+    def test_zipf_matches_the_weight_loop(self, n, skew, seed):
+        """The memoized cumulative table picks what the per-call weight loop
+        picks, draw for draw, and leaves the stream where the loop does."""
+        fast = RandomStream(seed, "zipf")
+        loop = RandomStream(seed, "zipf")
+        got = [fast.zipf_index(n, skew) for _ in range(10_000)]
+        assert got == [_zipf_loop(loop._rng, n, skew) for _ in range(10_000)]
+        assert fast.random() == loop.random()
+
+    def test_exp_cycles_matches_expovariate(self):
+        fast, slow = RandomStream(3), RandomStream(3)
+        for mean in (0, -5, 0.5, 1_000, 37_500.25):
+            got = [fast.exp_cycles(mean, minimum=2) for _ in range(200)]
+            assert got == [
+                max(2, round(slow.expovariate(mean))) for _ in range(200)
+            ]
+
     def test_zipf_single_element(self):
         assert RandomStream(7).zipf_index(1) == 0
 
@@ -87,16 +121,3 @@ class TestRandomStream:
         rng = RandomStream(7)
         assert not any(rng.bernoulli(0.0) for _ in range(50))
         assert all(rng.bernoulli(1.0) for _ in range(50))
-
-    def test_choice_and_sample(self):
-        rng = RandomStream(7)
-        seq = [1, 2, 3, 4]
-        assert rng.choice(seq) in seq
-        picked = rng.sample(seq, 2)
-        assert len(picked) == 2 and set(picked) <= set(seq)
-
-    def test_shuffle_preserves_elements(self):
-        rng = RandomStream(7)
-        seq = list(range(10))
-        rng.shuffle(seq)
-        assert sorted(seq) == list(range(10))

@@ -66,21 +66,6 @@ class TestEventRates:
         with pytest.raises(ConfigError):
             EventRates.profile(ipc=0)
 
-    def test_scaled(self):
-        rates = EventRates({Event.LOADS: 1000}).scaled(2.5)
-        assert rates[Event.LOADS] == 2500
-
-    def test_scaled_rejects_negative(self):
-        with pytest.raises(ConfigError):
-            EventRates().scaled(-1)
-
-    def test_merged_overrides(self):
-        a = EventRates({Event.LOADS: 1, Event.STORES: 2})
-        b = EventRates({Event.STORES: 9})
-        merged = a.merged(b)
-        assert merged[Event.LOADS] == 1
-        assert merged[Event.STORES] == 9
-
     def test_equality_and_hash(self):
         a = EventRates({Event.LOADS: 1})
         b = EventRates({Event.LOADS: 1})

@@ -5,16 +5,59 @@ overflow prediction ever loses an event, every 'precise counting' claim
 upstream is void.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.common.config import CostModel
+from repro.common.errors import ConfigError
 from repro.hw.counter import HardwareCounter
-from repro.hw.events import Domain, Event, cycles_until_count, events_in
+from repro.hw.events import (
+    CYCLE_BITS,
+    PPM_BITS,
+    Domain,
+    Event,
+    EventRates,
+    cycles_until_count,
+    events_at,
+    events_in,
+    lane,
+)
+from repro.sim.base import _frame_recipe
+from repro.sim.ops import Compute, Syscall
 
+from tests.conftest import run_threads
 from tests.sim.test_accrual_recipes import _setup, _state
 
 ppm_values = st.integers(min_value=0, max_value=5_000_000)
 cycle_values = st.integers(min_value=0, max_value=10_000_000)
+
+#: The full ranges the packed arithmetic is exact over.
+MAX_PPM = (1 << PPM_BITS) - 1
+MAX_CYCLES = (1 << CYCLE_BITS) - 1
+RATED = [e for e in Event if e is not Event.CYCLES]
+#: The floor's hardest case: the largest ``cycles * ppm`` whose remainder
+#: mod 10**6 is 999,999, where a multiplier with too short a SHIFT first
+#: rounds up. HARD_PPM is prime to 10, so such a cycle count exists.
+HARD_PPM = MAX_PPM - 2
+HARD_CYCLES = MAX_CYCLES - (
+    MAX_CYCLES + pow(HARD_PPM, -1, 1_000_000)
+) % 1_000_000
+assert HARD_CYCLES * HARD_PPM % 1_000_000 == 999_999
+wide_ppm = st.one_of(
+    st.sampled_from([0, 1, 999_999, 1_000_000, HARD_PPM, MAX_PPM]),
+    st.integers(min_value=0, max_value=MAX_PPM),
+)
+wide_cycles = st.one_of(
+    st.sampled_from(
+        [0, 1, 999_999, 1_000_000, HARD_CYCLES, MAX_CYCLES - 1, MAX_CYCLES]
+    ),
+    st.integers(min_value=0, max_value=MAX_CYCLES),
+)
+wide_rates = st.dictionaries(st.sampled_from(RATED), wide_ppm).map(EventRates)
+#: Every event at the top rate: the widest product in every lane.
+TOP_RATES = EventRates({e: MAX_PPM for e in RATED})
+HARD_RATES = EventRates({e: HARD_PPM for e in RATED})
 
 
 class TestEventsIn:
@@ -186,3 +229,152 @@ class TestAccountSplits:
             states.append(state)
         whole, split = states
         assert split == whole
+
+
+def _bare_engine(domain):
+    """The accrual harness with every counter deprogrammed (the packed
+    tallies are under test, and no counter may refuse a frame) and no cycle
+    cap on a kernel frame."""
+    engine, thread, core, _entry = _setup(domain, None, 64)
+    for ctr in core.pmu.counters:
+        ctr.deprogram()
+    engine._max_cycles = 1 << 200
+    return engine, thread, core
+
+
+def _lanes(thread, domain):
+    """The thread's packed tally of ``domain``, and the open region's."""
+    if domain is Domain.USER:
+        return thread.ev_user, thread.region_ev["r"]
+    return thread.ev_kernel, None
+
+
+class TestPackedEvents:
+    """Every lane of a packed accrual equals ``events_in`` for its event,
+    over the whole range the bounds allow: ppm below ``2**PPM_BITS`` and
+    cycle counts below ``2**CYCLE_BITS``."""
+
+    @given(rates=wide_rates, a=wide_cycles, b=wide_cycles)
+    @example(rates=TOP_RATES, a=0, b=MAX_CYCLES)
+    @example(rates=TOP_RATES, a=MAX_CYCLES - 1, b=MAX_CYCLES)
+    @example(rates=TOP_RATES, a=MAX_CYCLES, b=MAX_CYCLES)
+    @example(rates=EventRates(), a=0, b=0)
+    @example(rates=HARD_RATES, a=0, b=HARD_CYCLES)
+    @example(rates=HARD_RATES, a=HARD_CYCLES, b=MAX_CYCLES)
+    @settings(max_examples=300)
+    def test_window(self, rates, a, b):
+        before, after = min(a, b), max(a, b)
+        n = events_at(rates.packed, after) - events_at(rates.packed, before)
+        for event in Event:
+            assert lane(n, event) == events_in(
+                before, after, rates.ppm(event)
+            ), event
+
+    @given(
+        domain=st.sampled_from([Domain.USER, Domain.KERNEL]),
+        rates=wide_rates,
+        a=wide_cycles,
+        b=wide_cycles,
+    )
+    @example(domain=Domain.USER, rates=TOP_RATES, a=3, b=MAX_CYCLES)
+    @example(domain=Domain.KERNEL, rates=TOP_RATES, a=0, b=MAX_CYCLES)
+    @example(domain=Domain.USER, rates=HARD_RATES, a=1, b=HARD_CYCLES)
+    @settings(max_examples=100, deadline=None)
+    def test_account(self, domain, rates, a, b):
+        """``_account`` (the inlined form) adds the same lanes to the
+        thread's tally and, in the user domain, to the region's."""
+        before, after = min(a, b), max(a, b)
+        engine, thread, core = _bare_engine(domain)
+        entry = core.pmu.plan_entry(rates, domain)
+        engine._account(core, thread, domain, entry, before, after)
+        for tally in _lanes(thread, domain):
+            if tally is None:
+                continue
+            for event in Event:
+                assert lane(tally, event) == events_in(
+                    before, after, rates.ppm(event)
+                ), event
+
+    @given(
+        phases=st.lists(st.tuples(wide_rates, wide_cycles), min_size=1, max_size=6),
+        k=st.integers(min_value=1, max_value=1 << 20),
+    )
+    @example(phases=[(TOP_RATES, MAX_CYCLES)] * 6, k=1 << 20)
+    @example(phases=[(HARD_RATES, HARD_CYCLES), (TOP_RATES, 7)], k=3)
+    @settings(max_examples=100, deadline=None)
+    def test_k_fold_user_frame(self, phases, k):
+        """k applications of a user frame add k times each sub-phase's
+        ``events_in(0, cycles)``."""
+        engine, thread, core = _bare_engine(Domain.USER)
+        frame = self._frame(core, Domain.USER, phases)
+        assert engine._charge_frame(
+            core, thread, Domain.USER, frame, "spin", None, k=k
+        ) == k
+        for tally in _lanes(thread, Domain.USER):
+            for event in Event:
+                assert lane(tally, event) == k * sum(
+                    events_in(0, c, r.ppm(event)) for r, c in phases
+                ), event
+
+    @given(
+        phases=st.lists(st.tuples(wide_rates, wide_cycles), min_size=1, max_size=4),
+        body=wide_cycles,
+    )
+    @example(phases=[(TOP_RATES, MAX_CYCLES)] * 2, body=MAX_CYCLES)
+    @example(phases=[(HARD_RATES, 480)], body=HARD_CYCLES)
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_frame_with_body(self, phases, body):
+        """A kernel frame with a syscall body adds the sub-phases' events
+        and the body's under the first sub-phase's rates."""
+        engine, thread, core = _bare_engine(Domain.KERNEL)
+        frame = self._frame(core, Domain.KERNEL, phases)
+        assert engine._charge_frame(
+            core, thread, Domain.KERNEL, frame, "syscall", None, body=body
+        ) == 1
+        first = phases[0][0]
+        for event in Event:
+            assert lane(thread.ev_kernel, event) == events_in(
+                0, body, first.ppm(event)
+            ) + sum(
+                events_in(0, c, r.ppm(event)) for r, c in phases
+            ), event
+
+    @staticmethod
+    def _frame(core, domain, phases):
+        return _frame_recipe(
+            tuple((core.pmu.plan_entry(r, domain), c) for r, c in phases)
+        )
+
+
+class TestPackedBounds:
+    """The exactness bounds are enforced where the numbers enter."""
+
+    def test_ppm_bound(self):
+        EventRates({Event.LOADS: MAX_PPM})
+        with pytest.raises(ConfigError, match=f"below 2\\*\\*{PPM_BITS}"):
+            EventRates({Event.LOADS: MAX_PPM + 1})
+
+    def test_compute_cycles_bound(self):
+        Compute(MAX_CYCLES)
+        with pytest.raises(ConfigError, match=f"below 2\\*\\*{CYCLE_BITS}"):
+            Compute(MAX_CYCLES + 1)
+
+    def test_cost_bound(self):
+        CostModel(timer_tick=MAX_CYCLES)
+        with pytest.raises(ConfigError, match=f"below 2\\*\\*{CYCLE_BITS}"):
+            CostModel(timer_tick=MAX_CYCLES + 1)
+
+    def test_work_syscall_bound(self, uniprocessor):
+        """The ``work`` handler raises, and the program receives the error
+        as the syscall's errno."""
+        errors = []
+
+        def program(ctx):
+            yield Syscall("work", (1_000,))
+            try:
+                yield Syscall("work", (MAX_CYCLES + 1,))
+            except ConfigError as exc:
+                errors.append(str(exc))
+
+        run_threads(uniprocessor, program)
+        assert errors == [f"work syscall cycles must be below 2**{CYCLE_BITS}"]

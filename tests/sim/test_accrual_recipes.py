@@ -1,10 +1,10 @@
-"""Accrual recipes on PMU plan entries.
+"""Packed accrual and the frame recipes on PMU plan entries.
 
-``Engine._account`` replays a memoized recipe for a recurring whole-phase
-window instead of redoing the running-floor arithmetic, and every one-piece
-commit charges a frame (a fixed run of sub-phases) in one accrual. Both
-must be indistinguishable from the arithmetic, a wrap included, and the
-recipes must live and die with their engine.
+``Engine._account`` charges a window's events to the packed tallies with
+the rates' packed multiplier, and every one-piece commit charges a frame (a
+fixed run of sub-phases, memoized on its first plan entry) in one accrual.
+Both must be indistinguishable from the per-event running-floor arithmetic,
+a wrap included, and the frames must live and die with their engine.
 """
 
 import gc
@@ -20,14 +20,14 @@ from repro.hw.events import (
     EventRates,
     KERNEL_RATES,
     LIBRARY_RATES,
-    N_EVENTS,
     SPIN_RATES,
+    events_in,
 )
 from repro.core.limit import LimitSession
 from repro.kernel.vpmu import SlotSpec
 from repro.sim import base as base_mod
 from repro.sim import engine as engine_mod
-from repro.sim.base import _frame, _window_recipe
+from repro.sim.base import _frame, _tally_dict
 from repro.sim.engine import Engine
 from repro.sim.ops import Compute, PmcSafeRead, Rdpmc, Syscall
 from repro.sim.program import ThreadSpec
@@ -59,7 +59,7 @@ def _setup(domain, headroom, width=WIDTH):
     core.current_tid = thread.tid
     thread.region_stack.append("r")
     thread.regions["r"] = RegionTruth(name="r")
-    thread.region_ev["r"] = [0] * N_EVENTS
+    thread.region_ev["r"] = 0
     pmu = core.pmu
     pmu.counter(0).program(Event.INSTRUCTIONS, count_user=True, count_kernel=True)
     pmu.counter(1).program(Event.CYCLES, count_user=True, count_kernel=True)
@@ -72,9 +72,9 @@ def _setup(domain, headroom, width=WIDTH):
 def _state(engine, thread):
     core = engine.machine.cores[0]
     return {
-        "ev_user": list(thread.ev_user),
-        "ev_kernel": list(thread.ev_kernel),
-        "region_ev": {n: list(a) for n, a in thread.region_ev.items()},
+        "ev_user": _tally_dict(thread.ev_user),
+        "ev_kernel": _tally_dict(thread.ev_kernel),
+        "region_ev": {n: _tally_dict(t) for n, t in thread.region_ev.items()},
         "region_kernel": {n: r.kernel_cycles for n, r in thread.regions.items()},
         "counters": [
             (c.value, c.overflow_pending, c.overflow_total)
@@ -99,6 +99,10 @@ def _events(after):
 @pytest.mark.parametrize("domain", [Domain.USER, Domain.KERNEL])
 @pytest.mark.parametrize("headroom", ["none", "one_short", "exact", "spare"])
 def test_replay_matches_generic_arithmetic(domain, headroom):
+    """The rates' packed multiplier, replayed on a whole window by
+    ``_account``, gives the thread and region tallies the generic per-event
+    arithmetic gives (``events_in`` per event, CYCLES included), and the
+    counters take the same events, across a wrap."""
     n = _events(WINDOW)[domain]
     assert n > 1
     room = {
@@ -110,38 +114,30 @@ def test_replay_matches_generic_arithmetic(domain, headroom):
         # the window fills it to the mask and no further
         "spare": n + 1,
     }[headroom]
-    generic, g_thread, g_core, g_entry = _setup(domain, room)
-    replay, r_thread, r_core, r_entry = _setup(domain, room)
-    assert g_entry[2] == {} and r_entry[2] == {}
-    r_entry[2][WINDOW] = _window_recipe(r_entry, WINDOW)
+    engine, thread, core, entry = _setup(domain, room)
+    engine._account(core, thread, domain, entry, 0, WINDOW)
 
-    generic._account(g_core, g_thread, domain, g_entry, 0, WINDOW)
-    replay._account(r_core, r_thread, domain, r_entry, 0, WINDOW)
-
-    # first sighting took the arithmetic and only noted the window
-    assert g_entry[2] == {WINDOW: None}
-    assert r_entry[2][WINDOW] is not None
-    state = _state(generic, g_thread)
-    assert state == _state(replay, r_thread)
+    rates = entry[0]
+    expected = {
+        event: events_in(0, WINDOW, rates.ppm(event))
+        for event in Event
+        if events_in(0, WINDOW, rates.ppm(event))
+    }
+    user = domain is Domain.USER
+    state = _state(engine, thread)
+    assert state["ev_user"] == (expected if user else {})
+    assert state["ev_kernel"] == ({} if user else expected)
+    assert state["region_ev"] == {"r": expected if user else {}}
+    assert state["region_kernel"] == {"r": 0 if user else WINDOW}
+    start = 0 if room is None else (1 << WIDTH) - room
     wrapped = room is not None and room <= n
-    assert (state["counters"][0][1] == 1) is wrapped
+    assert state["counters"] == [
+        ((start + n) & MASK, wrapped, int(wrapped)),
+        (WINDOW, False, 0),
+        (0, False, 0),
+        (0, False, 0),
+    ][: len(state["counters"])]
     assert (state["pmi_due_at"] is not None) is wrapped
-
-
-@pytest.mark.parametrize("domain", [Domain.USER, Domain.KERNEL])
-def test_recipe_lifecycle_matches_arithmetic(domain):
-    """Noted on the first sighting, built on the second, replayed after:
-    the same tallies as redoing the arithmetic every time, across a wrap."""
-    n = _events(WINDOW)[domain]
-    cached, c_thread, c_core, c_entry = _setup(domain, 2 * n + 1)
-    plain, p_thread, p_core, p_entry = _setup(domain, 2 * n + 1)
-    for _ in range(4):
-        cached._account(c_core, c_thread, domain, c_entry, 0, WINDOW)
-        p_entry[2].clear()
-        plain._account(p_core, p_thread, domain, p_entry, 0, WINDOW)
-        assert _state(cached, c_thread) == _state(plain, p_thread)
-    assert c_entry[2][WINDOW] is not None
-    assert _state(cached, c_thread)["counters"][0][1] == 1
 
 
 def _engine_frames(engine):
@@ -239,16 +235,9 @@ def test_spin_frame_charges_the_rounds_that_fit():
         assert thread.user_cycles == rounds * frame[0]
 
 
-def test_recipes_per_entry_are_capped():
-    engine, thread, core, entry = _setup(Domain.KERNEL, None)
-    for after in range(1, base_mod._RECIPES_PER_ENTRY + 50):
-        engine._account(core, thread, Domain.KERNEL, entry, 0, after)
-        assert len(entry[2]) <= base_mod._RECIPES_PER_ENTRY
-
-
 def _counting_program(ctx):
-    """Window recipes (Compute, Rdpmc) and frames (a fast read, a whole
-    syscall) on counting plan entries."""
+    """Frames (a fast read, a whole syscall) and one-shot windows (Compute,
+    Rdpmc) on counting plan entries."""
     idx = yield Syscall(
         "pmc_open",
         (SlotSpec(event=Event.INSTRUCTIONS, count_user=True, count_kernel=True),),

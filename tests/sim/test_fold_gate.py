@@ -17,8 +17,8 @@ from repro.common.config import (
     SimConfig,
 )
 from repro.core.limit import LimitSession
-from repro.hw.events import Domain, Event, LIBRARY_RATES, N_EVENTS
-from repro.sim.base import _frame
+from repro.hw.events import Domain, Event, LIBRARY_RATES
+from repro.sim.base import _frame, _tally_dict
 from repro.sim.engine import Engine
 from repro.sim.ops import (
     Compute,
@@ -71,7 +71,7 @@ def _setup():
     core.now = NOW
     thread.region_stack.append("r")
     thread.regions["r"] = RegionTruth(name="r")
-    thread.region_ev["r"] = [0] * N_EVENTS
+    thread.region_ev["r"] = 0
     core.pmu.counter(0).program(
         Event.INSTRUCTIONS, count_user=True, count_kernel=True
     )
@@ -83,8 +83,8 @@ def _snapshot(engine, thread, core):
         "core": (core.now, core.busy_cycles, core.user_cycles,
                  core.kernel_cycles, core.pmi_due_at),
         "thread": (thread.user_cycles, thread.kernel_cycles,
-                   list(thread.ev_user), list(thread.ev_kernel)),
-        "region": ({n: list(a) for n, a in thread.region_ev.items()},
+                   _tally_dict(thread.ev_user), _tally_dict(thread.ev_kernel)),
+        "region": ({n: _tally_dict(t) for n, t in thread.region_ev.items()},
                    {n: r.kernel_cycles for n, r in thread.regions.items()}),
         "counters": [(c.value, c.overflow_pending) for c in core.pmu.counters],
     }
@@ -113,7 +113,7 @@ def _limits(reason, domain, frame, body, passes):
     The gate's point is a user frame's end (by the slice end, strictly
     before the horizon) and a kernel frame's last sub-phase start (strictly
     before both, and by ``max_cycles``)."""
-    cycles, _deltas, _events, _counts, last = frame
+    cycles, _tally, _packed, _counts, last = frame
     if domain is Domain.USER:
         point, slice_end, horizon = NOW + cycles, NOW + cycles, NOW + cycles + 1
     else:
