@@ -9,7 +9,6 @@ if TYPE_CHECKING:
     from repro.analysis.accuracy import (
         AttributionScore,
         ErrorSummary,
-        percentile,
         relative_error,
         score_attribution,
         summarize_errors,
@@ -96,7 +95,6 @@ if TYPE_CHECKING:
 _EXPORTS = {
     "AttributionScore": "accuracy",
     "ErrorSummary": "accuracy",
-    "percentile": "accuracy",
     "relative_error": "accuracy",
     "score_attribution": "accuracy",
     "summarize_errors": "accuracy",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -21,10 +21,6 @@ class ErrorSummary:
     max_abs: int
     mean_abs: float
     rms: float
-
-    @property
-    def wrong_fraction(self) -> float:
-        return self.n_wrong / self.n if self.n else 0.0
 
     @property
     def all_exact(self) -> bool:
@@ -93,16 +89,3 @@ def score_attribution(
         ),
         worst_relative_error=max(rel_errors, default=float("inf")),
     )
-
-
-def percentile(values: Sequence[float], p: float) -> float:
-    """Nearest-rank percentile (p in [0, 100]); 0.0 on empty input."""
-    if not values:
-        return 0.0
-    if not 0 <= p <= 100:
-        raise ValueError(f"percentile must be in [0, 100], got {p}")
-    ordered = sorted(values)
-    if p == 0:
-        return ordered[0]
-    rank = max(1, math.ceil(p / 100 * len(ordered)))
-    return ordered[rank - 1]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.units import DEFAULT_FREQUENCY, Frequency, truth_log
+from repro.common.units import truth_log
 from repro.kernel.locks import LockStats
 from repro.sim.results import RunResult, merge_histogram
 
@@ -116,10 +116,3 @@ def short_section_fraction(
         # threshold between edges: conservative (counts fully below it only)
         pass
     return short / total
-
-
-def format_cs_length(cycles: float, frequency: Frequency = DEFAULT_FREQUENCY) -> str:
-    ns = frequency.cycles_to_ns(cycles)
-    if ns < 1000:
-        return f"{ns:.0f}ns"
-    return f"{ns / 1000:.1f}us"

@@ -45,13 +45,6 @@ class IntervalSample:
     def midpoint(self) -> int:
         return (self.start + self.end) // 2
 
-    @property
-    def ipc(self) -> float:
-        return _value(_IPC, env_from_counts(self.deltas))
-
-    def mpki(self, miss_event: Event) -> float:
-        return _value(_MPKI[miss_event], env_from_counts(self.deltas))
-
 
 def interval_samples(session: LimitSession) -> list[IntervalSample]:
     """Pair up consecutive checkpoint reads per thread.

@@ -25,10 +25,6 @@ class FlatProfileEntry:
     total_cycles: int = 0        #: inclusive wall cycles, as the tool saw them
     _stack_times: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
-    @property
-    def mean_cycles(self) -> float:
-        return self.total_cycles / self.calls if self.calls else 0.0
-
 
 class InstrumentingProfiler:
     """Flat profiler driven by region entry/exit hooks (gprof-like)."""
@@ -82,12 +78,6 @@ class InstrumentingProfiler:
         entry.total_cycles += now - t0
 
     # -- results ---------------------------------------------------------------
-
-    def flat_profile(self) -> list[FlatProfileEntry]:
-        """Entries sorted by total time, descending (gprof's flat profile)."""
-        return sorted(
-            self.entries.values(), key=lambda e: e.total_cycles, reverse=True
-        )
 
     def total_cycles(self, region: str) -> int:
         entry = self.entries.get(region)

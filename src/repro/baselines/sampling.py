@@ -99,9 +99,3 @@ class SamplingProfiler:
         """Estimated event count for one region (0 if never sampled)."""
         est = self.estimates(result).get(region)
         return est.estimated_events if est else 0
-
-    def relative_error(self, result: RunResult, region: str, truth: int) -> float:
-        """|estimate - truth| / truth for one region (inf if truth is 0)."""
-        if truth == 0:
-            return float("inf")
-        return abs(self.estimate_for(result, region) - truth) / truth

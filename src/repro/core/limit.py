@@ -424,19 +424,8 @@ class UnsafeLimitSession(LimitSession):
 class DestructiveReadSession(LimitSession):
     """A session using the proposed read-and-reset instruction (E11b).
 
-    Reads return deltas; :meth:`read_total` accumulates them into a running
-    total per (thread, counter) so callers can treat it like a monotonic
-    counter at lower cost and with no restart protocol.
+    Reads return deltas since the previous read, at lower cost than a
+    safe read and with no restart protocol.
     """
 
     default_protocol = "destructive"
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._totals: dict[tuple[int, int], int] = {}
-
-    def read_total(self, ctx: ThreadContext, i: int = 0) -> Generator[Any, Any, int]:
-        delta = yield from self.read_destructive(ctx, i)
-        key = (ctx.tid, i)
-        self._totals[key] = self._totals.get(key, 0) + delta
-        return self._totals[key]

@@ -72,18 +72,44 @@ class LockObservation:
         return self.total_hold / len(self.holds) if self.holds else 0.0
 
 
-class InstrumentedLock:
+class PlainLock:
+    """Uninstrumented lock with the same generator interface, for baseline
+    (unperturbed) runs of the same workload code; the base of
+    :class:`InstrumentedLock`."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._acquire = LockAcquire(name)
+        self._release = LockRelease(name)
+
+    def acquire(self, ctx: ThreadContext) -> Generator[Any, Any, None]:
+        yield self._acquire
+
+    def release(self, ctx: ThreadContext) -> Generator[Any, Any, None]:
+        yield self._release
+
+    def critical_section(
+        self, ctx: ThreadContext, body: Generator[Any, Any, Any]
+    ) -> Generator[Any, Any, Any]:
+        """acquire -> body -> release, releasing also when the body raises."""
+        yield from self.acquire(ctx)
+        try:
+            result = yield from body
+        finally:
+            yield from self.release(ctx)
+        return result
+
+
+class InstrumentedLock(PlainLock):
     """A mutex whose acquire/release paths measure themselves."""
 
     def __init__(
         self, name: str, reader: CounterReader, counter_index: int = 0
     ) -> None:
-        self.name = name
+        super().__init__(name)
         self.reader = reader
         self.counter_index = counter_index
         self.observation = LockObservation()
-        self._acquire = LockAcquire(name)
-        self._release = LockRelease(name)
         #: where acquire leaves its closing read for release
         self._key = ("instrumented_lock_t1", name)
 
@@ -112,40 +138,3 @@ class InstrumentedLock:
         yield self._release
         t1 = ctx.scratch.pop(key)
         self.observation.holds.append(t2 - t1)
-
-    def critical_section(
-        self, ctx: ThreadContext, body: Generator[Any, Any, Any]
-    ) -> Generator[Any, Any, Any]:
-        """acquire -> body -> release convenience wrapper."""
-        yield from self.acquire(ctx)
-        try:
-            result = yield from body
-        finally:
-            yield from self.release(ctx)
-        return result
-
-
-class PlainLock:
-    """Uninstrumented lock with the same generator interface, for baseline
-    (unperturbed) runs of the same workload code."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._acquire = LockAcquire(name)
-        self._release = LockRelease(name)
-
-    def acquire(self, ctx: ThreadContext) -> Generator[Any, Any, None]:
-        yield self._acquire
-
-    def release(self, ctx: ThreadContext) -> Generator[Any, Any, None]:
-        yield self._release
-
-    def critical_section(
-        self, ctx: ThreadContext, body: Generator[Any, Any, Any]
-    ) -> Generator[Any, Any, Any]:
-        yield from self.acquire(ctx)
-        try:
-            result = yield from body
-        finally:
-            yield from self.release(ctx)
-        return result

@@ -68,6 +68,3 @@ class PreciseRegionProfiler:
 
     def observation(self, name: str) -> RegionObservation:
         return self.observations.get(name, RegionObservation(name=name))
-
-    def total_measured(self) -> int:
-        return sum(o.total for o in self.observations.values())

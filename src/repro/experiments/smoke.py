@@ -402,6 +402,8 @@ def run_leg(name: str, argv: tuple[str, ...], root: Path) -> dict[str, Any]:
     """Run one leg into a fresh ``root/name`` and return its manifest, with
     the leg's output files (``outputs``) and cache stats (``cache_stats``)
     attached when it wrote them."""
+    from repro.obs.export import read_manifest
+
     leg = root / name
     shutil.rmtree(leg, ignore_errors=True)
     manifest_path = leg / "manifest.json"
@@ -425,7 +427,7 @@ def run_leg(name: str, argv: tuple[str, ...], root: Path) -> dict[str, Any]:
         raise SystemExit(f"smoke: leg {name!r} failed (exit {code})")
     print(f"== smoke leg {name!r}: {time.perf_counter() - started:.1f}s",
           flush=True)
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_manifest(manifest_path)
     out = leg / "out"
     if out.is_dir():
         manifest["outputs"] = {

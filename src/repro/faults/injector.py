@@ -84,14 +84,24 @@ class FaultInjector:
         # Arming flags the engine checks on its fast paths: whenever read
         # faults are armed the composite-read fast path must bail (so traced
         # and untraced runs take the same stage-machine path), and whenever a
-        # tick-triggered fault is armed macro stepping must bail (macro steps
-        # skip _timer_tick).
+        # tick-triggered fault can still fire macro stepping must bail (macro
+        # steps skip _timer_tick); ``fire`` clears it once every
+        # shrink_counter spec has spent its max_injections.
         self.reads_armed = any(
             s.kind == PREEMPT_IN_READ
             or (s.kind == FORCE_BAILOUT and s.point in ("", "fast_read"))
             for s in self._specs
         )
-        self.tick_armed = any(s.kind == SHRINK_COUNTER for s in self._specs)
+        self.tick_armed = self._any_unspent(SHRINK_COUNTER)
+
+    def _any_unspent(self, kind: str) -> bool:
+        """Whether some ``kind`` spec has not spent its max_injections."""
+        fired = self._fired_counts
+        return any(
+            self._specs[i].max_injections is None
+            or fired[i] < self._specs[i].max_injections
+            for i in self._by_kind.get(kind, ())
+        )
 
     # -- the one decision entry point --------------------------------------
 
@@ -153,6 +163,8 @@ class FaultInjector:
                     continue
             self._fired_counts[i] += 1
             self.injected[kind] = self.injected.get(kind, 0) + 1
+            if kind == SHRINK_COUNTER:
+                self.tick_armed = self._any_unspent(kind)
             if kind in SERVICE_KINDS:
                 # Service faults open a ledger entry the workload must
                 # close (resolve_service_fault) — an unresolved entry at

@@ -38,7 +38,6 @@ if TYPE_CHECKING:
     from repro.lint.selfcheck import selfcheck_file, selfcheck_tree
     from repro.lint.walker import (
         DEFAULT_MAX_OPS,
-        LintContext,
         ProgramWalk,
         ThreadWalk,
         walk_program,
@@ -60,7 +59,6 @@ _EXPORTS = {
     "selfcheck_file": "selfcheck",
     "selfcheck_tree": "selfcheck",
     "DEFAULT_MAX_OPS": "walker",
-    "LintContext": "walker",
     "ProgramWalk": "walker",
     "ThreadWalk": "walker",
     "walk_program": "walker",

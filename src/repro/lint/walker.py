@@ -36,7 +36,7 @@ from typing import Any
 from repro.common.config import SimConfig
 from repro.common.rng import RandomStream
 from repro.sim import ops as op
-from repro.sim.program import ThreadSpec
+from repro.sim.program import ThreadContext, ThreadSpec
 
 #: Per-thread op budget; programs longer than this are analyzed on the
 #: walked prefix and marked truncated (an INFO finding, never silent).
@@ -76,57 +76,34 @@ class _StubPerfTable:
 
 
 class _StubEngine:
-    """Minimal engine facade for libraries that reach through the context
-    (the perf_read baseline maps fds back to slots via ``ctx._engine``)."""
+    """The engine calls a :class:`ThreadContext` makes, stubbed for a walk;
+    the perf_read baseline also maps fds back to slots via ``ctx._engine``.
+    One stub engine serves one thread's walk."""
 
-    def __init__(self, config: SimConfig) -> None:
+    def __init__(self, config: SimConfig, tid: int, name: str) -> None:
         self.config = config
         self.perf = _StubPerfTable()
-
-
-class LintContext:
-    """ThreadContext-compatible handle handed to factories during a walk."""
-
-    def __init__(self, name: str, tid: int, config: SimConfig) -> None:
-        self.name = name
-        self.tid = tid
-        self.rng = RandomStream(config.seed, "thread", name, tid)
-        self.scratch: dict[str, Any] = {}
-        self._config = config
-        self._engine = _StubEngine(config)
-        self._stub_thread = _StubThread(tid, name)
+        self._thread = _StubThread(tid, name)
         self._fake_now = 0
 
-    def now(self) -> int:
+    def thread(self, tid: int) -> _StubThread:
+        return self._thread
+
+    def thread_clock(self, thread: _StubThread) -> int:
         # Advances on each query so duration math stays positive.
         self._fake_now += 1_000
         return self._fake_now
 
-    def now_of(self, thread: _StubThread) -> int:
-        return self.now()
-
-    def thread(self) -> _StubThread:
-        return self._stub_thread
-
-    def service_fault(self, kind: str, tier: str):
+    def service_fault(self, tid: int, kind: str, tier: str) -> None:
         """Static walks carry no fault plan, so service faults never fire;
         whether a plan's tier selectors could ever match is a separate
         static question (rule ML012 in :mod:`repro.lint.rules`)."""
         return None
 
-    def service_fault_resolved(self, kind: str, absorbed: bool = True) -> None:
+    def service_fault_resolved(
+        self, tid: int, kind: str, absorbed: bool = True
+    ) -> None:
         return None
-
-    @property
-    def frequency(self):
-        return self._config.machine.frequency
-
-    @property
-    def costs(self):
-        return self._config.machine.costs
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<LintContext {self.name!r} tid={self.tid}>"
 
 
 @dataclass
@@ -226,7 +203,7 @@ _STUB_DISPATCH: dict[type, int] = {
 def _walk_thread(
     walk: ThreadWalk,
     factory: Any,
-    ctx: LintContext,
+    ctx: ThreadContext,
     config: SimConfig,
     max_ops: int,
     spawn_queue: list[tuple[str, Any, str]],
@@ -352,7 +329,12 @@ def _walk_all(
         tid = next_tid
         next_tid += 1
         walk = ThreadWalk(name=name, tid=tid, spawned_by=spawned_by)
-        ctx = LintContext(name, tid, config)
+        ctx = ThreadContext(
+            name,
+            tid,
+            RandomStream(config.seed, "thread", name, tid),
+            _StubEngine(config, tid, name),
+        )
         spawn_queue: list[tuple[str, Any, str]] = []
         _walk_thread(
             walk,

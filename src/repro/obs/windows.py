@@ -370,17 +370,6 @@ class WindowedStats:
             self.max_retained = len(self.windows)
         return self
 
-    def drain(self) -> list[Window]:
-        """Evict every retained window through the sink (ascending index),
-        returning them; afterwards everything detailed is in ``spilled``.
-        Called at end of run/stream so the sink sees a complete series."""
-        drained: list[Window] = []
-        for index in sorted(self.windows):
-            window = self.windows[index]
-            drained.append(window.copy())
-            self._evict(index)
-        return drained
-
     def detach_sink(self) -> None:
         """Drop the eviction sink (before pickling/attaching to records)."""
         self.on_evict = None

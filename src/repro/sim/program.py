@@ -14,7 +14,7 @@ from repro.common.errors import ConfigError
 from repro.common.rng import RandomStream
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.common.config import CostModel, Frequency
+    from repro.common.config import CostModel
     from repro.sim.engine import Engine, SimThread
 
 ProgramFactory = Callable[["ThreadContext"], Generator[Any, Any, Any]]
@@ -83,10 +83,6 @@ class ThreadContext:
     def service_fault_resolved(self, kind: str, absorbed: bool = True) -> None:
         """Close one open service-fault ledger entry."""
         self._engine.service_fault_resolved(self.tid, kind, absorbed)
-
-    @property
-    def frequency(self) -> Frequency:
-        return self._engine.config.machine.frequency
 
     @property
     def costs(self) -> CostModel:

@@ -51,6 +51,27 @@ def getpid(
     return 150, action
 
 
+def _open_slot(core: Core, thread: SimThread, spec: SlotSpec) -> int:
+    """Allocate a slot for ``spec``, program its counter, preload it (0 for
+    counting, ``period`` below the wrap for sampling) and set the slot's
+    ground-truth bases; return the slot index."""
+    idx = thread.vpmu.allocate(spec)
+    ctr = core.pmu.counter(idx)
+    ctr.program(spec.event, spec.count_user, spec.count_kernel)
+    ctr.write(0 if spec.mode == "count" else max(0, ctr.threshold - spec.period))
+    base = thread.slot_truth(spec)
+    thread.slot_truth_base[idx] = base
+    thread.slot_reset_truth[idx] = base
+    return idx
+
+
+def _close_slot(core: Core, thread: SimThread, idx: int) -> None:
+    """Deprogram slot ``idx``'s counter and free the slot."""
+    core.pmu.counter(idx).deprogram()
+    thread.vpmu.free(idx)
+    thread.slot_saved[idx] = None
+
+
 def pmc_open(
     engine: Engine, core: Core, thread: SimThread, args: tuple
 ) -> tuple[int, SysAction | None]:
@@ -62,14 +83,7 @@ def pmc_open(
     cost = 800 + 2 * engine._costs.wrmsr
 
     def action(core: Core, thread: SimThread) -> tuple[Any, Any]:
-        idx = thread.vpmu.allocate(spec)
-        ctr = core.pmu.counter(idx)
-        ctr.program(spec.event, spec.count_user, spec.count_kernel)
-        ctr.write(0)
-        base = thread.slot_truth(spec)
-        thread.slot_truth_base[idx] = base
-        thread.slot_reset_truth[idx] = base
-        return idx, None
+        return _open_slot(core, thread, spec), None
 
     return cost, action
 
@@ -81,9 +95,7 @@ def pmc_close(
 
     def action(core: Core, thread: SimThread) -> tuple[Any, Any]:
         thread.vpmu.spec(idx)  # validates
-        core.pmu.counter(idx).deprogram()
-        thread.vpmu.free(idx)
-        thread.slot_saved[idx] = None
+        _close_slot(core, thread, idx)
         return None, None
 
     return 400, action
@@ -109,16 +121,7 @@ def perf_open(
         )
 
     def action(core: Core, thread: SimThread) -> tuple[Any, Any]:
-        idx = thread.vpmu.allocate(spec)
-        ctr = core.pmu.counter(idx)
-        ctr.program(spec.event, spec.count_user, spec.count_kernel)
-        if mode == "count":
-            ctr.write(0)
-        else:
-            ctr.write(max(0, ctr.threshold - period))
-        base = thread.slot_truth(spec)
-        thread.slot_truth_base[idx] = base
-        thread.slot_reset_truth[idx] = base
+        idx = _open_slot(core, thread, spec)
         fd = engine.perf.open(thread.tid, idx, event, mode, period)
         return fd.fd, None
 
@@ -152,9 +155,7 @@ def perf_close(
 
     def action(core: Core, thread: SimThread) -> tuple[Any, Any]:
         fd = engine.perf.close(fd_no)
-        core.pmu.counter(fd.slot).deprogram()
-        thread.vpmu.free(fd.slot)
-        thread.slot_saved[fd.slot] = None
+        _close_slot(core, thread, fd.slot)
         return fd, None
 
     return 1500, action
@@ -291,10 +292,7 @@ def mux_open(
     cost = 3500 + 2 * engine._costs.wrmsr
 
     def action(core: Core, thread: SimThread) -> tuple[Any, Any]:
-        idx = thread.vpmu.allocate(specs[0])
-        ctr = core.pmu.counter(idx)
-        ctr.program(specs[0].event, count_user, count_kernel)
-        ctr.write(0)
+        idx = _open_slot(core, thread, specs[0])
         thread.mux = MuxState(
             slot=idx,
             specs=specs,
@@ -302,7 +300,6 @@ def mux_open(
             active_since_cpu=thread.cpu_cycles,
             total_cpu_base=thread.cpu_cycles,
         )
-        thread.slot_truth_base[idx] = thread.slot_truth(specs[0])
         return idx, None
 
     return cost, action
@@ -340,9 +337,7 @@ def mux_close(
         state = thread.mux
         if state is None:
             raise ConfigError("mux_close without a multiplexed group")
-        core.pmu.counter(state.slot).deprogram()
-        thread.vpmu.free(state.slot)
-        thread.slot_saved[state.slot] = None
+        _close_slot(core, thread, state.slot)
         thread.mux = None
         return state.rotations, None
 

@@ -16,7 +16,6 @@ if TYPE_CHECKING:
         PARSE_RATES,
         ROW_ACCESS_RATES,
         Workload,
-        plain,
     )
     from repro.workloads.firefox import (
         FirefoxConfig,
@@ -67,7 +66,6 @@ _EXPORTS = {
     "PARSE_RATES": "base",
     "ROW_ACCESS_RATES": "base",
     "Workload": "base",
-    "plain": "base",
     "FirefoxConfig": "firefox",
     "FirefoxWorkload": "firefox",
     "JsFunction": "firefox",

@@ -91,11 +91,6 @@ class Instrumentation:
         }
 
 
-#: No instrumentation at all — the unperturbed baseline arm.
-def plain() -> Instrumentation:
-    return Instrumentation()
-
-
 def run_region(
     instr: Instrumentation,
     ctx: ThreadContext,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.accuracy import (
-    percentile,
     relative_error,
     score_attribution,
     summarize_errors,
@@ -14,7 +13,6 @@ class TestSummarizeErrors:
     def test_empty(self):
         s = summarize_errors([])
         assert s.n == 0 and s.all_exact
-        assert s.wrong_fraction == 0.0
 
     def test_all_exact(self):
         s = summarize_errors([0, 0, 0])
@@ -27,7 +25,6 @@ class TestSummarizeErrors:
         assert s.n_wrong == 2
         assert s.max_abs == 4
         assert s.mean_abs == pytest.approx(7 / 4)
-        assert s.wrong_fraction == 0.5
 
     def test_rms(self):
         s = summarize_errors([3, -4])
@@ -67,23 +64,3 @@ class TestScoreAttribution:
         )
         assert score.mean_relative_error == pytest.approx(0.5)
         assert score.worst_relative_error == pytest.approx(0.5)
-
-
-class TestPercentile:
-    def test_empty(self):
-        assert percentile([], 50) == 0.0
-
-    def test_median(self):
-        assert percentile([1, 2, 3, 4, 5], 50) == 3
-
-    def test_extremes(self):
-        values = [10, 20, 30]
-        assert percentile(values, 0) == 10
-        assert percentile(values, 100) == 30
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            percentile([1], 101)
-
-    def test_unsorted_input(self):
-        assert percentile([5, 1, 3], 100) == 5

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.sync_stats import (
     CS_HISTOGRAM_EDGES,
     CS_HISTOGRAM_LABELS,
-    format_cs_length,
     short_section_fraction,
     summarize_lock,
     sync_profile,
@@ -103,11 +102,5 @@ class TestShortSectionFraction:
 
 
 class TestFormatting:
-    def test_ns(self):
-        assert format_cs_length(240) == "100ns"
-
-    def test_us(self):
-        assert format_cs_length(24_000) == "10.0us"
-
     def test_edges_ascending(self):
         assert CS_HISTOGRAM_EDGES == sorted(CS_HISTOGRAM_EDGES)

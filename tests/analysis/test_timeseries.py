@@ -46,11 +46,12 @@ class TestIntervalSamples:
         session, _ = checkpointed_run(
             uniprocessor, [(100_000, HOT), (100_000, COLD)]
         )
-        hot, cold = interval_samples(session)
+        # one interval per window: each point's metrics are its interval's
+        hot, cold = windowed_series(interval_samples(session), 100_000)
         assert hot.ipc == pytest.approx(2.0, rel=0.02)
         assert cold.ipc == pytest.approx(0.5, rel=0.02)
-        assert cold.mpki(Event.LLC_MISSES) == pytest.approx(20.0, rel=0.05)
-        assert hot.mpki(Event.LLC_MISSES) < 1.0
+        assert cold.mpki[Event.LLC_MISSES] == pytest.approx(20.0, rel=0.05)
+        assert hot.mpki[Event.LLC_MISSES] < 1.0
 
     def test_times_ordered(self, uniprocessor):
         session, _ = checkpointed_run(uniprocessor, [(10_000, HOT)] * 5)

@@ -166,13 +166,13 @@ class TestUnsafeVariant:
 class TestDestructiveVariant:
     def test_deltas_sum_to_truth(self, uniprocessor):
         session = DestructiveReadSession([Event.INSTRUCTIONS])
-        totals = []
+        totals = [0]
 
         def program(ctx):
             yield from session.setup(ctx)
             for _ in range(5):
                 yield Compute(10_000, RATES)
-                totals.append((yield from session.read_total(ctx, 0)))
+                totals.append(totals[-1] + (yield from session.read(ctx, 0)))
 
         run_threads(uniprocessor, program)
         assert totals == sorted(totals)

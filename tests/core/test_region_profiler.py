@@ -78,17 +78,3 @@ class TestMeasure:
         obs = prof.observation("never-seen")
         assert obs.invocations == 0
         assert obs.mean == 0.0
-
-    def test_total_measured(self, uniprocessor):
-        session = LimitSession([Event.CYCLES])
-        prof = PreciseRegionProfiler(session)
-
-        def program(ctx):
-            yield from session.setup(ctx)
-            yield from prof.measure(ctx, "a", body(100))
-            yield from prof.measure(ctx, "b", body(200))
-
-        run_threads(uniprocessor, program)
-        assert prof.total_measured() == (
-            prof.observation("a").total + prof.observation("b").total
-        )

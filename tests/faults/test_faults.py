@@ -139,6 +139,39 @@ class TestInjectorSelection:
         )
 
 
+class TestTickArmed:
+    def test_armed_until_the_last_shrink_fires(self):
+        inj = FaultInjector(
+            FaultPlan((F.shrink_counter(12, nth=1), F.shrink_counter(10, nth=3)))
+        )
+        # the first spec to fire wins, so the second one's third match is
+        # the fourth tick
+        armed = [inj.tick_armed]
+        for i in range(4):
+            inj.fire(F.SHRINK_COUNTER, Core(i))
+            armed.append(inj.tick_armed)
+        assert armed == [True, True, True, True, False]
+        assert inj.injected == {F.SHRINK_COUNTER: 2}
+
+    def test_clear_once_every_shrink_is_spent(self):
+        inj = FaultInjector(
+            FaultPlan((F.shrink_counter(12, every=2, max_injections=2),))
+        )
+        fired = []
+        for i in range(6):
+            fired.append(inj.fire(F.SHRINK_COUNTER, Core(i)) is not None)
+        assert fired == [False, True, False, True, False, False]
+        assert not inj.tick_armed
+
+    def test_stays_armed_without_max_injections(self):
+        inj = FaultInjector(
+            FaultPlan((F.shrink_counter(12, max_injections=None),))
+        )
+        for i in range(4):
+            assert inj.fire(F.SHRINK_COUNTER, Core(i)) is not None
+        assert inj.tick_armed
+
+
 class TestDetectMissLedger:
     def test_safe_hazard_detected_on_failed_check(self):
         inj = FaultInjector(FaultPlan((F.preempt_in_read(every=2),)))

@@ -6,14 +6,12 @@ tids and protocol results consistent enough that real measurement-library
 code (sessions, baselines) walks to completion unmodified.
 """
 
-import inspect
-
 from repro.common.config import MachineConfig, PmuConfig, SimConfig
 from repro.common.rng import RandomStream
 from repro.core.limit import LimitSession
 from repro.hw.events import Event
 from repro.kernel.vpmu import SlotSpec
-from repro.lint.walker import LintContext, walk_program
+from repro.lint.walker import walk_program
 from repro.sim import ops as op
 from repro.sim.program import ThreadContext, ThreadSpec
 
@@ -24,26 +22,37 @@ def _specs(*factories):
     return [ThreadSpec(f"t{i}", f) for i, f in enumerate(factories)]
 
 
-def _parameters(cls, name):
-    return [
-        (p.name, p.kind, p.default)
-        for p in inspect.signature(getattr(cls, name)).parameters.values()
-    ]
+#: Every public ThreadContext member, and how a program uses it.
+_CONTEXT_USES = {
+    "name": lambda ctx: ctx.name,
+    "tid": lambda ctx: ctx.tid,
+    "now": lambda ctx: ctx.now(),
+    "now_of": lambda ctx: ctx.now_of(ctx.thread()),
+    "thread": lambda ctx: ctx.thread().last_rdpmc_truth,
+    "service_fault": lambda ctx: ctx.service_fault("drop", "front"),
+    "service_fault_resolved": lambda ctx: ctx.service_fault_resolved("drop"),
+    "costs": lambda ctx: ctx.costs.rdpmc,
+    "scratch": lambda ctx: ctx.scratch.setdefault("k", 1),
+    "rng": lambda ctx: ctx.rng.random(),
+}
 
 
-def test_lint_context_mirrors_thread_context():
-    """A factory walks with the stub context in place of the real one, so
-    the stub defines every public name the real one has, and each method
-    takes the same parameters."""
+def test_walk_reaches_every_context_member():
+    """A factory walks with a real ThreadContext over the walker's stub
+    engine, so a context member whose engine call the stub lacks surfaces
+    here as a walk error rather than in a lint gate."""
     real = ThreadContext("t", 1, RandomStream(0, "t"), engine=None)
-    stub = LintContext("t", 1, SimConfig())
-    public = {name for name in dir(real) if not name.startswith("_")}
-    assert public <= set(dir(stub))
-    for name in public:
-        if inspect.isfunction(inspect.getattr_static(ThreadContext, name, None)):
-            assert _parameters(LintContext, name) == _parameters(
-                ThreadContext, name
-            ), name
+    assert {n for n in dir(real) if not n.startswith("_")} == set(_CONTEXT_USES)
+
+    def prog(ctx):
+        for use in _CONTEXT_USES.values():
+            use(ctx)
+            yield op.Compute(10, SIMPLE_RATES)
+        assert ctx.now() < ctx.now()
+
+    walk = walk_program(_specs(prog))
+    assert walk.threads[0].walk_error == ""
+    assert len(walk.threads[0]) == len(_CONTEXT_USES)
 
 
 class TestWalking:

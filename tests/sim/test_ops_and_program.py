@@ -167,7 +167,6 @@ class TestThreadContext:
             seen["name"] = ctx.name
             seen["tid"] = ctx.tid
             seen["rand"] = ctx.rng.random()
-            seen["freq"] = ctx.frequency.hz
             seen["cost"] = ctx.costs.rdpmc
             yield Compute(10, SIMPLE_RATES)
 
@@ -175,7 +174,6 @@ class TestThreadContext:
         assert seen["name"] == "t0"
         assert seen["tid"] >= 1
         assert 0 <= seen["rand"] < 1
-        assert seen["freq"] == uniprocessor.machine.frequency.hz
         assert seen["cost"] == uniprocessor.machine.costs.rdpmc
 
     def test_rng_differs_per_thread(self, quad_core):

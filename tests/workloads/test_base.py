@@ -6,7 +6,7 @@ from repro.core.locks import InstrumentedLock, PlainLock
 from repro.core.regions import PreciseRegionProfiler
 from repro.hw.events import Event, EventRates
 from repro.sim.ops import Compute
-from repro.workloads.base import Instrumentation, plain, run_region
+from repro.workloads.base import Instrumentation, run_region
 from tests.conftest import run_threads
 
 RATES = EventRates.profile(ipc=1.0)
@@ -14,7 +14,7 @@ RATES = EventRates.profile(ipc=1.0)
 
 class TestInstrumentation:
     def test_plain_bundle_has_nothing(self):
-        instr = plain()
+        instr = Instrumentation()
         assert not instr.sessions
         assert instr.profiler is None
         assert isinstance(instr.lock("x"), PlainLock)
