@@ -410,22 +410,18 @@ def precheck(
 
 
 def sweep(
-    assumptions: Sequence[Assumption],
-    grid: Sequence[GridPoint],
-    *,
-    jobs: int | None = None,
-    static_check: bool = True,
+    assumptions: Sequence[Assumption], grid: Sequence[GridPoint]
 ) -> SweepResult:
-    """Run the grid through the fabric and judge every assumption.
+    """Statically check every assumption, run the grid through the fabric
+    and judge each one.
 
     Deterministic: outcomes come back in grid order and judging is pure,
-    so serial and ``jobs``-parallel sweeps produce identical verdicts
+    so serial and parallel fabric policies produce identical verdicts
     (the fabric's cache makes repeat sweeps free).
     """
-    from repro.fabric import RunJob, run_many
+    from repro.fabric import JobFailure, RunJob, run_many
 
-    if static_check:
-        precheck(assumptions, config=grid[0].config if grid else None)
+    precheck(assumptions, config=grid[0].config if grid else None)
     run_jobs = [
         RunJob(
             workload=point.workload,
@@ -435,13 +431,13 @@ def sweep(
         )
         for point in grid
     ]
-    outcomes = run_many(run_jobs, jobs_n=jobs)
+    outcomes = run_many(run_jobs)
     kept_points: list[GridPoint] = []
     envs: list[dict[str, float]] = []
     failed: list[str] = []
     cached = 0
     for point, outcome in zip(grid, outcomes):
-        if getattr(outcome, "result", None) is None:
+        if isinstance(outcome, JobFailure):
             failed.append(point.label)
             continue
         cached += 1 if outcome.cached else 0

@@ -101,18 +101,18 @@ def short_section_fraction(
     profile: SyncProfile, threshold_cycles: int = 2_400
 ) -> float:
     """Fraction of critical sections shorter than ``threshold_cycles``
-    (default 1 us at 2.4 GHz) — the paper's 'locks are short' headline."""
+    (default 1 us at 2.4 GHz) — the paper's 'locks are short' headline.
+
+    Only whole histogram buckets count: a bucket is short when its upper
+    edge is <= the threshold, so a threshold between two edges counts only
+    the buckets wholly below it."""
     counts = profile.hold_histogram
     total = sum(counts)
     if total == 0:
         return 0.0
-    short = 0
-    edge_acc = 0
-    for i, edge in enumerate(CS_HISTOGRAM_EDGES):
-        if edge <= threshold_cycles:
-            short += counts[i]
-            edge_acc = edge
-    if edge_acc != threshold_cycles:
-        # threshold between edges: conservative (counts fully below it only)
-        pass
+    short = sum(
+        n
+        for n, edge in zip(counts, CS_HISTOGRAM_EDGES)
+        if edge <= threshold_cycles
+    )
     return short / total

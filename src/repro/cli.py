@@ -32,7 +32,6 @@ from repro.analysis import (
 )
 from repro.common.config import KernelConfig, MachineConfig, SimConfig
 from repro.common.units import format_cycles
-from repro.sim.engine import run_program
 
 
 def _workload_catalog():
@@ -95,13 +94,13 @@ def _cmd_list(args) -> int:
 
 def _cmd_run(args) -> int:
     catalog = _workload_catalog()
-    factory = catalog.get(args.workload)
-    if factory is None:
+    if args.workload not in catalog:
         print(
             f"unknown workload {args.workload!r}; try: {', '.join(sorted(catalog))}",
             file=sys.stderr,
         )
         return 2
+    from repro import fabric
     from repro.obs import runtime as obs_runtime
 
     config = SimConfig(
@@ -114,35 +113,23 @@ def _cmd_run(args) -> int:
     cache = None
     cache_dir = args.cache_dir
     if cache_dir is None and args.cache:
-        from repro.fabric import default_cache_dir
-
-        cache_dir = default_cache_dir()
+        cache_dir = fabric.default_cache_dir()
     # Traces and gantt timelines must come from a real execution.
     if cache_dir and not want_traces and not args.gantt:
-        from repro.fabric import ResultCache
+        cache = fabric.ResultCache(cache_dir)
 
-        cache = ResultCache(cache_dir)
-
-    cached = False
+    job = fabric.RunJob(
+        workload="repro.cli.build_workload_specs",
+        config=config,
+        kwargs={"name": args.workload, "scale": args.scale},
+        label=args.workload,
+    )
     started = time.perf_counter()
-    with obs_runtime.collect(
+    with fabric.policy(cache=cache), obs_runtime.collect(
         capture_traces=want_traces, label=args.workload
     ) as collector:
-        if cache is not None:
-            from repro import fabric
-
-            outcome = fabric.run_one(
-                fabric.RunJob(
-                    workload="repro.cli.build_workload_specs",
-                    config=config,
-                    kwargs={"name": args.workload, "scale": args.scale},
-                    label=args.workload,
-                ),
-                cache=cache,
-            )
-            result, cached = outcome.result, outcome.cached
-        else:
-            result = run_program(factory(args.scale).build(), config)
+        outcome = fabric.run_one(job)
+    result = outcome.result
     wall = time.perf_counter() - started
     result.check_conservation()
     print(run_report(result))
@@ -182,7 +169,7 @@ def _cmd_run(args) -> int:
                 "context_switches": collector.context_switches,
                 "config_hash": collector.config_hash(),
                 "metrics": collector.metrics_snapshot(),
-                "cached": cached,
+                "cached": outcome.cached,
                 "cache": cache.stats.as_dict() if cache is not None else None,
             },
         )

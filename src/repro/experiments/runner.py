@@ -311,15 +311,15 @@ def run_entries(
     experiments through :func:`repro.experiments.base.reuse` for the
     length of the call, under the cache's bypass rule.
     ``keep_going`` lets sweeps continue past dead/hung workers and reports
-    them as structured job failures in the manifest (otherwise the current
-    fabric failure policy holds). ``lint_mode`` ("off", "on", "strict")
+    them as structured job failures in the manifest (otherwise the first
+    terminal job failure raises). ``lint_mode`` ("off", "on", "strict")
     arms the fail-closed static-analysis gate in front of every fabric
     dispatch. ``window_spec`` shapes windowed observations; ``stream_dir``
     streams them to one ``repro.obs/stream/v1`` directory per experiment
     as runs complete.
-    ``timeout`` caps each fabric job's wall-clock seconds (None keeps the
-    current policy); a timed-out worker is killed mid-stream, so streaming
-    runs sweep orphaned (never-closed) stream directories first.
+    ``timeout`` caps each fabric job's wall-clock seconds (None: no cap);
+    a timed-out worker is killed mid-stream, so streaming runs sweep
+    orphaned (never-closed) stream directories first.
     """
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
@@ -338,48 +338,41 @@ def run_entries(
         sweep_orphan_streams(stream_dir)
     total_started = time.perf_counter()
 
-    previous = fabric_jobs.current()
-    prev_jobs, prev_cache = previous.jobs, previous.cache
-    prev_fail_fast, prev_timeout = previous.fail_fast, previous.timeout
     prev_lint = lint_gate.state()
-    fabric_jobs.configure(jobs=jobs, cache=use_cache)
-    if keep_going:
-        fabric_jobs.configure(fail_fast=False)
-    if timeout is not None:
-        fabric_jobs.configure(timeout=timeout)
-    lint_gate.restore(lint_mode)
     outcomes: list[EntryOutcome] = []
-    try:
-        for entry in entries:
-            outcome: EntryOutcome | None = None
-            if use_cache is not None:
-                key = use_cache.key("experiment", entry.exp_id, quick)
-                loaded = time.perf_counter()
-                outcome = use_cache.get(key)
-                if outcome is not None:
-                    outcome.cached = True
-                    outcome.wall_seconds = time.perf_counter() - loaded
-            if outcome is None:
-                outcome = _execute(
-                    entry, quick, capture_traces, window_spec, stream_dir
-                )
-            # Partial results (fabric job failures) must never be cached
-            # or reused: a replay would hide the failure and serve
-            # incomplete data.
-            if replayable and outcome.error is None and not outcome.job_failures:
-                if use_cache is not None and not outcome.cached:
-                    use_cache.put(key, outcome)
-                base.outcomes[(entry.exp_id, quick)] = outcome
-            outcomes.append(outcome)
-    finally:
-        base.outcomes.clear()
-        fabric_jobs.configure(
-            jobs=prev_jobs,
-            cache=prev_cache,
-            fail_fast=prev_fail_fast,
-            timeout=prev_timeout,
-        )
-        lint_gate.restore(*prev_lint)
+    with fabric_jobs.policy(
+        jobs=jobs, cache=use_cache, timeout=timeout, fail_fast=not keep_going
+    ):
+        lint_gate.restore(lint_mode)
+        try:
+            for entry in entries:
+                outcome: EntryOutcome | None = None
+                if use_cache is not None:
+                    key = use_cache.key("experiment", entry.exp_id, quick)
+                    loaded = time.perf_counter()
+                    outcome = use_cache.get(key)
+                    if outcome is not None:
+                        outcome.cached = True
+                        outcome.wall_seconds = time.perf_counter() - loaded
+                if outcome is None:
+                    outcome = _execute(
+                        entry, quick, capture_traces, window_spec, stream_dir
+                    )
+                # Partial results (fabric job failures) must never be
+                # cached or reused: a replay would hide the failure and
+                # serve incomplete data.
+                if (
+                    replayable
+                    and outcome.error is None
+                    and not outcome.job_failures
+                ):
+                    if use_cache is not None and not outcome.cached:
+                        use_cache.put(key, outcome)
+                    base.outcomes[(entry.exp_id, quick)] = outcome
+                outcomes.append(outcome)
+        finally:
+            base.outcomes.clear()
+            lint_gate.restore(*prev_lint)
 
     records = [
         _emit(outcome, quick, out, trace_dir, stdout, stderr)

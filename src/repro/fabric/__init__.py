@@ -6,11 +6,17 @@ from a content-addressed on-disk cache. Determinism is the contract: a
 run's outputs depend only on its inputs and the simulator source, so
 serial, parallel and cached execution all produce identical results.
 
+One policy governs execution — pool width, result cache, per-job timeout
+and fail-fast — set for a scope with ``with policy(jobs=..., cache=...)``
+and restored when the scope exits; every :func:`run_many` in the scope
+follows it.
+
 The fabric is also crash-tolerant: pooled jobs run one-per-process with a
-per-job timeout and bounded retry, so a crashed or hung worker yields a
-structured :class:`JobFailure` (under ``fail_fast=False``) instead of
-taking down the sweep, and corrupt cache entries are quarantined rather
-than fatal (see :mod:`repro.fabric.cache` and ``docs/robustness.md``).
+per-job timeout and a fixed retry budget, so a crashed or hung worker
+yields a structured :class:`JobFailure` (under ``fail_fast=False``)
+instead of taking down the sweep, and corrupt cache entries are
+quarantined rather than fatal (see :mod:`repro.fabric.cache` and
+``docs/robustness.md``).
 """
 
 from typing import TYPE_CHECKING
@@ -24,10 +30,9 @@ if TYPE_CHECKING:
         JobFailure,
         JobOutcome,
         RunJob,
-        configure,
-        current,
         drain_failures,
         execute_job,
+        policy,
         run_many,
         run_one,
     )
@@ -43,10 +48,9 @@ _EXPORTS = {
     "JobFailure": "jobs",
     "JobOutcome": "jobs",
     "RunJob": "jobs",
-    "configure": "jobs",
-    "current": "jobs",
     "drain_failures": "jobs",
     "execute_job": "jobs",
+    "policy": "jobs",
     "run_many": "jobs",
     "run_one": "jobs",
 }

@@ -10,25 +10,26 @@ the run; whatever the caller needs back travels as picklable data:
 * ``outcome.extra`` — the factory's optional ``extract(result)`` payload
   (use it to ship tool-side observations such as session read records).
 
-:func:`run_many` executes a batch of jobs — in worker processes when the
-fabric is configured with ``jobs > 1`` or a per-job ``timeout``, inline
-otherwise — consults the result cache when one is configured, and merges
-every engine run into the ambient :mod:`repro.obs` collector so manifests
-stay correct regardless of where runs physically executed. Simulation
-is deterministic, so outcomes are byte-identical across serial, parallel
-and cache-hit execution (a property test enforces this).
+:func:`run_many` executes a batch of jobs under the fabric policy, set
+for a scope with :func:`policy` — in worker processes when the policy has
+``jobs > 1`` or a per-job ``timeout``, inline otherwise — consults the
+policy's result cache, and merges every engine run into the ambient
+:mod:`repro.obs` collector so manifests stay correct regardless of where
+runs physically executed. Simulation is deterministic, so outcomes are
+byte-identical across serial, parallel and cache-hit execution (a
+property test enforces this).
 
 Worker execution is *fault-isolated*: every pooled job runs in its own
 process, so a crashed worker (segfault, ``os._exit``, OOM kill) or a hung
 one (per-job ``timeout``) is blamed on exactly the offending job — never
-on innocent jobs sharing the sweep. Crashes and timeouts are retried with
-jittered exponential backoff up to ``retries`` times (they may be
-transient: a busy machine, an OOM near-miss); deterministic Python
-exceptions are not retried, because the simulator is deterministic and
-would fail identically. Under ``fail_fast=False`` a terminally failed job
-becomes a structured :class:`JobFailure` in the outcome list and the sweep
-continues; under ``fail_fast=True`` (the library default, matching the
-historical behaviour) the first terminal failure raises.
+on innocent jobs sharing the sweep. Crashes and timeouts are retried
+:data:`RETRIES` times after a jittered exponential backoff from
+:data:`BACKOFF` seconds (they may be transient: a busy machine, an OOM
+near-miss); deterministic Python exceptions are not retried, because the
+simulator is deterministic and would fail identically. Under
+``fail_fast=False`` a terminally failed job becomes a structured
+:class:`JobFailure` in the outcome list and the sweep continues; under
+``fail_fast=True`` (the default) the first terminal failure raises.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ import importlib
 import multiprocessing
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from multiprocessing import connection as mp_connection
 from typing import Any
 
@@ -50,24 +53,18 @@ from repro.obs.runtime import EngineRunRecord
 from repro.obs.warnings import warn
 from repro.sim.results import RunResult
 
-class _Unset:
-    """Sentinel type for "argument omitted" as distinct from an explicit
-    ``None``; a real class (not a bare ``object()``) so ``isinstance``
-    checks narrow the ``X | None | _Unset`` unions below."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "<unset>"
+#: How many times a crashed or timed-out job is re-run before it becomes a
+#: terminal failure (deterministic exceptions never retry).
+RETRIES = 1
+#: Base backoff in seconds before a retry; the actual delay is
+#: ``BACKOFF * 2**(attempt-1)`` with up to +25% jitter.
+BACKOFF = 0.25
 
 
-_UNSET = _Unset()
-
-
-@dataclass
+@dataclass(frozen=True)
 class FabricConfig:
-    """Process-local execution policy: pool width, result cache, and the
-    failure policy (per-job timeout, retry budget, fail-fast)."""
+    """Process-local execution policy: pool width, result cache, per-job
+    timeout and fail-fast. Set for a scope with :func:`policy`."""
 
     jobs: int = 1
     cache: ResultCache | None = None
@@ -75,13 +72,7 @@ class FabricConfig:
     #: A budget runs every job in a worker process (``max(1, jobs)`` at a
     #: time), even at ``jobs=1``, so there is a process boundary to kill.
     timeout: float | None = None
-    #: how many times a crashed or timed-out job is re-run before it
-    #: becomes a terminal failure (deterministic exceptions never retry).
-    retries: int = 1
-    #: base backoff in seconds before a retry; the actual delay is
-    #: ``backoff * 2**(attempt-1)`` with up to +25% jitter.
-    backoff: float = 0.25
-    #: True: first terminal job failure raises (historical behaviour).
+    #: True: the first terminal job failure raises FabricError.
     #: False: failures come back as JobFailure and the sweep continues.
     fail_fast: bool = True
 
@@ -100,46 +91,25 @@ def drain_failures() -> list["JobFailure"]:
     return failures
 
 
-def configure(
-    jobs: int | None = None,
-    cache: "ResultCache | None | _Unset" = _UNSET,
-    timeout: "float | None | _Unset" = _UNSET,
-    retries: int | None = None,
-    backoff: float | None = None,
-    fail_fast: bool | None = None,
-) -> FabricConfig:
-    """Set the process-wide fabric policy; returns the live config.
+@contextmanager
+def policy(**changes: Any) -> Iterator[FabricConfig]:
+    """Run the block under the live policy with ``changes`` applied.
 
-    ``cache`` takes a ready :class:`ResultCache` (or None to disable);
-    omitting it leaves the current cache untouched. ``timeout``/
-    ``retries``/``backoff``/``fail_fast`` set the failure policy (see
-    :class:`FabricConfig`).
+    ``changes`` name :class:`FabricConfig` fields (``jobs``, ``cache``,
+    ``timeout``, ``fail_fast``); the ones left out keep their live values.
+    The old policy comes back when the block exits, however it exits.
     """
-    if jobs is not None:
-        if jobs < 1:
-            raise ConfigError(f"fabric jobs must be >= 1, got {jobs}")
-        _config.jobs = jobs
-    if not isinstance(cache, _Unset):
-        _config.cache = cache
-    if not isinstance(timeout, _Unset):
-        if timeout is not None and timeout <= 0:
-            raise ConfigError(f"fabric timeout must be > 0, got {timeout}")
-        _config.timeout = timeout
-    if retries is not None:
-        if retries < 0:
-            raise ConfigError(f"fabric retries must be >= 0, got {retries}")
-        _config.retries = retries
-    if backoff is not None:
-        if backoff < 0:
-            raise ConfigError(f"fabric backoff must be >= 0, got {backoff}")
-        _config.backoff = backoff
-    if fail_fast is not None:
-        _config.fail_fast = fail_fast
-    return _config
-
-
-def current() -> FabricConfig:
-    return _config
+    global _config
+    config = replace(_config, **changes)
+    if config.jobs < 1:
+        raise ConfigError(f"fabric jobs must be >= 1, got {config.jobs}")
+    if config.timeout is not None and config.timeout <= 0:
+        raise ConfigError(f"fabric timeout must be > 0, got {config.timeout}")
+    previous, _config = _config, config
+    try:
+        yield config
+    finally:
+        _config = previous
 
 
 @dataclass
@@ -176,7 +146,7 @@ class JobFailure:
     """A job that terminally failed (after any retries).
 
     Appears in :func:`run_many`'s outcome list in place of a
-    :class:`JobOutcome` when the fabric runs with ``fail_fast=False``;
+    :class:`JobOutcome` when the policy has ``fail_fast=False``;
     ``kind`` is ``"crash"`` (worker process died), ``"timeout"`` (per-job
     wall budget exceeded; the worker was killed) or ``"error"`` (the job
     raised a Python exception).
@@ -187,7 +157,6 @@ class JobFailure:
     kind: str
     attempts: int
     wall_seconds: float
-    cached: bool = False  #: always False; mirrors JobOutcome for callers
 
     def as_dict(self) -> dict[str, Any]:
         """Manifest-friendly summary of this failure."""
@@ -328,8 +297,6 @@ def _run_pooled(
     workers: int,
     capture_traces: bool,
     timeout: float | None,
-    retries: int,
-    backoff: float,
     fail_fast: bool,
     window_spec: Any | None = None,
 ) -> dict[int, "JobOutcome | JobFailure"]:
@@ -349,13 +316,13 @@ def _run_pooled(
 
     def settle(att: _Attempt, kind: str, error: str, wall: float) -> None:
         """A worker attempt crashed or timed out: retry or finalize."""
-        if att.attempts <= retries:
+        if att.attempts <= RETRIES:
             warn(
                 f"fabric job {att.job.label or att.job.workload!r} "
                 f"{kind} on attempt {att.attempts} ({error}); retrying"
             )
             att.not_before = time.monotonic() + _backoff_delay(
-                backoff,
+                BACKOFF,
                 att.attempts,
                 key=att.job.label or att.job.workload,
                 cap=timeout,
@@ -458,24 +425,12 @@ def _run_pooled(
     return results
 
 
-def run_many(
-    jobs: list[RunJob],
-    *,
-    jobs_n: int | None = None,
-    cache: "ResultCache | None | _Unset" = _UNSET,
-    capture_traces: bool | None = None,
-    timeout: "float | None | _Unset" = _UNSET,
-    retries: int | None = None,
-    backoff: float | None = None,
-    fail_fast: bool | None = None,
-) -> list["JobOutcome | JobFailure"]:
+def run_many(jobs: list[RunJob]) -> list["JobOutcome | JobFailure"]:
     """Execute a batch of jobs; outcomes come back in submission order.
 
-    Defaults come from :func:`configure`: pool width from ``jobs``, the
-    result cache from ``cache``, and the failure policy (``timeout``,
-    ``retries``, ``backoff``, ``fail_fast``) from the matching config
-    fields. When the ambient collector captures traces, caching is
-    bypassed (trace events are host-side artifacts that must reflect a
+    The pool width, result cache and failure policy come from the live
+    :func:`policy`. When the ambient collector captures traces, caching
+    is bypassed (trace events are host-side artifacts that must reflect a
     real execution) and traces ship back from the workers.
 
     With ``fail_fast=False``, a job that terminally fails (worker crash,
@@ -484,23 +439,10 @@ def run_many(
     failure is also queued for :func:`drain_failures`. Failures are never
     cached and contribute no records to the ambient collector.
     """
-    if jobs_n is None:
-        jobs_n = _config.jobs
-    if isinstance(cache, _Unset):
-        cache = _config.cache
-    if isinstance(timeout, _Unset):
-        timeout = _config.timeout
-    if retries is None:
-        retries = _config.retries
-    if backoff is None:
-        backoff = _config.backoff
-    if fail_fast is None:
-        fail_fast = _config.fail_fast
+    config = _config
     collector = obs_runtime.current()
-    if capture_traces is None:
-        capture_traces = collector.capture_traces if collector else False
-    if capture_traces:
-        cache = None
+    capture_traces = collector.capture_traces if collector else False
+    cache = None if capture_traces else config.cache
     # Inner collectors window observations identically wherever a job
     # physically runs, so serial and pooled summaries stay bit-identical.
     window_spec = collector.window_spec if collector else None
@@ -529,15 +471,13 @@ def run_many(
 
     # Jobs run one per worker process when parallelism is requested or a
     # timeout needs a process boundary to kill; inline otherwise.
-    if pending and (jobs_n > 1 or timeout is not None):
+    if pending and (config.jobs > 1 or config.timeout is not None):
         pooled = _run_pooled(
             pending,
-            min(max(1, jobs_n), len(pending)),
+            min(config.jobs, len(pending)),
             capture_traces,
-            timeout,
-            retries,
-            backoff,
-            fail_fast,
+            config.timeout,
+            config.fail_fast,
             window_spec,
         )
         for i, _key, _job in pending:
@@ -548,7 +488,7 @@ def run_many(
             try:
                 outcomes[i] = execute_job(job, capture_traces, window_spec)
             except Exception as exc:
-                if fail_fast:
+                if config.fail_fast:
                     raise
                 outcomes[i] = JobFailure(
                     job=job,
@@ -578,6 +518,6 @@ def run_many(
     return settled
 
 
-def run_one(job: RunJob, **kwargs) -> JobOutcome:
-    """Convenience wrapper: ``run_many([job])[0]``."""
-    return run_many([job], **kwargs)[0]
+def run_one(job: RunJob) -> JobOutcome:
+    """One job as a batch of one: ``run_many([job])[0]``."""
+    return run_many([job])[0]

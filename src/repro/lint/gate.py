@@ -13,7 +13,7 @@ the live objects a run will use are never touched. That also means the gate
 sees exactly what the worker will execute — not a stale copy the caller
 linted earlier.
 
-State is process-local (like :func:`repro.fabric.configure`) and lives in
+State is process-local (like :func:`repro.fabric.policy`) and lives in
 the process that calls :func:`~repro.fabric.run_many`, which gates every
 batch before it spawns any worker; the runner saves it with :func:`state`
 and puts it back with :func:`restore` around a sweep. Reports accumulate

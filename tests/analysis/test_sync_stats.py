@@ -1,14 +1,19 @@
 """Tests of synchronization statistics."""
 
+import re
+from fractions import Fraction
+
 import pytest
 
 from repro.analysis.sync_stats import (
     CS_HISTOGRAM_EDGES,
     CS_HISTOGRAM_LABELS,
+    SyncProfile,
     short_section_fraction,
     summarize_lock,
     sync_profile,
 )
+from repro.common.config import MachineConfig
 from repro.hw.events import EventRates
 from repro.kernel.locks import LockStats
 from repro.sim.ops import Compute, LockAcquire, LockRelease
@@ -100,7 +105,44 @@ class TestShortSectionFraction:
         result = run_threads(uniprocessor, program)
         assert short_section_fraction(sync_profile(result)) == 0.0
 
+    @staticmethod
+    def _profile(hold_histogram):
+        return SyncProfile(
+            locks={},
+            total_acquires=sum(hold_histogram),
+            acquires_per_mcycle=0.0,
+            hold_fraction=0.0,
+            wait_fraction=0.0,
+            hold_histogram=hold_histogram,
+            wait_histogram=[0] * len(hold_histogram),
+        )
+
+    def test_threshold_between_edges_counts_whole_buckets_below_it(self):
+        """Buckets are [<240, <2.4k, <24k, <240k, >=240k] cycles; a
+        threshold of 10k falls inside the third, which is left out."""
+        profile = self._profile([1, 2, 3, 4, 5])
+        assert short_section_fraction(profile, 10_000) == 3 / 15
+        assert short_section_fraction(profile, 24_000) == 6 / 15
+        assert short_section_fraction(profile, 239) == 0.0
+        # the overflow bucket has no upper edge, so it is never short
+        assert short_section_fraction(profile, 10**9) == 10 / 15
+
 
 class TestFormatting:
     def test_edges_ascending(self):
         assert CS_HISTOGRAM_EDGES == sorted(CS_HISTOGRAM_EDGES)
+
+    def test_labels_name_the_edges_at_the_default_frequency(self):
+        """Label i is "<T" for edge i, and the overflow label ">=T" for the
+        last edge, where T in ns/us is the edge's length at the default
+        2.4 GHz clock."""
+        hz = MachineConfig().frequency.hz
+        scale = {"ns": Fraction(1, 10**9), "us": Fraction(1, 10**6)}
+        bounds = []
+        for label in CS_HISTOGRAM_LABELS:
+            match = re.fullmatch(r"(<|>=)(\d+)(ns|us)", label)
+            assert match, label
+            op, value, unit = match.groups()
+            bounds.append((op, int(value) * scale[unit] * hz))
+        edges = [Fraction(edge) for edge in CS_HISTOGRAM_EDGES]
+        assert bounds == [("<", edge) for edge in edges] + [(">=", edges[-1])]

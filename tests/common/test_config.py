@@ -171,3 +171,35 @@ def test_every_config_field_is_read():
         if field.name not in read
     ]
     assert unread == []
+
+
+def test_every_fabric_policy_field_is_set():
+    """A policy value is only a policy if the program sets it: every
+    ``FabricConfig`` field is passed by keyword to a function or class of
+    ``repro.fabric.jobs`` somewhere in ``src/`` outside that module. A
+    field that only tests set is a constant; make it one."""
+    from repro.fabric import jobs as fabric_jobs
+
+    own = Path(fabric_jobs.__file__)
+    callees = {
+        name
+        for name, obj in vars(fabric_jobs).items()
+        if callable(obj) and getattr(obj, "__module__", None) == fabric_jobs.__name__
+    }
+    passed = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        if path == own:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in callees:
+                passed |= {kw.arg for kw in node.keywords}
+    unset = [
+        field.name
+        for field in dataclasses.fields(fabric_jobs.FabricConfig)
+        if field.name not in passed
+    ]
+    assert unset == []

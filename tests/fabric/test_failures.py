@@ -15,9 +15,18 @@ import pytest
 from repro import fabric
 from repro.common.config import MachineConfig, SimConfig
 from repro.common.errors import FabricError
+from repro.fabric import jobs as fabric_jobs
 from repro.fabric.jobs import job_key
 
 CHAOS = "repro.fabric.testing.ChaosWorkload"
+
+
+@pytest.fixture
+def retry_budget(monkeypatch):
+    """Retry at once (no backoff wait); returns a setter for the retry
+    count, which otherwise stays at its default of one retry."""
+    monkeypatch.setattr(fabric_jobs, "BACKOFF", 0.0)
+    return lambda retries: monkeypatch.setattr(fabric_jobs, "RETRIES", retries)
 
 
 def chaos_job(mode: str, seed: int = 1, **kwargs) -> fabric.RunJob:
@@ -30,7 +39,7 @@ def chaos_job(mode: str, seed: int = 1, **kwargs) -> fabric.RunJob:
 
 
 class TestCrashAndHangIsolation:
-    def test_crash_and_hang_in_one_sweep(self):
+    def test_crash_and_hang_in_one_sweep(self, retry_budget):
         """The acceptance scenario: one sweep containing a healthy job, a
         crasher, a hanger and another healthy job completes the healthy
         work and reports the poison jobs as structured failures."""
@@ -41,15 +50,8 @@ class TestCrashAndHangIsolation:
             chaos_job("hang", hang_seconds=60.0),
             chaos_job("ok", seed=6),
         ]
-        outcomes = fabric.run_many(
-            jobs,
-            jobs_n=2,
-            cache=None,
-            timeout=1.5,
-            retries=1,
-            backoff=0.0,
-            fail_fast=False,
-        )
+        with fabric.policy(jobs=2, timeout=1.5, fail_fast=False):
+            outcomes = fabric.run_many(jobs)
         ok1, crash, hang, ok2 = outcomes
         assert isinstance(ok1, fabric.JobOutcome)
         assert isinstance(ok2, fabric.JobOutcome)
@@ -60,9 +62,7 @@ class TestCrashAndHangIsolation:
         assert hang.kind == "timeout" and hang.attempts == 2
 
         # The healthy jobs are byte-identical to a clean serial run.
-        clean = fabric.run_many(
-            [jobs[0], jobs[3]], jobs_n=1, cache=None, fail_fast=True
-        )
+        clean = fabric.run_many([jobs[0], jobs[3]])
         assert [ok1.result.fingerprint(), ok2.result.fingerprint()] == [
             o.result.fingerprint() for o in clean
         ]
@@ -74,61 +74,40 @@ class TestCrashAndHangIsolation:
         as_dict = crash.as_dict()
         assert as_dict["kind"] == "crash" and as_dict["attempts"] == 2
 
-    def test_timeout_kills_a_hung_job_at_one_worker(self):
+    def test_timeout_kills_a_hung_job_at_one_worker(self, retry_budget):
         """A timeout needs a process boundary to kill, so even at
-        ``jobs_n=1`` the job runs in a worker process and a hang ends as
+        ``jobs=1`` the job runs in a worker process and a hang ends as
         a structured timeout instead of running to completion inline."""
         fabric.drain_failures()
-        (failure,) = fabric.run_many(
-            [chaos_job("hang", hang_seconds=4.0)],
-            jobs_n=1,
-            cache=None,
-            timeout=0.5,
-            retries=0,
-            fail_fast=False,
-        )
+        retry_budget(0)
+        with fabric.policy(timeout=0.5, fail_fast=False):
+            (failure,) = fabric.run_many([chaos_job("hang", hang_seconds=4.0)])
         assert isinstance(failure, fabric.JobFailure)
         assert failure.kind == "timeout" and failure.attempts == 1
         assert [f.kind for f in fabric.drain_failures()] == ["timeout"]
 
-    def test_flaky_job_retries_to_success(self, tmp_path: Path):
+    def test_flaky_job_retries_to_success(self, tmp_path: Path, retry_budget):
         marker = tmp_path / "flaky.marker"
         job = chaos_job("flaky", marker=str(marker))
-        outcome = fabric.run_many(
-            [job],
-            jobs_n=2,
-            cache=None,
-            timeout=30.0,
-            retries=1,
-            backoff=0.0,
-            fail_fast=False,
-        )[0]
+        with fabric.policy(jobs=2, timeout=30.0, fail_fast=False):
+            outcome = fabric.run_many([job])[0]
         assert isinstance(outcome, fabric.JobOutcome)
         assert marker.exists(), "first attempt must have crashed"
         assert fabric.drain_failures() == []
 
-    def test_fail_fast_raises_on_crash(self):
+    def test_fail_fast_raises_on_crash(self, retry_budget):
+        retry_budget(0)
         with pytest.raises(FabricError, match="crash"):
-            fabric.run_many(
-                [chaos_job("crash")],
-                jobs_n=2,
-                cache=None,
-                timeout=30.0,
-                retries=0,
-                backoff=0.0,
-                fail_fast=True,
-            )
+            with fabric.policy(jobs=2, timeout=30.0):
+                fabric.run_many([chaos_job("crash")])
 
-    def test_worker_exception_is_structured_not_retried(self):
+    def test_worker_exception_is_structured_not_retried(self, retry_budget):
         fabric.drain_failures()
-        outcomes = fabric.run_many(
-            [chaos_job("error"), chaos_job("ok", seed=7)],
-            jobs_n=2,
-            cache=None,
-            retries=2,
-            backoff=0.0,
-            fail_fast=False,
-        )
+        retry_budget(2)
+        with fabric.policy(jobs=2, fail_fast=False):
+            outcomes = fabric.run_many(
+                [chaos_job("error"), chaos_job("ok", seed=7)]
+            )
         failure, ok = outcomes
         assert isinstance(failure, fabric.JobFailure)
         assert failure.kind == "error" and failure.attempts == 1
@@ -138,12 +117,10 @@ class TestCrashAndHangIsolation:
 
     def test_inline_keep_going_yields_structured_failure(self):
         fabric.drain_failures()
-        outcomes = fabric.run_many(
-            [chaos_job("error"), chaos_job("ok", seed=8)],
-            jobs_n=1,
-            cache=None,
-            fail_fast=False,
-        )
+        with fabric.policy(fail_fast=False):
+            outcomes = fabric.run_many(
+                [chaos_job("error"), chaos_job("ok", seed=8)]
+            )
         assert isinstance(outcomes[0], fabric.JobFailure)
         assert outcomes[0].kind == "error"
         assert isinstance(outcomes[1], fabric.JobOutcome)
@@ -153,10 +130,11 @@ class TestCrashAndHangIsolation:
         fabric.drain_failures()
         cache = fabric.ResultCache(tmp_path, salt="t")
         jobs = [chaos_job("error"), chaos_job("ok", seed=9)]
-        fabric.run_many(jobs, jobs_n=1, cache=cache, fail_fast=False)
-        assert cache.stats.stores == 1  # only the healthy job
-        # Replaying serves the healthy job and re-fails the poison one.
-        outcomes = fabric.run_many(jobs, jobs_n=1, cache=cache, fail_fast=False)
+        with fabric.policy(cache=cache, fail_fast=False):
+            fabric.run_many(jobs)
+            assert cache.stats.stores == 1  # only the healthy job
+            # Replaying serves the healthy job and re-fails the poison one.
+            outcomes = fabric.run_many(jobs)
         assert isinstance(outcomes[0], fabric.JobFailure)
         assert isinstance(outcomes[1], fabric.JobOutcome) and outcomes[1].cached
         fabric.drain_failures()
@@ -212,19 +190,22 @@ class TestCacheQuarantine:
     def test_corrupt_entry_quarantined_and_resimulated(self, tmp_path: Path):
         cache = fabric.ResultCache(tmp_path, salt="t")
         job = chaos_job("ok", seed=11)
-        first = fabric.run_many([job], jobs_n=1, cache=cache)[0]
+        with fabric.policy(cache=cache):
+            first = fabric.run_many([job])[0]
 
         key = job_key(cache, job)
         path = cache._path(key)
         path.write_bytes(b"garbage, not a cache entry")
 
-        second = fabric.run_many([job], jobs_n=1, cache=cache)[0]
+        with fabric.policy(cache=cache):
+            second = fabric.run_many([job])[0]
         assert not second.cached, "corrupt entry must not be served"
         assert second.result.fingerprint() == first.result.fingerprint()
         assert cache.stats.quarantined == 1
         assert (tmp_path / "quarantine" / path.name).exists()
         # The re-store replaced the entry; the next lookup is a clean hit.
-        third = fabric.run_many([job], jobs_n=1, cache=cache)[0]
+        with fabric.policy(cache=cache):
+            third = fabric.run_many([job])[0]
         assert third.cached
         assert third.result.fingerprint() == first.result.fingerprint()
 
@@ -234,7 +215,8 @@ class TestCacheQuarantine:
         root = tmp_path / "not-a-dir"
         root.write_text("occupied")
         cache = fabric.ResultCache(root, salt="t")
-        outcome = fabric.run_many([chaos_job("ok", seed=12)], jobs_n=1, cache=cache)[0]
+        with fabric.policy(cache=cache):
+            outcome = fabric.run_many([chaos_job("ok", seed=12)])[0]
         assert isinstance(outcome, fabric.JobOutcome)
         assert cache.stats.stores == 0 and cache.stats.errors >= 1
 

@@ -5,6 +5,7 @@ however a job physically executes, its RunResult fingerprint, its extract
 payload and the observability records it leaves behind must be identical.
 """
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -29,22 +30,25 @@ def busy_job(seed: int, cycles: int = 60_000, label: str | None = None):
 class TestExecution:
     def test_outcomes_in_submission_order(self):
         jobs = [busy_job(seed) for seed in (5, 6, 7)]
-        outcomes = fabric.run_many(jobs, jobs_n=1, cache=None)
+        outcomes = fabric.run_many(jobs)
         assert [o.job.config.seed for o in outcomes] == [5, 6, 7]
         assert all(not o.cached for o in outcomes)
 
     def test_serial_and_pool_identical(self):
         jobs = [busy_job(seed) for seed in (1, 2, 3, 4)]
-        serial = fabric.run_many(jobs, jobs_n=1, cache=None)
-        pooled = fabric.run_many(jobs, jobs_n=4, cache=None)
+        serial = fabric.run_many(jobs)
+        with fabric.policy(jobs=4):
+            pooled = fabric.run_many(jobs)
         assert [o.result.fingerprint() for o in serial] == [
             o.result.fingerprint() for o in pooled
         ]
 
     def test_records_merged_into_ambient_collector(self):
         jobs = [busy_job(seed) for seed in (1, 2)]
-        with obs_runtime.collect(label="outer") as collector:
-            fabric.run_many(jobs, jobs_n=2, cache=None)
+        with fabric.policy(jobs=2), obs_runtime.collect(
+            label="outer"
+        ) as collector:
+            fabric.run_many(jobs)
         assert collector.n_runs == 2
         assert [r.index for r in collector.records] == [0, 1]
         assert [r.seed for r in collector.records] == [1, 2]
@@ -56,7 +60,7 @@ class TestExecution:
             config=SimConfig(seed=0),
         )
         with pytest.raises(ConfigError):
-            fabric.run_many([job], jobs_n=1, cache=None)
+            fabric.run_many([job])
 
     def test_extract_payload_ships_back(self):
         # PrecisionTrial has build() + extract(): the extract payload must
@@ -72,10 +76,9 @@ class TestExecution:
             )
             for _ in range(2)
         ]
-        inline, pooled = (
-            fabric.run_many(jobs[:1], jobs_n=1, cache=None)[0],
-            fabric.run_many(jobs, jobs_n=2, cache=None)[1],
-        )
+        inline = fabric.run_many(jobs[:1])[0]
+        with fabric.policy(jobs=2):
+            pooled = fabric.run_many(jobs)[1]
         assert inline.extra == pooled.extra
         assert inline.extra  # per-region (invocations, total) observations
 
@@ -84,8 +87,9 @@ class TestCacheIntegration:
     def test_replay_is_identical(self, tmp_path: Path):
         cache = fabric.ResultCache(tmp_path, salt="t")
         jobs = [busy_job(seed) for seed in (1, 2)]
-        first = fabric.run_many(jobs, jobs_n=1, cache=cache)
-        second = fabric.run_many(jobs, jobs_n=1, cache=cache)
+        with fabric.policy(cache=cache):
+            first = fabric.run_many(jobs)
+            second = fabric.run_many(jobs)
         assert all(o.cached for o in second)
         assert [o.result.fingerprint() for o in first] == [
             o.result.fingerprint() for o in second
@@ -96,47 +100,90 @@ class TestCacheIntegration:
 
     def test_kwargs_and_seed_distinguish_entries(self, tmp_path: Path):
         cache = fabric.ResultCache(tmp_path, salt="t")
-        fabric.run_many([busy_job(1, cycles=60_000)], jobs_n=1, cache=cache)
-        outcomes = fabric.run_many(
-            [busy_job(2, cycles=60_000), busy_job(1, cycles=70_000)],
-            jobs_n=1,
-            cache=cache,
-        )
+        with fabric.policy(cache=cache):
+            fabric.run_many([busy_job(1, cycles=60_000)])
+            outcomes = fabric.run_many(
+                [busy_job(2, cycles=60_000), busy_job(1, cycles=70_000)]
+            )
         assert not any(o.cached for o in outcomes)
 
     def test_trace_capture_bypasses_cache(self, tmp_path: Path):
         cache = fabric.ResultCache(tmp_path, salt="t")
         jobs = [busy_job(1)]
-        with obs_runtime.collect(capture_traces=True):
-            fabric.run_many(jobs, jobs_n=1, cache=cache)
-            fabric.run_many(jobs, jobs_n=1, cache=cache)
+        with fabric.policy(cache=cache), obs_runtime.collect(
+            capture_traces=True
+        ):
+            fabric.run_many(jobs)
+            fabric.run_many(jobs)
         assert cache.stats.as_dict() == {
             "hits": 0, "misses": 0, "stores": 0, "errors": 0, "quarantined": 0,
         }
 
     def test_traces_ship_back_from_workers(self):
         jobs = [busy_job(seed) for seed in (1, 2)]
-        with obs_runtime.collect(capture_traces=True) as collector:
-            fabric.run_many(jobs, jobs_n=2, cache=None)
+        with fabric.policy(jobs=2), obs_runtime.collect(
+            capture_traces=True
+        ) as collector:
+            fabric.run_many(jobs)
         assert collector.n_runs == 2
         assert all(r.trace for r in collector.records)
 
 
 class TestConfigure:
+    """``fabric.policy`` is the one place the execution policy is set: it
+    applies for its block, keeps the fields it does not name, validates,
+    and restores the old policy on the way out."""
+
     def test_defaults_come_from_configure(self, tmp_path: Path):
-        previous = fabric.current()
-        prev_jobs, prev_cache = previous.jobs, previous.cache
-        try:
-            fabric.configure(jobs=2, cache=fabric.ResultCache(tmp_path, salt="t"))
-            cfg = fabric.current()
-            assert cfg.jobs == 2
-            assert cfg.cache is not None and cfg.cache.root == tmp_path
+        cache = fabric.ResultCache(tmp_path, salt="t")
+        with fabric.policy(jobs=2, cache=cache) as cfg:
+            assert cfg.jobs == 2 and cfg.cache is cache
             outcome = fabric.run_one(busy_job(9))
-            assert cfg.cache.stats.stores == 1
+            assert cache.stats.stores == 1
             assert not outcome.cached
-        finally:
-            fabric.configure(jobs=prev_jobs, cache=prev_cache)
+        # Out of the block the cache is off again: nothing is looked up.
+        fabric.run_one(busy_job(9))
+        assert cache.stats.as_dict()["hits"] == 0
+        assert cache.stats.stores == 1
+
+    def test_nested_scope_keeps_the_fields_it_does_not_name(
+        self, tmp_path: Path
+    ):
+        cache = fabric.ResultCache(tmp_path, salt="t")
+        with fabric.policy(cache=cache, fail_fast=False):
+            with fabric.policy(jobs=2) as inner:
+                assert inner.cache is cache and not inner.fail_fast
+                fabric.run_many([busy_job(3), busy_job(4)])
+            assert cache.stats.stores == 2
+            with fabric.policy(cache=None) as off:
+                assert off.cache is None and not off.fail_fast
+
+    def test_restores_the_old_policy_when_the_block_raises(
+        self, tmp_path: Path
+    ):
+        cache = fabric.ResultCache(tmp_path, salt="t")
+        with pytest.raises(RuntimeError):
+            with fabric.policy(cache=cache):
+                raise RuntimeError("leave the scope early")
+        fabric.run_one(busy_job(5))
+        assert cache.stats.as_dict()["misses"] == 0
+
+    def test_policy_cannot_be_changed_in_place(self):
+        with fabric.policy() as cfg:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                cfg.jobs = 4  # type: ignore[misc]
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ConfigError):
-            fabric.configure(jobs=0)
+            with fabric.policy(jobs=0):
+                pass
+
+    def test_rejects_nonpositive_timeout(self):
+        with pytest.raises(ConfigError):
+            with fabric.policy(timeout=0):
+                pass
+
+    def test_rejects_an_unknown_field(self):
+        with pytest.raises(TypeError):
+            with fabric.policy(retries=3):
+                pass

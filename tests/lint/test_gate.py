@@ -112,22 +112,20 @@ class TestRunManyIntegration:
     def test_gate_blocks_run_many_before_dispatch(self):
         gate.install(strict=True)
         with pytest.raises(LintError):
-            fabric.run_many([_job("unsafe_workload")], jobs_n=1, cache=None)
+            fabric.run_many([_job("unsafe_workload")])
 
     def test_gated_clean_run_matches_ungated(self):
         """Arming the gate must not perturb results: same fingerprint with
         the gate on and off."""
         job = _job("clean_workload")
-        ungated = fabric.run_many([job], jobs_n=1, cache=None)
+        ungated = fabric.run_many([job])
         gate.install(strict=True)
-        gated = fabric.run_many([job], jobs_n=1, cache=None)
+        gated = fabric.run_many([job])
         assert (
             gated[0].result.fingerprint() == ungated[0].result.fingerprint()
         )
 
     def test_gate_off_means_no_linting(self):
-        outcomes = fabric.run_many(
-            [_job("unsafe_workload")], jobs_n=1, cache=None
-        )
+        outcomes = fabric.run_many([_job("unsafe_workload")])
         assert outcomes[0].result is not None
         assert gate.drain_reports() == []

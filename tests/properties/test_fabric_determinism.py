@@ -50,12 +50,14 @@ def test_serial_pool_and_cache_fingerprints_equal(
 ):
     jobs = _jobs(workload, kwargs)
 
-    serial = fabric.run_many(jobs, jobs_n=1, cache=None)
-    pooled = fabric.run_many(jobs, jobs_n=4, cache=None)
+    serial = fabric.run_many(jobs)
+    with fabric.policy(jobs=4):
+        pooled = fabric.run_many(jobs)
 
     cache = fabric.ResultCache(tmp_path, salt="prop")
-    cold = fabric.run_many(jobs, jobs_n=1, cache=cache)
-    warm = fabric.run_many(jobs, jobs_n=1, cache=cache)
+    with fabric.policy(cache=cache):
+        cold = fabric.run_many(jobs)
+        warm = fabric.run_many(jobs)
     assert all(o.cached for o in warm)
 
     reference = [o.result.fingerprint() for o in serial]
@@ -82,14 +84,16 @@ def test_pool_replay_matches_serial_for_arbitrary_jobs(
     )
     twice = [job, job]
 
-    serial = fabric.run_many(twice, jobs_n=1, cache=None)
-    pooled = fabric.run_many(twice, jobs_n=2, cache=None)
+    serial = fabric.run_many(twice)
+    with fabric.policy(jobs=2):
+        pooled = fabric.run_many(twice)
 
     cache = fabric.ResultCache(
         tmp_path_factory.mktemp("fabric-prop"), salt="prop"
     )
-    fabric.run_many([job], jobs_n=1, cache=cache)
-    replay = fabric.run_one(job, cache=cache)
+    with fabric.policy(cache=cache):
+        fabric.run_many([job])
+        replay = fabric.run_one(job)
     assert replay.cached
 
     reference = serial[0].result.fingerprint()

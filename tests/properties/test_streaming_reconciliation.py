@@ -48,15 +48,17 @@ def _jobs(schedule: str, load: float) -> list[fabric.RunJob]:
     ]
 
 
-def _run_collected(jobs, jobs_n):
-    with obs_runtime.collect(window_spec=SPEC) as collector:
-        outcomes = fabric.run_many(jobs, jobs_n=jobs_n, cache=None)
+def _run_collected(jobs, workers):
+    with fabric.policy(jobs=workers), obs_runtime.collect(
+        window_spec=SPEC
+    ) as collector:
+        outcomes = fabric.run_many(jobs)
     return collector, outcomes
 
 
 @pytest.mark.parametrize("schedule,load", SCENARIOS)
 def test_windowed_summaries_reconcile_with_batch_totals(schedule, load):
-    collector, outcomes = _run_collected(_jobs(schedule, load), jobs_n=1)
+    collector, outcomes = _run_collected(_jobs(schedule, load), workers=1)
     stream = f"{LATENCY_STREAM}.{schedule}"
     for outcome in outcomes:
         stats: WindowedStats = outcome.records[-1].windows
@@ -86,8 +88,8 @@ def test_windowed_summaries_reconcile_with_batch_totals(schedule, load):
 @pytest.mark.parametrize("schedule,load", SCENARIOS)
 def test_serial_and_pooled_summaries_are_bit_identical(schedule, load):
     jobs = _jobs(schedule, load)
-    serial_col, serial = _run_collected(jobs, jobs_n=1)
-    pooled_col, pooled = _run_collected(jobs, jobs_n=4)
+    serial_col, serial = _run_collected(jobs, workers=1)
+    pooled_col, pooled = _run_collected(jobs, workers=4)
 
     assert [o.result.fingerprint() for o in serial] == [
         o.result.fingerprint() for o in pooled
@@ -106,8 +108,8 @@ def test_serial_and_pooled_summaries_are_bit_identical(schedule, load):
 
 def test_streaming_observation_changes_no_simulated_result():
     jobs = _jobs("constant", 0.85)
-    _col, observed = _run_collected(jobs, jobs_n=1)
-    plain = fabric.run_many(jobs, jobs_n=1, cache=None)  # no collector
+    _col, observed = _run_collected(jobs, workers=1)
+    plain = fabric.run_many(jobs)  # no collector
     assert [o.result.fingerprint() for o in observed] == [
         o.result.fingerprint() for o in plain
     ]
